@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .bounds import l1_coeff_bound_multilevel, l1_coeff_bound_simple, ridge_coeff_bound_l2
+from .bounds import _MIN_TRIALS, l1_coeff_bound_multilevel, l1_coeff_bound_simple, ridge_coeff_bound_l2
 from .countsketch import private_countsketch_l2
 from .dataset import DatasetFile, ingest
 from .errors import DpSketchError
@@ -31,7 +31,6 @@ _NORM_OF_METHOD = {
     "l1-multilevel": "l1",
     "l1-illustration": "l1",
 }
-_MIN_TRIALS = 100
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -84,8 +84,11 @@ def countsketch_apply(plan: CountSketchPlan, m) -> np.ndarray:
         raise ParameterError(
             f"plan covers {plan.n_inputs} input rows but matrix has {a.shape[0]}"
         )
-    out = np.zeros((plan.r, a.shape[1]))
-    np.add.at(out, plan.bucket_of, plan.sign_of[:, None] * a)
+    # bincount accumulates each bucket in input-row order, as np.add.at does,
+    # so the sums are bit-identical to that reference.
+    out = np.empty((plan.r, a.shape[1]))
+    for k in range(a.shape[1]):
+        out[:, k] = np.bincount(plan.bucket_of, weights=plan.sign_of * a[:, k], minlength=plan.r)
     return out
 
 

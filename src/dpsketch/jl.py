@@ -2,17 +2,24 @@
 
 The release pipeline: a noisy test decides whether the smallest singular
 value of ``A`` clears a privacy threshold ``w``. If it does, the released
-sketch is ``S A`` for a Gaussian ``S``. Otherwise ``A`` is augmented with
-``c Q`` where ``Q = V Sigma V^T``, which scales every singular value by the
-same factor until the smallest reaches ``w``, and ``S [A; cQ]`` is released.
-Unlike appending ``w I``, the scaling route keeps the sketched problem an
-unregularized least-squares problem.
+sketch has the law of ``S A`` for a Gaussian ``S``. Otherwise ``A`` is
+augmented with ``c Q`` where ``Q = V Sigma V^T``, which scales every singular
+value by the same factor until the smallest reaches ``w``, and the release
+has the law of ``S [A; cQ]``. Unlike appending ``w I``, the scaling route
+keeps the sketched problem an unregularized least-squares problem.
 
-The projection matrix ``S`` has unscaled N(0, 1) entries; the argmin of the
-sketched problem is invariant to scaling ``S``, so the conventional
-``1/sqrt(r)`` factor is applied only inside distortion diagnostics, never to
-the release. ``S`` and the seed are never part of the release: privacy rests
-on their secrecy.
+``S`` is never formed. Each row of ``S M`` is an independent
+``N(0, M^T M)`` draw, and ``Q = (A^T A)^{1/2}`` gives
+``[A; cQ]^T [A; cQ] = (1 + c^2) A^T A``. So the release is drawn as
+``sqrt(1 + c^2) G Q`` with ``G`` an ``r x (d+1)`` matrix of N(0, 1) entries:
+the same law as ``S A`` (``c = 0``) or ``S [A; cQ]``, at the cost of an
+``r x (d+1)`` draw instead of an ``r x n`` one. The privacy analysis of the
+JL release depends only on this law.
+
+The entries are unscaled N(0, 1); the argmin of the sketched problem is
+invariant to scaling, so the conventional ``1/sqrt(r)`` factor is applied
+only inside distortion diagnostics, never to the release. ``G`` and the seed
+are never part of the release: privacy rests on their secrecy.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ class JlConfig:
 
 @dataclass(frozen=True)
 class JlReleaseMeta:
-    """Public metadata accompanying a released JL sketch (no seed, no S)."""
+    """Public metadata accompanying a released JL sketch (no seed, no G)."""
 
     branch: str  # "no-augment" | "spectral-augment"
     w_squared: float
@@ -100,9 +107,25 @@ def spectral_augment(a, w: float) -> "tuple[np.ndarray, float]":
         raise ParameterError(
             f"sigma_min = {smin:.6g} already exceeds w = {w:.6g}; augmentation not needed"
         )
-    c = math.sqrt(max(w**2 / smin**2 - 1.0, 0.0))
+    c = _augment_factor(smin, w)
     q = (v * s) @ v.T
     return np.vstack([a, c * q]), c
+
+
+def _augment_factor(smin: float, w: float) -> float:
+    """``c = sqrt(w^2 / sigma_min^2 - 1)``, clamped at 0."""
+    return math.sqrt(max(w**2 / smin**2 - 1.0, 0.0))
+
+
+def _gaussian_times_root(v: np.ndarray, s: np.ndarray, r: int, seed) -> np.ndarray:
+    """``G Q`` for ``Q = V diag(s) V^T`` and ``G`` an r-row matrix of N(0, 1) entries.
+
+    With ``V``, ``s`` from the thin SVD of ``A``, ``Q = (A^T A)^{1/2}`` and
+    the rows of ``G Q`` are iid ``N(0, A^T A)``: the law of the rows of
+    ``S A`` for an r-by-n Gaussian ``S``, which is never formed.
+    """
+    q = (v * s) @ v.T
+    return sample_gaussian_matrix(r, q.shape[0], 1.0, seed) @ q
 
 
 def suggested_jl_rows(mu: float, d: int, constant: float = 1.0) -> int:
@@ -119,19 +142,25 @@ def suggested_jl_rows(mu: float, d: int, constant: float = 1.0) -> int:
 
 
 def jl_project(a, r: int, seed) -> np.ndarray:
-    """Plain (non-private) JL sketch ``S A`` with S an r-by-n matrix of N(0,1) entries."""
-    a = as_matrix(a)
-    s = sample_gaussian_matrix(r, a.shape[0], 1.0, seed)
-    return s @ a
+    """Plain (non-private) JL sketch with the law of ``S A``, S r-by-n with N(0,1) entries.
+
+    Drawn as ``G (A^T A)^{1/2}`` from the thin SVD of ``A``; ``S`` is never
+    formed.
+    """
+    _, s, v = svd(a)
+    return _gaussian_times_root(v, s, r, seed)
 
 
 def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[np.ndarray, JlReleaseMeta]":
     """Release a private JL sketch of ``A = [X | y]``.
 
-    Runs the noisy rank test; on success projects ``A`` directly, otherwise
-    projects the spectrally augmented ``[A; cQ]``. The output has shape
-    ``r x (d+1)`` either way. The sketching matrix and the seed are
-    discarded; only the returned matrix and metadata are safe to publish.
+    Runs the noisy rank test. On success the release has the law of ``S A``,
+    otherwise that of ``S [A; cQ]`` for the spectrally augmented matrix; both
+    are drawn as ``sqrt(1 + c^2) G Q`` with ``Q = (A^T A)^{1/2}`` and ``G``
+    an ``r x (d+1)`` Gaussian (``c = 0`` on success), so neither ``S`` nor
+    the stacked matrix is formed. The output has shape ``r x (d+1)`` either
+    way. ``G`` and the seed are discarded; only the returned matrix and
+    metadata are safe to publish.
 
     Raises
     ------
@@ -147,32 +176,26 @@ def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[
     n, d1 = a.shape
 
     w_sq = threshold_w_squared(cfg.bound, cfg.pp, cfg.r)
-    u, s, v = svd(a)
+    _, s, v = svd(a)
     smax, smin = float(s[0]), float(s[-1])
     if n < d1 or smin <= smax * max(a.shape) * np.finfo(float).eps:
         raise SingularSystemError("A must have full column rank")
 
     lap_seed, proj_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     if noisy_rank_test(smin**2, w_sq, cfg.bound, cfg.pp, lap_seed):
-        proj = sample_gaussian_matrix(cfg.r, n, 1.0, proj_seed)
         meta = JlReleaseMeta(
             branch="no-augment", w_squared=w_sq, c=0.0, r=cfg.r,
             epsilon=cfg.pp.epsilon, delta=cfg.pp.delta, B=b,
         )
-        return proj @ a, meta
+        return _gaussian_times_root(v, s, cfg.r, proj_seed), meta
 
+    # When the Laplace draw fails the test even though sigma_min >= w, c = 0
+    # (appending zero rows) already satisfies sigma_min(Ahat) >= w.
     w = math.sqrt(w_sq)
-    if smin >= w:
-        # The Laplace draw failed the test even though sigma_min >= w; c = 0
-        # (appending zero rows) already satisfies sigma_min(Ahat) >= w.
-        c = 0.0
-        a_hat = np.vstack([a, np.zeros((d1, d1))])
-    else:
-        a_hat, c = spectral_augment(a, w)
-    proj = sample_gaussian_matrix(cfg.r, n + d1, 1.0, proj_seed)
+    c = 0.0 if smin >= w else _augment_factor(smin, w)
     meta = JlReleaseMeta(
         branch="spectral-augment", w_squared=w_sq, c=c, r=cfg.r,
         epsilon=cfg.pp.epsilon, delta=cfg.pp.delta, B=b,
         utility_warning=(1.0 + c**2) > _UTILITY_WARN_FACTOR,
     )
-    return proj @ a_hat, meta
+    return math.sqrt(1.0 + c**2) * _gaussian_times_root(v, s, cfg.r, proj_seed), meta

@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import DecompositionError, ParameterError, SingularSystemError
 
-# Seeds may be plain ints or SeedSequence objects spawned from a master seed.
-SeedLike = "int | np.random.SeedSequence"
-
-
 class SvdResult(NamedTuple):
     """Thin SVD ``M = U @ diag(singular_values) @ V.T``.
 

@@ -39,6 +39,18 @@ class TestApply:
         with pytest.raises(ParameterError):
             countsketch_apply(plan, np.ones((4, 2)))
 
+    def test_matches_add_at_reference(self):
+        # exact equality with the np.add.at accumulation, including plans
+        # that leave buckets empty (n << r) and the single-bucket plan r = 1
+        rng = np.random.default_rng(41)
+        for n, r, d1 in [(5, 50, 3), (300, 1, 4), (2000, 64, 2), (1, 3, 1), (700, 700, 5)]:
+            for signed in (True, False):
+                plan = draw_countsketch_plan(n, r, rng.integers(2**32), signed=signed)
+                m = rng.standard_normal((n, d1))
+                ref = np.zeros((r, d1))
+                np.add.at(ref, plan.bucket_of, plan.sign_of[:, None] * m)
+                assert np.array_equal(countsketch_apply(plan, m), ref)
+
     def test_plan_validation(self):
         with pytest.raises(ParameterError):
             CountSketchPlan(r=2, bucket_of=np.array([0, 2]), sign_of=np.ones(2))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dpsketch.jl import (
     suggested_jl_rows,
     threshold_w_squared,
 )
-from dpsketch.linalg import min_singular_value, svd
+from dpsketch.linalg import min_singular_value, sample_gaussian_matrix, svd
 from dpsketch.mechanisms import PrivacyParams, RowBound
 from dpsketch.solvers import SketchProblem, exact_l2_solution, solve_l2_sketch
 
@@ -192,6 +193,98 @@ class TestPrivateJlSketch:
             ceiling = (1 + mu) ** 3 * (1 + meta.c**2) * loss_star
             hits += sketched_loss <= ceiling
         assert hits >= trials / 2
+
+
+def _unit_rows(n, d1, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d1))
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _gaussian_times_gram_root(a, r, seed):
+    """Reference ``G (A^T A)^{1/2}`` with G rebuilt from ``seed``."""
+    _, s, v = svd(a)
+    return sample_gaussian_matrix(r, a.shape[1], 1.0, seed) @ ((v * s) @ v.T)
+
+
+class TestGramRootRelease:
+    """The release is ``sqrt(1 + c^2) G (A^T A)^{1/2}``, which has the law of
+    ``S A`` / ``S [A; cQ]`` without forming the r x n Gaussian ``S``."""
+
+    # (dataset, r, seed) per branch; unit-sphere rows give sigma_min^2 ~ n/d1,
+    # far above w^2, so every seed takes the no-augment branch
+    NO_AUGMENT = (DataMatrix(_unit_rows(3000, 5, 0), B1), 8)
+    AUGMENT = (synthetic_regression(400, 3, seed=11, noise=0.3), 16)
+
+    @pytest.mark.parametrize("case", ["no-augment", "spectral-augment"])
+    def test_reconstruction_from_spawned_seed(self, case):
+        data, r = self.NO_AUGMENT if case == "no-augment" else self.AUGMENT
+        sk, meta = private_jl_sketch(data, JlConfig(r, PP, B1, seed=6))
+        assert meta.branch == case
+        _, proj_seed = np.random.SeedSequence(6).spawn(2)
+        expected = math.sqrt(1.0 + meta.c**2) * _gaussian_times_gram_root(data.A, r, proj_seed)
+        np.testing.assert_allclose(sk, expected, rtol=1e-12, atol=1e-12)
+
+    def test_zero_c_when_sigma_min_clears_w_but_test_fails(self):
+        # sigma_min^2 = 153.51 sits between w^2 = 153.29 and w^2 + margin, so
+        # most Laplace draws fail the test with c = 0: the release is plain G Q
+        a = _unit_rows(820, 5, 2)
+        assert threshold_w_squared(B1, PP, 8) < min_singular_value(a) ** 2
+        sk, meta = private_jl_sketch(DataMatrix(a, B1), JlConfig(8, PP, B1, seed=0))
+        assert (meta.branch, meta.c) == ("spectral-augment", 0.0)
+        _, proj_seed = np.random.SeedSequence(0).spawn(2)
+        np.testing.assert_allclose(sk, _gaussian_times_gram_root(a, 8, proj_seed), rtol=1e-12, atol=1e-12)
+
+    def test_jl_project_reconstruction(self):
+        a = synthetic_regression(500, 4, seed=2).A
+        seed = np.random.SeedSequence([3, 1])
+        np.testing.assert_allclose(
+            jl_project(a, 20, seed), _gaussian_times_gram_root(a, 20, seed), rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("case", ["no-augment", "spectral-augment"])
+    def test_second_moment(self, case):
+        # E[R^T R] = r (1 + c^2) A^T A. Each entry of the 400-seed average of
+        # R^T R / r has standard deviation <= sqrt(2 / (r * 400)) * max|M|
+        # (Wishart), 0.025 max|M| at r = 8, so the slack below is 4 of those.
+        data, r = self.NO_AUGMENT if case == "no-augment" else self.AUGMENT
+        target = None
+        acc = np.zeros((data.d + 1, data.d + 1))
+        n_seeds = 400
+        for i in range(n_seeds):
+            sk, meta = private_jl_sketch(data, JlConfig(r, PP, B1, seed=6100 + i))
+            assert meta.branch == case
+            if target is None:
+                target = (1.0 + meta.c**2) * (data.A.T @ data.A)
+            acc += sk.T @ sk / r
+        acc /= n_seeds
+        assert np.max(np.abs(acc - target)) <= 0.1 * np.abs(target).max()
+
+    def test_meta_pinned(self):
+        # values recorded from the release that formed S explicitly: the
+        # Laplace draw, branch, w^2 and c do not depend on how the projection
+        # is drawn
+        data, r = self.AUGMENT
+        _, meta = private_jl_sketch(data, JlConfig(r, PP, B1, seed=5))
+        assert meta.branch == "spectral-augment"
+        assert meta.w_squared == pytest.approx(183.1535337314918, rel=1e-12)
+        assert meta.c == pytest.approx(10.30467746554907, rel=1e-9)
+        assert meta.utility_warning
+        data, r = self.NO_AUGMENT
+        _, meta = private_jl_sketch(data, JlConfig(r, PP, B1, seed=5))
+        assert (meta.branch, meta.c, meta.utility_warning) == ("no-augment", 0.0, False)
+        assert meta.w_squared == pytest.approx(153.29284961632226, rel=1e-12)
+
+    def test_peak_memory_scales_with_input_not_r_times_n(self):
+        # forming S (256 x 50k) alone would take 102 MB, 23x the 4.4 MB input
+        data = synthetic_regression(50_000, 10, seed=1)
+        tracemalloc.start()
+        try:
+            private_jl_sketch(data, JlConfig(256, PP, B1, seed=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * data.A.nbytes
 
 
 class TestRowsHelper:
