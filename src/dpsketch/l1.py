@@ -157,6 +157,19 @@ class WeightedSketch:
         return self.rows.shape[0]
 
 
+def _bucket_add(out: np.ndarray, buckets: np.ndarray, source: np.ndarray, idx: np.ndarray) -> None:
+    """``out[buckets[i]] += source[idx[i]]``, one ``np.bincount`` per column.
+
+    Each bucket is summed in order of ``i``, as ``np.add.at`` does, without
+    gathering ``source[idx]`` as a whole. The result equals ``np.add.at``
+    bit for bit where ``out`` is still zero at the buckets written, which
+    holds in the release: its levels and level-0 blocks write disjoint
+    bucket ranges of a zeroed output.
+    """
+    for j in range(out.shape[1]):
+        out[:, j] += np.bincount(buckets, weights=source[idx, j], minlength=out.shape[0])
+
+
 def private_l1_sketch(
     data: "DataMatrix | np.ndarray",
     cfg: L1SketchConfig,
@@ -200,8 +213,8 @@ def private_l1_sketch(
     rng = np.random.default_rng(assign_seed)
 
     def accumulate(global_buckets: np.ndarray, source_idx: np.ndarray) -> None:
-        np.add.at(rows_out, global_buckets, stacked[source_idx])
-        np.add.at(noise_cover, global_buckets[source_idx >= n], 1)
+        _bucket_add(rows_out, global_buckets, stacked, source_idx)
+        noise_cover[:] += np.bincount(global_buckets[source_idx >= n], minlength=r)
         memberships[source_idx] += 1
 
     # Level 0: every row goes into one uniform bucket of each of the s blocks.

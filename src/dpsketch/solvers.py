@@ -3,7 +3,9 @@
 A released sketch is an ``r x (d+1)`` matrix whose last column plays the
 role of the response, so every solver works on the augmented vector
 ``beta_aug = [beta; -1]`` and minimizes ``||M beta_aug||`` (optionally
-weighted). Least squares goes through Householder QR. Least absolute
+weighted). Every least-squares solve, including each IRLS iteration, goes
+through ``linalg.augmented_least_squares``: one blocked Householder QR of
+the (weighted) ``[X | y]``, with ``Q`` never formed. Least absolute
 deviations uses IRLS with a shrinking smoothing floor, anchored by an exact
 vertex-enumeration oracle on small instances.
 """
@@ -17,7 +19,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import ParameterError, SingularSystemError
-from .linalg import as_matrix, qr_least_squares
+from .linalg import as_matrix, augmented_least_squares, qr_least_squares
 
 # IRLS defaults: smoothing floor 1e-8 * max row scale, halved every 10
 # iterations so the smoothed problem approaches the true l1 objective.
@@ -108,11 +110,13 @@ def l1_objective(problem: SketchProblem, beta) -> float:
     return float(problem.effective_weights() @ np.abs(residual))
 
 
-def _irls_step(design, target, w, beta, smoothing) -> np.ndarray:
-    """One IRLS update: weighted LSQ with weights w_i / max(|res_i|, smoothing)."""
-    residual = np.abs(design @ beta - target)
-    u = np.sqrt(w / np.maximum(residual, smoothing))
-    return qr_least_squares(design * u[:, None], target * u)
+def _irls_step(m, w, abs_residual, smoothing) -> np.ndarray:
+    """One IRLS update: weighted LSQ on ``M`` with weights w_i / max(|res_i|, smoothing).
+
+    ``abs_residual`` is ``|M beta_aug|`` at the current iterate.
+    """
+    u = np.sqrt(w / np.maximum(abs_residual, smoothing))
+    return augmented_least_squares(as_matrix(m * u[:, None]))
 
 
 def solve_l1_weighted(
@@ -122,24 +126,27 @@ def solve_l1_weighted(
 
     Returns the best iterate seen; ``converged`` is False when the
     objective was still moving at ``max_iter`` or an inner solve went
-    singular.
+    singular. Each iteration makes one pass for ``|M beta_aug|``, which
+    gives both the objective and the next weights.
     """
-    design, target = problem.design, problem.target
+    m = problem.M
     w = problem.effective_weights()
-    smoothing = _SMOOTHING_SCALE * max(1.0, float(np.abs(problem.M).max()))
+    smoothing = _SMOOTHING_SCALE * max(1.0, float(np.abs(m).max()))
 
-    beta = qr_least_squares(design, target)
-    best_obj = l1_objective(problem, beta)
+    beta = augmented_least_squares(m)
+    residual = np.abs(m @ np.append(beta, -1.0))
+    best_obj = float(w @ residual)
     best_beta = beta
     prev_obj = best_obj
     converged = False
     its = 0
     for its in range(1, max_iter + 1):
         try:
-            beta = _irls_step(design, target, w, beta, smoothing)
+            beta = _irls_step(m, w, residual, smoothing)
         except SingularSystemError:
             break
-        obj = l1_objective(problem, beta)
+        residual = np.abs(m @ np.append(beta, -1.0))
+        obj = float(w @ residual)
         if obj < best_obj:
             best_obj, best_beta = obj, beta
         if abs(obj - prev_obj) <= tol * (1.0 + obj):

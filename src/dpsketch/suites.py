@@ -112,8 +112,9 @@ def suite_jl_distortion(trials: int = 200, seed: int = 0) -> "list[BoundReport]"
     vectors /= np.linalg.norm(vectors, axis=0)
     outside = 0
     for i in range(trials):
-        s = np.random.default_rng(np.random.SeedSequence([seed, i])).standard_normal((r, dim))
-        scaled = (np.linalg.norm(s @ vectors, axis=0) ** 2) / r
+        # The rows of S V are iid N(0, V^T V), the law jl_project draws.
+        projected = jl_project(vectors, r, np.random.SeedSequence([seed, i]))
+        scaled = (np.linalg.norm(projected, axis=0) ** 2) / r
         outside += int(((scaled < 0.65) | (scaled > 1.35)).sum())
     return [
         BoundReport(

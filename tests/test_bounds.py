@@ -15,6 +15,7 @@ from dpsketch.bounds import (
 )
 from dpsketch.errors import ParameterError
 from dpsketch.mechanisms import PrivacyParams, RowBound
+from dpsketch.suites import suite_lemma1
 
 PP = PrivacyParams(1.0, 0.05)
 B1 = RowBound(1.0)
@@ -131,3 +132,25 @@ class TestVerifier:
         a = verify_tail_bound(spec, "l1", 15.0, 0.25, 500, seed=9)
         b = verify_tail_bound(spec, "l1", 15.0, 0.25, 500, seed=9)
         assert a.exceedances == b.exceedances
+
+    def test_lemma1_stream_pinned(self):
+        # for dim = 1 the direct draw of eta @ beta_aug is the same stream as
+        # the (batch, rows, 1) noise tensor it replaced; counts recorded from it
+        assert [rep.exceedances for rep in suite_lemma1()] == [1460, 113, 126]
+
+    @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
+    def test_dim5_second_moment(self, quantile):
+        # eta @ beta_aug has iid N(0, sigma^2 ||beta_aug||^2) entries, so with
+        # two rows ||eta beta_aug||^2 is exponential with mean 2 sigma^2 ||beta_aug||^2:
+        # Pr(||.|| >= t) = exp(-t^2 / (2 sigma^2 ||beta_aug||^2)). The reference
+        # draws the full noise tensor; 20k trials give a binomial sd below 0.0036.
+        beta = np.array([0.5, -1.0, 2.0, 0.0, 3.0])
+        sigma, trials = 1.7, 20_000
+        second_moment = sigma**2 * float(beta @ beta)
+        t = math.sqrt(-2.0 * second_moment * math.log(quantile))
+        spec = GaussianNoiseSpec(rows=2, sigma=sigma, beta_aug=beta)
+        rate = verify_tail_bound(spec, "l2", t, 0.25, trials, seed=21).exceedance_rate
+        eta = sigma * np.random.default_rng(22).standard_normal((trials, 2, 5))
+        reference = float((np.linalg.norm(eta @ beta, axis=1) >= t).mean())
+        assert abs(rate - quantile) <= 0.02
+        assert abs(rate - reference) <= 0.02

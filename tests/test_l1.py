@@ -191,6 +191,30 @@ class TestMultiLevelSketch:
         assert (one.weights == two.weights).all()
 
 
+class TestBucketSums:
+    @staticmethod
+    def add_at_reference(out, buckets, source, idx):
+        np.add.at(out, buckets, source[idx])
+
+    @pytest.mark.parametrize(
+        "n,s,assignment",
+        [(1, 1, "bernoulli"), (2, 4, "bernoulli"), (3, 2, "categorical"),
+         (50, 2, "bernoulli"), (50, 4, "categorical"), (2000, 1, "bernoulli")],
+    )
+    def test_bincount_equals_add_at(self, monkeypatch, n, s, assignment):
+        import dpsketch.l1 as l1_module
+
+        data = synthetic_regression(n, 3, seed=n)
+        for seed in range(3):
+            cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8, s=s, b=4.0, level_assignment=assignment)
+            got = private_l1_sketch(data, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(l1_module, "_bucket_add", self.add_at_reference)
+                want = private_l1_sketch(data, cfg)
+            assert got.rows.tobytes() == want.rows.tobytes()
+            assert (got.noise_coverage == want.noise_coverage).all()
+
+
 class TestRowsHelper:
     def test_formula(self):
         assert suggested_l1_rows(3, 100, c=1.0) == math.ceil(9 * math.log(100) ** 8)

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsketch.dataset import synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
 from dpsketch.linalg import (
+    augmented_least_squares,
     min_singular_value,
     qr_least_squares,
     sample_gaussian_matrix,
     sample_laplace,
     svd,
 )
+from dpsketch.solvers import exact_l1_solution
 
 
 def charpoly_singular_values_2x2(m):
@@ -134,6 +137,68 @@ class TestQrLeastSquares:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ParameterError):
             qr_least_squares([[1.0, 2.0, 3.0]], [1.0])
+
+
+class TestAugmentedLeastSquares:
+    """The blocked kernel against LAPACK's lstsq, on both sides of the block size."""
+
+    # 4096 rows is where blocking starts; 20003 leaves a 35-row remainder block
+    @pytest.mark.parametrize("n", [11, 255, 256, 257, 513, 4095, 4096, 4097, 4353, 20003])
+    def test_matches_lstsq(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, 10)) * rng.uniform(0.1, 10.0, 10)
+        rhs = m @ rng.standard_normal(10) + rng.standard_normal(n)
+        expected, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+        got = augmented_least_squares(np.column_stack([m, rhs]))
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert qr_least_squares(m, rhs) == pytest.approx(got, rel=1e-15, abs=0)
+
+    def test_duplicate_column_raises_at_scale(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((20_000, 5))
+        m = np.column_stack([x, x[:, 2]])
+        with pytest.raises(SingularSystemError):
+            qr_least_squares(m, rng.standard_normal(20_000))
+
+    def test_column_nonzero_in_one_row_of_one_block(self):
+        rng = np.random.default_rng(13)
+        n = 6000
+        x = rng.standard_normal((n, 4))
+        spike = np.zeros(n)
+        spike[777] = 3.0  # inside the fourth 256-row block only
+        m = np.column_stack([x, spike])
+        rhs = rng.standard_normal(n)
+        expected, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+        got = qr_least_squares(m, rhs)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        # the spike column fits row 777 exactly
+        assert (m @ got - rhs)[777] == pytest.approx(0.0, abs=1e-12)
+
+    def test_ill_conditioned_residual_no_worse_than_lstsq(self):
+        rng = np.random.default_rng(14)
+        n = 5000
+        m = rng.standard_normal((n, 6)) * np.geomspace(1.0, 1e-9, 6)
+        rhs = m @ rng.standard_normal(6) + 1e-3 * rng.standard_normal(n)
+        expected, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+        got = qr_least_squares(m, rhs)
+        ref = np.linalg.norm(m @ expected - rhs)
+        assert np.linalg.norm(m @ got - rhs) <= ref * (1.0 + 1e-10)
+        # optimality: the residual is orthogonal to every column, in that column's scale
+        grad = np.abs(m.T @ (m @ got - rhs)) / np.linalg.norm(m, axis=0)
+        assert grad.max() <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ParameterError):
+            augmented_least_squares(np.ones((2, 4)))
+
+    def test_fixed_instance_irls(self):
+        # the benchmark's exact-LAD reference instance: 20k x 10, data seed 0;
+        # values recorded with the unblocked QR that formed Q
+        data = synthetic_regression(20_000, 10, seed=0, bound=1.0)
+        sol = exact_l1_solution(data)
+        assert sol.converged
+        assert sol.iterations == 214
+        assert sol.sketch_loss == pytest.approx(127.55906586248625, rel=1e-12, abs=0)
 
 
 class TestSampling:

@@ -107,10 +107,11 @@ class TestSolveL1:
                 w[small] @ (res[small] ** 2 / (2 * eps) + eps / 2) + w[~small] @ res[~small]
             )
 
+        m = np.column_stack([design, target])
         beta = np.zeros(2)
         prev = huberized(beta)
         for _ in range(40):
-            beta = _irls_step(design, target, w, beta, eps)
+            beta = _irls_step(m, w, np.abs(m @ np.append(beta, -1.0)), eps)
             current = huberized(beta)
             assert current <= prev + 1e-12
             prev = current
