@@ -163,9 +163,9 @@ def _cmd_solve(args) -> int:
     print(f"method: {release.method}  solver: {sol.method}")
     print("beta:", " ".join(f"{v:.10g}" for v in sol.beta))
     print(f"sketch loss: {sol.sketch_loss:.10g}")
-    if sol.method == "irls":
-        state = "converged" if sol.converged else "NOT converged"
-        print(f"irls: {state} after {sol.iterations} iteration(s)")
+    if args.norm == "l1":
+        state = "certified optimal" if sol.converged else "NOT certified"
+        print(f"l1: {state} after {sol.iterations} pivot(s)")
     if args.json_out:
         payload = {
             "method": release.method,

@@ -3,7 +3,9 @@
 Layout: magic ``DPSK``, version u16 LE, JSON header length u32 LE, the JSON
 header, then ``r * (d+1)`` float64 LE sketch entries row-major, then ``r``
 float64 LE weights iff the method is ``l1-multilevel``. Round-trips are
-bit-exact so solvers in any language read identical sketches.
+bit-exact so solvers in any language read identical sketches. Writes go to
+a temporary file in the target directory that is then renamed over the
+target, so a failed write leaves any earlier file in place.
 
 The header carries only public calibration metadata. Seeds, bucket/sign
 plans, and raw data rows must never enter this file; publishing a seed
@@ -13,7 +15,11 @@ voids the privacy guarantee.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +51,13 @@ class SketchFile:
         if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
+        for name, low, high in (("epsilon", 0.0, math.inf), ("delta", 0.0, 1.0), ("B", 0.0, math.inf)):
+            value = getattr(self, name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not number or not math.isfinite(value) or not low < value < high:
+                raise ParameterError(f"{name} must be a finite number in ({low:g}, {high:g}), got {value!r}")
+        if not isinstance(self.meta, dict):
+            raise ParameterError(f"meta must be a mapping, got {type(self.meta).__name__}")
         for key in self.meta:
             if key in _FORBIDDEN_META_KEYS:
                 raise ParameterError(f"refusing to serialize {key!r} in a release header")
@@ -54,6 +67,8 @@ class SketchFile:
             w = np.asarray(self.weights, dtype=float).reshape(-1)
             if w.shape[0] != self.matrix.shape[0]:
                 raise ParameterError("weights length must match sketch rows")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ParameterError("weights must be finite and positive")
             object.__setattr__(self, "weights", w)
         elif self.weights is not None:
             raise ParameterError(f"method {self.method!r} does not carry weights")
@@ -79,14 +94,21 @@ def write_sketch(path, sf: SketchFile) -> None:
         "has_weights": sf.weights is not None,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<H", VERSION))
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
-        handle.write(np.ascontiguousarray(sf.matrix, dtype="<f8").tobytes())
-        if sf.weights is not None:
-            handle.write(np.ascontiguousarray(sf.weights, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with tmp.open("xb") as handle:
+            handle.write(MAGIC)
+            handle.write(struct.pack("<H", VERSION))
+            handle.write(struct.pack("<I", len(blob)))
+            handle.write(blob)
+            handle.write(np.ascontiguousarray(sf.matrix, dtype="<f8").tobytes())
+            if sf.weights is not None:
+                handle.write(np.ascontiguousarray(sf.weights, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_sketch(path) -> SketchFile:
@@ -103,15 +125,22 @@ def read_sketch(path) -> SketchFile:
         header = json.loads(raw[10 : 10 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SketchFileError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SketchFileError(f"{path}: header is a JSON {type(header).__name__}, not an object")
 
     try:
         method = header["method"]
-        r, d = int(header["r"]), int(header["d"])
+        r, d = header["r"], header["d"]
         epsilon, delta, bnd = header["epsilon"], header["delta"], header["B"]
-        has_weights = bool(header["has_weights"])
+        has_weights = header["has_weights"]
         meta = header.get("meta", {})
     except KeyError as exc:
         raise SketchFileError(f"{path}: header missing field {exc}") from exc
+    for key, value, least in (("r", r, 1), ("d", d, 0)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise SketchFileError(f"{path}: header field {key!r} must be an integer >= {least}, got {value!r}")
+    if not isinstance(has_weights, bool):
+        raise SketchFileError(f"{path}: header field 'has_weights' must be true or false")
 
     body = raw[10 + hlen :]
     need = r * (d + 1) * 8 + (r * 8 if has_weights else 0)

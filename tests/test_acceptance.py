@@ -185,7 +185,7 @@ def test_criterion_09_private_l2_end_to_end():
 
 
 def test_criterion_10_l1_solver_correctness():
-    """IRLS objective within 1% of the vertex oracle on 100 tiny instances."""
+    """l1 solver objective within 1% of the vertex oracle on 100 tiny instances."""
     rng = np.random.default_rng(1000)
     worst = 0.0
     for i in range(100):
@@ -195,8 +195,8 @@ def test_criterion_10_l1_solver_correctness():
         weights = rng.uniform(0.5, 2.0, rows) if i % 2 else None
         prob = dps.SketchProblem(m, weights)
         oracle = dps.lad_vertex_oracle(prob)
-        irls = dps.solve_l1_weighted(prob)
-        worst = max(worst, abs(irls.sketch_loss - oracle.sketch_loss) / oracle.sketch_loss)
+        sol = dps.solve_l1_weighted(prob)
+        worst = max(worst, abs(sol.sketch_loss - oracle.sketch_loss) / oracle.sketch_loss)
     report("criterion 10: l1 solver vs oracle", worst <= 0.01, f"worst rel gap {worst:.2e}")
 
 

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ class TestSolveCommand:
         assert payload["beta_aug"][-1] == -1.0
         assert "beta:" in capsys.readouterr().out
 
-    def test_solve_l1_uses_weights(self, tmp_path, csv_path):
+    def test_solve_l1_uses_weights(self, tmp_path, csv_path, capsys):
         out = str(tmp_path / "ml.dps")
         main([
             "sketch", "--method", "l1", "--epsilon", "1.0", "--delta", "0.05",
@@ -145,8 +146,26 @@ class TestSolveCommand:
         ])
         json_out = str(tmp_path / "sol.json")
         assert main(["solve", "--norm", "l1", "--in", out, "--json", json_out]) == 0
-        payload = json.loads(open(json_out).read())
-        assert payload["solver"] == "irls"
+        payload = json.loads(Path(json_out).read_text())
+        assert payload["solver"] == "vertex-descent"
+        assert payload["converged"]
+        assert "l1: certified optimal after" in capsys.readouterr().out
+
+    def test_solve_l1_reports_uncertified(self, tmp_path, csv_path, capsys, monkeypatch):
+        from dpsketch import solvers
+
+        out = str(tmp_path / "ml.dps")
+        main([
+            "sketch", "--method", "l1", "--epsilon", "1.0", "--delta", "0.05",
+            "--bound", "1.0", "--rows", "60", "--seed", "3",
+            "--in", csv_path, "--out", out,
+        ])
+        monkeypatch.setattr(solvers, "_PIVOTS_PER_COLUMN", 0)
+        json_out = str(tmp_path / "sol.json")
+        assert main(["solve", "--norm", "l1", "--in", out, "--json", json_out]) == 0
+        payload = json.loads(Path(json_out).read_text())
+        assert not payload["converged"] and payload["iterations"] == 0
+        assert "l1: NOT certified after 0 pivot(s)" in capsys.readouterr().out
 
     def test_planted_model_recovery(self, tmp_path):
         # a large-r JL release preserves the least-squares solution; solving

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpsketch import solvers
 from dpsketch.dataset import from_xy, synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
 from dpsketch.mechanisms import RowBound
@@ -13,7 +14,8 @@ from dpsketch.solvers import (
     lad_vertex_oracle,
     solve_l1_weighted,
     solve_l2_sketch,
-    _irls_step,
+    _descent,
+    _tie_breaker,
 )
 
 
@@ -91,30 +93,108 @@ class TestSolveL1:
         with pytest.raises(ParameterError):
             SketchProblem(np.ones((3, 2)), np.array([1.0, 0.0, 2.0]))
 
-    def test_irls_smoothed_objective_monotone(self):
-        # with the smoothing floor held fixed, each step decreases the
-        # huberized objective (the majorize-minimize guarantee)
+    def test_each_pivot_lowers_perturbed_objective(self):
+        # from an arbitrary start basis, every pivot strictly lowers the loss
+        # on the tie-broken target, duplicated rows included
         rng = np.random.default_rng(5)
-        design = rng.standard_normal((25, 2))
-        target = rng.standard_normal(25)
-        w = np.ones(25)
-        eps = 0.05
+        base = rng.standard_normal((20, 4))
+        for m in (rng.standard_normal((60, 4)), np.vstack([base] * 3)):
+            design, w = m[:, :-1], rng.uniform(0.5, 2.0, m.shape[0])
+            target = m[:, -1] + _tie_breaker(m.shape[0], 1e-9 * np.abs(m).max())
+            losses = [w @ np.abs(v.residual) for v in _descent(design, target, w, [0, 1, 2])]
+            assert len(losses) > 3
+            assert all(after < before for before, after in zip(losses, losses[1:]))
 
-        def huberized(beta):
-            res = np.abs(design @ beta - target)
-            small = res <= eps
-            return float(
-                w[small] @ (res[small] ** 2 / (2 * eps) + eps / 2) + w[~small] @ res[~small]
-            )
+    def test_optimality_conditions(self):
+        # an independent check of the certificate at a size the oracle cannot
+        # reach: the d rows the solution interpolates carry duals t with
+        # X_B^T t = -X_N^T (w * sign r_N) and |t| <= w_B
+        rng = np.random.default_rng(20)
+        for r, d in ((3000, 6), (800, 12)):
+            m = rng.standard_normal((r, d + 1)) * rng.uniform(0.1, 10.0, (r, 1))
+            w = rng.uniform(0.5, 2.0, r)
+            sol = solve_l1_weighted(SketchProblem(m, w))
+            assert sol.method == "vertex-descent" and sol.converged and sol.iterations > 0
+            residual = m @ sol.beta_aug
+            basic = np.argsort(np.abs(residual))[:d]
+            nonbasic = np.setdiff1d(np.arange(r), basic)
+            assert np.abs(residual[basic]).max() <= 1e-12 * np.abs(m).max()
+            x = m[:, :-1]
+            t = np.linalg.solve(x[basic].T, -x[nonbasic].T @ (w[nonbasic] * np.sign(residual[nonbasic])))
+            assert np.all(np.abs(t) <= w[basic] * (1 + 1e-9))
 
-        m = np.column_stack([design, target])
-        beta = np.zeros(2)
-        prev = huberized(beta)
-        for _ in range(40):
-            beta = _irls_step(m, w, np.abs(m @ np.append(beta, -1.0)), eps)
-            current = huberized(beta)
-            assert current <= prev + 1e-12
-            prev = current
+    def test_pivot_cap_leaves_result_uncertified(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_PIVOTS_PER_COLUMN", 0)
+        m = np.random.default_rng(12).standard_normal((500, 6))
+        sol = solve_l1_weighted(SketchProblem(m))
+        assert not sol.converged
+        assert sol.iterations == 0
+        monkeypatch.undo()
+        assert sol.sketch_loss > solve_l1_weighted(SketchProblem(m)).sketch_loss
+
+    def test_column_scaling(self):
+        # LAD is equivariant under column scaling: same loss, beta / scale
+        rng = np.random.default_rng(21)
+        x, y = rng.standard_normal((300, 4)), rng.standard_normal(300)
+        scale = np.geomspace(1.0, 1e-11, 4)
+        base = solve_l1_weighted(problem_from_xy(x, y))
+        scaled = solve_l1_weighted(problem_from_xy(x * scale, y))
+        assert base.converged and scaled.converged
+        assert scaled.sketch_loss == pytest.approx(base.sketch_loss, rel=1e-9)
+        assert scaled.beta * scale == pytest.approx(base.beta, rel=1e-6)
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((30, 2))
+        m = np.column_stack([x, x[:, 0], rng.standard_normal(30)])
+        with pytest.raises(SingularSystemError):
+            solve_l1_weighted(SketchProblem(m))
+
+
+def integer_fixture():
+    rng = np.random.default_rng(14)
+    x = rng.integers(-2, 3, (22, 3)).astype(float)
+    return np.column_stack([x, rng.integers(-3, 4, 22)])
+
+
+def exact_fit_fixture():
+    x = np.random.default_rng(15).standard_normal((20, 3))
+    return np.column_stack([x, x @ np.array([1.5, -0.5, 2.0])])
+
+
+class TestDegenerate:
+    """Inputs whose vertices interpolate more than d rows, or whose optimum is not unique."""
+
+    @pytest.mark.parametrize(
+        "m, weights",
+        [
+            (exact_fit_fixture(), None),
+            (np.vstack([np.random.default_rng(16).standard_normal((8, 3))] * 3), None),
+            (integer_fixture(), None),
+            (integer_fixture(), np.random.default_rng(17).integers(1, 4, 22).astype(float)),
+            (np.column_stack([np.ones(6), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), None),
+            (np.column_stack([np.ones(5), [1.0, 1.0, 1.0, 2.0, 2.0]]), np.array([1.0, 1.0, 1.0, 1.5, 1.5])),
+            # residuals closer than the tie-breaking perturbation
+            (np.column_stack([np.ones(3), [1e-10, 0.0, 1.0]]), None),
+            (np.column_stack([np.ones(5), [0.0, 1e-10, 2e-10, 1.0, 1.0]]), None),
+        ],
+        ids=[
+            "exact-fit", "rows-tripled", "integer", "integer-weighted", "median-even",
+            "median-weighted-tie", "near-tie", "near-tie-five",
+        ],
+    )
+    def test_certified_and_optimal(self, m, weights):
+        prob = SketchProblem(m, weights)
+        sol = solve_l1_weighted(prob)
+        oracle = lad_vertex_oracle(prob)
+        assert sol.converged
+        assert sol.sketch_loss == pytest.approx(oracle.sketch_loss, rel=1e-12, abs=1e-12)
+        assert sol.sketch_loss == pytest.approx(l1_objective(prob, sol.beta), rel=1e-12, abs=1e-12)
+
+    def test_exact_fit_recovers_beta(self):
+        sol = solve_l1_weighted(SketchProblem(exact_fit_fixture()))
+        assert sol.converged
+        assert sol.beta == pytest.approx([1.5, -0.5, 2.0], abs=1e-12)
 
 
 class TestVertexOracle:
@@ -147,6 +227,18 @@ class TestVertexOracle:
             oracle = lad_vertex_oracle(prob)
             irls = solve_l1_weighted(prob)
             assert abs(irls.sketch_loss - oracle.sketch_loss) <= 0.01 * oracle.sketch_loss
+
+    def test_matches_oracle_exactly(self):
+        rng = np.random.default_rng(18)
+        for i in range(1000):
+            d = int(rng.integers(1, 4))
+            r = int(rng.integers(d + 1, 13))
+            m = rng.standard_normal((r, d + 1))
+            w = rng.uniform(0.5, 2.0, r) if i % 2 else None
+            prob = SketchProblem(m, w)
+            sol = solve_l1_weighted(prob)
+            assert sol.converged
+            assert sol.sketch_loss == pytest.approx(lad_vertex_oracle(prob).sketch_loss, rel=1e-9)
 
 
 class TestApproximationRatio:
