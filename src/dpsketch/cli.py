@@ -19,18 +19,12 @@ from .dataset import DatasetFile, ingest
 from .errors import DpSketchError
 from .jl import JlConfig, private_jl_sketch
 from .l1 import L1SketchConfig, illustration_sketch_private, level_count, private_l1_sketch
-from .mechanisms import PrivacyParams, RowBound, gaussian_sigma
-from .sketchfile import SketchFile, read_sketch, write_sketch
+from .mechanisms import PrivacyParams, RowBound, countsketch_sensitivity, gaussian_sigma
+from .sketchfile import METHODS, SketchFile, read_sketch, write_sketch
 from .solvers import SketchProblem, solve_l1_weighted, solve_l2_sketch
 from .suites import SUITES
 
-_METHOD_FLAGS = {"jl": "jl", "cs2": "countsketch-l2", "l1": "l1-multilevel", "l1-illus": "l1-illustration"}
-_NORM_OF_METHOD = {
-    "jl": "l2",
-    "countsketch-l2": "l2",
-    "l1-multilevel": "l1",
-    "l1-illustration": "l1",
-}
+_METHOD_OF_FLAG = {spec.flag: method for method, spec in METHODS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sk = sub.add_parser("sketch", help="release a private sketch of a CSV dataset")
-    sk.add_argument("--method", required=True, choices=sorted(_METHOD_FLAGS))
+    sk.add_argument("--method", required=True, choices=sorted(_METHOD_OF_FLAG))
     sk.add_argument("--epsilon", type=float, required=True)
     sk.add_argument("--delta", type=float, required=True)
     sk.add_argument("--bound", type=float, required=True, help="certified row l2 bound B")
@@ -78,7 +72,7 @@ def _cmd_sketch(args) -> int:
     if result.rescaled_rows:
         print(f"warning: rescaled {result.rescaled_rows} row(s) to norm B = {bound.B:g}")
 
-    method = _METHOD_FLAGS[args.method]
+    method = _METHOD_OF_FLAG[args.method]
     weights = None
     meta: dict = {}
     if method == "jl":
@@ -99,7 +93,7 @@ def _cmd_sketch(args) -> int:
             print(f"l2 regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
     elif method == "l1-illustration":
         sketch = illustration_sketch_private(data, args.rows, pp, bound, args.seed)
-        sigma = gaussian_sigma(2.0 * bound.B, pp)
+        sigma = gaussian_sigma(countsketch_sensitivity(bound), pp)
         meta = {"sigma": sigma}
         print(f"noise sigma: {sigma:.6g}")
         if args.rows >= 2:
@@ -149,7 +143,7 @@ def _split_l1_budget(rows: int, h_m: int, s: int, n_u: "int | None") -> int:
 
 def _cmd_solve(args) -> int:
     release = read_sketch(args.input)
-    expected = _NORM_OF_METHOD[release.method]
+    expected = METHODS[release.method].norm
     if args.norm != expected:
         raise DpSketchError(
             f"method {release.method!r} must be solved with --norm {expected}, not {args.norm}"

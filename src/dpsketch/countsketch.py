@@ -1,10 +1,10 @@
-"""CountSketch plans and the noise-augmented private l2 release.
+"""CountSketch plans, the bucket-sum kernel and the noised hashed releases.
 
-The private release appends a block of Gaussian noise rows to ``A`` and
-CountSketches the stack, so each released bucket is a signed sum of data
-rows plus at least one noise row. The number of noise rows follows the
-coupon-collector sizing ``p = ceil(r (ln r + 4))``; with that choice all r
-buckets receive a noise row with probability at least ``1 - r e^-4``, and
+The private releases append a block ``eta`` of Gaussian noise rows to ``A``
+and hash the rows of ``[A; eta]`` into buckets, summed block by block so the
+stack is never formed. Each released bucket is a sum of data rows plus at
+least one noise row: ``p = ceil(r (ln r + 4))`` noise rows (coupon-collector
+sizing) cover all r buckets with probability at least ``1 - r e^-4``, and
 any bucket still uncovered is patched with a dedicated extra noise row.
 Extra Gaussian noise never weakens privacy, so coverage is unconditional.
 """
@@ -77,6 +77,25 @@ def draw_countsketch_plan(n_inputs: int, r: int, seed, signed: bool = True) -> C
     return CountSketchPlan(r=r, bucket_of=buckets, sign_of=signs)
 
 
+def bucket_sum(blocks, buckets: np.ndarray, r: int, idx=None, signs=None) -> np.ndarray:
+    """``out[buckets[i]] += signs[i] * M[idx[i]]``, ``M`` the row stack of ``blocks``.
+
+    ``idx`` defaults to every row of ``M`` in order and ``signs`` to +1. One
+    column of ``M`` is built at a time, so ``M`` itself is never formed.
+    ``np.bincount`` adds each bucket in order of ``i``, as ``np.add.at``
+    does, so the sums equal that reference bit for bit.
+    """
+    out = np.empty((r, blocks[0].shape[1]))
+    for k in range(out.shape[1]):
+        col = np.concatenate([block[:, k] for block in blocks])
+        if idx is not None:
+            col = col[idx]
+        if signs is not None:
+            col = signs * col
+        out[:, k] = np.bincount(buckets, weights=col, minlength=r)
+    return out
+
+
 def countsketch_apply(plan: CountSketchPlan, m) -> np.ndarray:
     """Apply a fixed plan: output row i sums ``sign[j] * M[j]`` over rows with bucket j = i."""
     a = as_matrix(m)
@@ -84,12 +103,7 @@ def countsketch_apply(plan: CountSketchPlan, m) -> np.ndarray:
         raise ParameterError(
             f"plan covers {plan.n_inputs} input rows but matrix has {a.shape[0]}"
         )
-    # bincount accumulates each bucket in input-row order, as np.add.at does,
-    # so the sums are bit-identical to that reference.
-    out = np.empty((plan.r, a.shape[1]))
-    for k in range(a.shape[1]):
-        out[:, k] = np.bincount(plan.bucket_of, weights=plan.sign_of * a[:, k], minlength=plan.r)
-    return out
+    return bucket_sum((a,), plan.bucket_of, plan.r, signs=plan.sign_of)
 
 
 def noise_row_count(r: int) -> int:
@@ -97,6 +111,33 @@ def noise_row_count(r: int) -> int:
     if r < 1:
         raise ParameterError("r must be at least 1")
     return math.ceil(r * (math.log(r) + 4.0))
+
+
+def noised_bucket_release(a: np.ndarray, r: int, sigma: float, seed, assign):
+    """Sum ``[A; eta]`` into ``r`` buckets, ``eta`` ``noise_row_count(r)`` N(0, sigma^2 I) rows.
+
+    ``assign(seed, m)`` maps the ``m = n + p`` rows to ``bucket_sum``'s
+    ``(buckets, idx, signs)``. Buckets that absorbed no noise row get one
+    dedicated extra noise row each. Returns the sketch, its ``NoisePlan``
+    and the assignment, which must not be published.
+    """
+    if sigma < 0:
+        raise ParameterError("sigma override must be nonnegative")
+    n, d1 = a.shape
+    p = noise_row_count(r)
+    noise_seed, assign_seed, patch_seed = np.random.SeedSequence(seed).spawn(3)
+    eta = sigma * np.random.default_rng(noise_seed).standard_normal((p, d1))
+    buckets, idx, signs = assignment = assign(assign_seed, n + p)
+    sketch = bucket_sum((a, eta), buckets, r, idx, signs)
+
+    coverage = np.bincount(buckets[n:] if idx is None else buckets[idx >= n], minlength=r)
+    uncovered = np.flatnonzero(coverage == 0)
+    if uncovered.size:
+        # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
+        extra = sigma * np.random.default_rng(patch_seed).standard_normal((uncovered.size, d1))
+        sketch[uncovered] += extra
+        coverage[uncovered] = 1
+    return sketch, NoisePlan(p=p, sigma=sigma, coverage=coverage, patched=int(uncovered.size)), assignment
 
 
 def private_countsketch_l2(
@@ -111,9 +152,8 @@ def private_countsketch_l2(
     """Release a private CountSketch ``S [A; eta]`` for l2 regression.
 
     ``eta`` holds ``noise_row_count(r)`` rows of N(0, sigma^2 I) noise with
-    ``sigma = gaussian_sigma(2B, pp)``; buckets that absorbed no noise row
-    are patched with one dedicated extra noise row each. The bucket/sign
-    plan and the seed are discarded, never serialized.
+    ``sigma = gaussian_sigma(2B, pp)``; see ``noised_bucket_release``. The
+    bucket/sign plan and the seed are discarded, never serialized.
 
     ``sigma_override`` forces the noise level and exists for tests only
     (``0.0`` gives the zero-noise degenerate sketch, which is not private).
@@ -121,23 +161,10 @@ def private_countsketch_l2(
     a = data.A if isinstance(data, DataMatrix) else as_matrix(data)
     if max_row_norm(a) > bound.B * (1.0 + 1e-9):
         raise CertificationError(f"a row of A exceeds the declared bound B = {bound.B:.6g}")
-    n, d1 = a.shape
     sigma = gaussian_sigma(countsketch_sensitivity(bound), pp) if sigma_override is None else float(sigma_override)
-    if sigma < 0:
-        raise ParameterError("sigma override must be nonnegative")
-    p = noise_row_count(r)
 
-    noise_seed, plan_seed, patch_seed = np.random.SeedSequence(seed).spawn(3)
-    eta = sigma * np.random.default_rng(noise_seed).standard_normal((p, d1))
-    stacked = np.vstack([a, eta])
-    plan = draw_countsketch_plan(n + p, r, plan_seed, signed=signed)
-    sketch = countsketch_apply(plan, stacked)
+    def assign(plan_seed, m):
+        plan = draw_countsketch_plan(m, r, plan_seed, signed=signed)
+        return plan.bucket_of, None, plan.sign_of
 
-    coverage = np.bincount(plan.bucket_of[n:], minlength=r)
-    uncovered = np.flatnonzero(coverage == 0)
-    if uncovered.size:
-        # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
-        extra = sigma * np.random.default_rng(patch_seed).standard_normal((uncovered.size, d1))
-        sketch[uncovered] += extra
-        coverage[uncovered] = 1
-    return sketch, NoisePlan(p=p, sigma=sigma, coverage=coverage, patched=int(uncovered.size))
+    return noised_bucket_release(a, r, sigma, seed, assign)[:2]

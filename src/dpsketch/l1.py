@@ -7,8 +7,9 @@ stacks ``h_m + 1`` levels: level 0 is a CountMin-style pass over every row
 subsample rows with geometrically decaying probabilities ``1/b^h``, and the
 final level is a uniform subsample at rate ``1/b^h_m``. Bucket weights are
 ``b^h`` (level 0: ``1/s``) and are data oblivious, so releasing them is
-free. Gaussian noise rows are appended to the data before sketching and
-every bucket is patched to contain at least one noise row.
+free. Both releases sum ``S [A; eta]`` (``eta`` Gaussian noise rows) block
+by block through ``countsketch.noised_bucket_release``, never forming the
+stack, and patch every bucket to contain at least one noise row.
 
 Noise calibration defaults to ``sigma = 2 B h_m / eps * sqrt(2 ln(1.25/delta))``,
 the larger of the two calibrations consistent with a row appearing in at
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .countsketch import noise_row_count, private_countsketch_l2
+from .countsketch import noised_bucket_release, private_countsketch_l2
 from .dataset import DataMatrix, max_row_norm
 from .errors import CertificationError, ParameterError
 from .linalg import as_matrix
@@ -132,8 +133,9 @@ class WeightedSketch:
 
     ``rows`` is ``r x (d+1)`` with ``r = N*h_m + N_u``; level h occupies the
     row block ``[h*N, (h+1)*N)`` (the uniform level the final ``N_u`` rows).
-    Everything here except ``coverage-style`` diagnostics is safe to publish;
-    the bucket assignments and the seed are already gone.
+    Everything here except the assignment diagnostics ``data_level_counts``,
+    ``noise_coverage`` and ``max_data_memberships`` is safe to publish; the
+    bucket assignments and the seed are already gone.
     """
 
     rows: np.ndarray
@@ -157,17 +159,31 @@ class WeightedSketch:
         return self.rows.shape[0]
 
 
-def _bucket_add(out: np.ndarray, buckets: np.ndarray, source: np.ndarray, idx: np.ndarray) -> None:
-    """``out[buckets[i]] += source[idx[i]]``, one ``np.bincount`` per column.
+def _level_assignment(rng: np.random.Generator, m: int, cfg: L1SketchConfig, h_m: int):
+    """Bucket and source-row indices of every level for the ``m`` rows of ``[A; eta]``.
 
-    Each bucket is summed in order of ``i``, as ``np.add.at`` does, without
-    gathering ``source[idx]`` as a whole. The result equals ``np.add.at``
-    bit for bit where ``out`` is still zero at the buckets written, which
-    holds in the release: its levels and level-0 blocks write disjoint
-    bucket ranges of a zeroed output.
+    The pieces are concatenated in draw order: level 0's ``s`` blocks, the
+    sampled levels, the uniform level. Each piece writes its own bucket range
+    and lists its rows in ascending order, so one ``bincount`` adds every
+    bucket in the order separate per-piece sums would.
     """
-    for j in range(out.shape[1]):
-        out[:, j] += np.bincount(buckets, weights=source[idx, j], minlength=out.shape[0])
+    N, s, b = cfg.N, cfg.s, cfg.b
+    n_prime = N // s
+    buckets = [block * n_prime + rng.integers(0, n_prime, size=m) for block in range(s)]
+    idx = [np.arange(m)] * s
+    categorical = cfg.level_assignment == "categorical"
+    if categorical:
+        u = rng.random(m)
+        edges = np.concatenate([[0.0], np.cumsum([b**-h for h in range(1, h_m)])])
+    for h in range(1, h_m + 1):
+        if categorical and h < h_m:
+            rows = np.flatnonzero((u >= edges[h - 1]) & (u < edges[h]))
+        else:  # Bernoulli(1/b^h) inclusion, at the uniform level h_m in both modes
+            rows = np.flatnonzero(rng.random(m) < b**-h)
+        width = N if h < h_m else cfg.uniform_buckets
+        buckets.append(h * N + rng.integers(0, width, size=rows.size))
+        idx.append(rows)
+    return np.concatenate(buckets), np.concatenate(idx)
 
 
 def private_l1_sketch(
@@ -188,7 +204,7 @@ def private_l1_sketch(
     B = cfg.bound.B
     if max_row_norm(a) > B * (1.0 + 1e-9):
         raise CertificationError(f"a row of A exceeds the declared bound B = {B:.6g}")
-    n, d1 = a.shape
+    n = a.shape[0]
 
     h_m = level_count(n, cfg.b)
     N, N_u, s, b = cfg.N, cfg.uniform_buckets, cfg.s, cfg.b
@@ -197,76 +213,22 @@ def private_l1_sketch(
     r = N * h_m + N_u
     factor = float(h_m) if cfg.sigma_scaling == "hm" else math.sqrt(h_m)
     sigma = gaussian_sigma(2.0 * B * factor, cfg.pp) if sigma_override is None else float(sigma_override)
-    if sigma < 0:
-        raise ParameterError("sigma override must be nonnegative")
 
-    p = noise_row_count(r)
-    noise_seed, assign_seed, patch_seed = np.random.SeedSequence(cfg.seed).spawn(3)
-    eta = sigma * np.random.default_rng(noise_seed).standard_normal((p, d1))
-    stacked = np.vstack([a, eta])
-    m = n + p
+    def assign(assign_seed, m):
+        return *_level_assignment(np.random.default_rng(assign_seed), m, cfg, h_m), None
 
-    rows_out = np.zeros((r, d1))
-    noise_cover = np.zeros(r, dtype=int)
-    data_level_counts = np.zeros(h_m + 1, dtype=int)
-    memberships = np.zeros(m, dtype=int)
-    rng = np.random.default_rng(assign_seed)
-
-    def accumulate(global_buckets: np.ndarray, source_idx: np.ndarray) -> None:
-        _bucket_add(rows_out, global_buckets, stacked, source_idx)
-        noise_cover[:] += np.bincount(global_buckets[source_idx >= n], minlength=r)
-        memberships[source_idx] += 1
-
-    # Level 0: every row goes into one uniform bucket of each of the s blocks.
-    all_idx = np.arange(m)
-    n_prime = N // s
-    for block in range(s):
-        picks = rng.integers(0, n_prime, size=m)
-        accumulate(block * n_prime + picks, all_idx)
-    data_level_counts[0] = n
-
-    # Sampled levels 1..h_m-1.
-    if cfg.level_assignment == "bernoulli":
-        for h in range(1, h_m):
-            mask = rng.random(m) < b**-h
-            idx = np.flatnonzero(mask)
-            if idx.size:
-                picks = rng.integers(0, N, size=idx.size)
-                accumulate(h * N + picks, idx)
-            data_level_counts[h] = int((idx < n).sum())
-    else:
-        probs = np.array([b**-h for h in range(1, h_m)])
-        u = rng.random(m)
-        edges = np.concatenate([[0.0], np.cumsum(probs)])
-        for h in range(1, h_m):
-            idx = np.flatnonzero((u >= edges[h - 1]) & (u < edges[h]))
-            if idx.size:
-                picks = rng.integers(0, N, size=idx.size)
-                accumulate(h * N + picks, idx)
-            data_level_counts[h] = int((idx < n).sum())
-
-    # Uniform sampling level h_m.
-    mask = rng.random(m) < b**-h_m
-    idx = np.flatnonzero(mask)
-    if idx.size:
-        picks = rng.integers(0, N_u, size=idx.size)
-        accumulate(h_m * N + picks, idx)
-    data_level_counts[h_m] = int((idx < n).sum())
-
-    # Patch-up: every bucket must hold at least one noise row.
-    uncovered = np.flatnonzero(noise_cover == 0)
-    if uncovered.size:
-        extra = sigma * np.random.default_rng(patch_seed).standard_normal((uncovered.size, d1))
-        rows_out[uncovered] += extra
-        noise_cover[uncovered] = 1
+    rows, noise, (buckets, idx, _) = noised_bucket_release(a, r, sigma, cfg.seed, assign)
 
     level_of = np.concatenate(
         [np.repeat(np.arange(h_m), N), np.full(N_u, h_m)]
     ).astype(int)
     weights = np.where(level_of == 0, 1.0 / s, np.power(b, level_of.astype(float)))
+    is_data = idx < n
+    data_level_counts = np.bincount(level_of[buckets[is_data]], minlength=h_m + 1)
+    data_level_counts[0] = n  # each data row sits once in every level-0 block
 
     return WeightedSketch(
-        rows=rows_out,
+        rows=rows,
         weights=weights,
         level_of=level_of,
         sigma=sigma,
@@ -275,10 +237,10 @@ def private_l1_sketch(
         s=s,
         N=N,
         N_u=N_u,
-        noise_rows=p,
-        patched=int(uncovered.size),
+        noise_rows=noise.p,
+        patched=noise.patched,
         sigma_scaling=cfg.sigma_scaling,
         data_level_counts=data_level_counts,
-        noise_coverage=noise_cover,
-        max_data_memberships=int(memberships[:n].max()),
+        noise_coverage=noise.coverage,
+        max_data_memberships=int(np.bincount(idx[is_data], minlength=n).max()),
     )

@@ -16,8 +16,8 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0 < self.epsilon < math.inf):
+            raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (0 < self.delta < 1):
             raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -29,8 +29,8 @@ class RowBound:
     B: float
 
     def __post_init__(self):
-        if not (self.B > 0):
-            raise ParameterError(f"row bound must be positive, got {self.B}")
+        if not (0 < self.B < math.inf):
+            raise ParameterError(f"row bound must be positive and finite, got {self.B}")
 
 
 def gaussian_sigma(sensitivity: float, pp: PrivacyParams) -> float:

@@ -2,9 +2,9 @@
 
 Layout: magic ``DPSK``, version u16 LE, JSON header length u32 LE, the JSON
 header, then ``r * (d+1)`` float64 LE sketch entries row-major, then ``r``
-float64 LE weights iff the method is ``l1-multilevel``. Round-trips are
-bit-exact so solvers in any language read identical sketches. Writes go to
-a temporary file in the target directory that is then renamed over the
+float64 LE weights iff ``METHODS`` marks the method weighted. Round-trips
+are bit-exact so solvers in any language read identical sketches. Writes go
+to a temporary file in the target directory that is then renamed over the
 target, so a failed write leaves any earlier file in place.
 
 The header carries only public calibration metadata. Seeds, bucket/sign
@@ -22,6 +22,7 @@ import struct
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,21 @@ from .linalg import as_matrix
 MAGIC = b"DPSK"
 VERSION = 1
 
-METHODS = ("jl", "countsketch-l2", "l1-multilevel", "l1-illustration")
+
+class Method(NamedTuple):
+    """How a release method is requested, solved and stored."""
+
+    flag: str  # value of ``dpsketch sketch --method``
+    norm: str  # the regression norm its release is solved in
+    weighted: bool  # the release carries one weight per sketch row
+
+
+METHODS = {
+    "jl": Method("jl", "l2", False),
+    "countsketch-l2": Method("cs2", "l2", False),
+    "l1-multilevel": Method("l1", "l1", True),
+    "l1-illustration": Method("l1-illus", "l1", False),
+}
 _FORBIDDEN_META_KEYS = ("seed", "plan", "bucket_of", "sign_of")
 
 
@@ -48,7 +63,7 @@ class SketchFile:
     weights: "np.ndarray | None" = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
         for name, low, high in (("epsilon", 0.0, math.inf), ("delta", 0.0, 1.0), ("B", 0.0, math.inf)):
@@ -61,9 +76,9 @@ class SketchFile:
         for key in self.meta:
             if key in _FORBIDDEN_META_KEYS:
                 raise ParameterError(f"refusing to serialize {key!r} in a release header")
-        if self.method == "l1-multilevel":
+        if METHODS[self.method].weighted:
             if self.weights is None:
-                raise ParameterError("l1-multilevel releases require a weight vector")
+                raise ParameterError(f"{self.method} releases require a weight vector")
             w = np.asarray(self.weights, dtype=float).reshape(-1)
             if w.shape[0] != self.matrix.shape[0]:
                 raise ParameterError("weights length must match sketch rows")

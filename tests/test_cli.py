@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpsketch.cli import main
-from dpsketch.sketchfile import read_sketch
+from dpsketch.sketchfile import METHODS, read_sketch
 
 
 @pytest.fixture
@@ -30,19 +30,39 @@ def run_sketch(csv_path, out, method="jl", extra=()):
 
 
 class TestSketchCommand:
-    @pytest.mark.parametrize("method,released", [
-        ("jl", "jl"),
-        ("cs2", "countsketch-l2"),
-        ("l1-illus", "l1-illustration"),
-    ])
+    @pytest.mark.parametrize("method,released", [(spec.flag, name) for name, spec in METHODS.items()])
     def test_release_files(self, tmp_path, csv_path, method, released, capsys):
+        spec = METHODS[released]
         out = str(tmp_path / f"{method}.dps")
         assert run_sketch(csv_path, out, method=method) == 0
         sf = read_sketch(out)
         assert sf.method == released
-        assert sf.r == 16 and sf.d == 3
-        stdout = capsys.readouterr().out
-        assert "wrote" in stdout
+        assert sf.d == 3
+        if spec.weighted:
+            # the multi-level split fits the levels into the 16-row budget
+            assert sf.r <= 16 and sf.weights is not None and len(sf.weights) == sf.r
+        else:
+            assert sf.r == 16 and sf.weights is None
+        assert "wrote" in capsys.readouterr().out
+        assert main(["solve", "--norm", spec.norm, "--in", out]) == 0
+
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "inf"), ("--bound", "inf"), ("--epsilon", "nan")])
+    def test_non_finite_parameters_exit_before_ingest(self, tmp_path, csv_path, capsys, monkeypatch, flag, value):
+        import dpsketch.cli as cli
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "ingest", no_ingest)
+        args = [
+            "sketch", "--method", "cs2", "--epsilon", "1.0", "--delta", "0.05",
+            "--bound", "1.0", "--rows", "16", "--seed", "7",
+            "--in", csv_path, "--out", str(tmp_path / "x.dps"),
+        ]
+        args[args.index(flag) + 1] = value
+        assert main(args) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.dps").exists()
 
     def test_l1_multilevel_release(self, tmp_path, csv_path, capsys):
         out = str(tmp_path / "ml.dps")
@@ -232,10 +252,11 @@ class TestPrivacyHygiene:
         path = tmp_path / "plant.csv"
         path.write_text("\n".join(",".join(f"{v:.9f}" for v in row) for row in rows) + "\n")
 
-        for method, budget in (("jl", 8), ("cs2", 8), ("l1-illus", 8), ("l1", 40)):
+        for method, spec in METHODS.items():
+            budget = 40 if spec.weighted else 8  # the multi-level levels need more rows
             out = tmp_path / f"{method}.dps"
             code = main([
-                "sketch", "--method", method, "--epsilon", "1.0", "--delta", "0.05",
+                "sketch", "--method", spec.flag, "--epsilon", "1.0", "--delta", "0.05",
                 "--bound", "1.0", "--rows", str(budget), "--seed", str(sentinel_seed),
                 "--in", str(path), "--out", str(out),
             ])

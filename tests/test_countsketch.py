@@ -3,6 +3,7 @@ import pytest
 
 from dpsketch.countsketch import (
     CountSketchPlan,
+    bucket_sum,
     countsketch_apply,
     draw_countsketch_plan,
     noise_row_count,
@@ -50,6 +51,24 @@ class TestApply:
                 ref = np.zeros((r, d1))
                 np.add.at(ref, plan.bucket_of, plan.sign_of[:, None] * m)
                 assert np.array_equal(countsketch_apply(plan, m), ref)
+
+    def test_blocks_equal_explicit_stack(self):
+        # summing [A; eta] block by block, with a gather and signs, equals
+        # np.add.at over the stacked matrix bit for bit
+        rng = np.random.default_rng(42)
+        for n, p, r, k in [(1, 4, 1, 3), (40, 25, 8, 200), (3, 9, 64, 50)]:
+            a, eta = rng.standard_normal((n, 3)), rng.standard_normal((p, 3))
+            idx = np.sort(rng.integers(0, n + p, size=k))
+            buckets = rng.integers(0, r, size=k)
+            signs = rng.choice([-1.0, 1.0], size=k)
+            stacked = np.vstack([a, eta])
+            ref = np.zeros((r, 3))
+            np.add.at(ref, buckets, signs[:, None] * stacked[idx])
+            assert np.array_equal(bucket_sum((a, eta), buckets, r, idx, signs), ref)
+            every = rng.integers(0, r, size=n + p)
+            ref = np.zeros((r, 3))
+            np.add.at(ref, every, stacked)
+            assert np.array_equal(bucket_sum((a, eta), every, r), ref)
 
     def test_plan_validation(self):
         with pytest.raises(ParameterError):

@@ -193,8 +193,18 @@ class TestMultiLevelSketch:
 
 class TestBucketSums:
     @staticmethod
-    def add_at_reference(out, buckets, source, idx):
-        np.add.at(out, buckets, source[idx])
+    def add_at_reference(calls):
+        def reference(blocks, buckets, r, idx=None, signs=None):
+            calls.append(len(blocks))
+            stacked = np.vstack(blocks)
+            rows = stacked if idx is None else stacked[idx]
+            if signs is not None:
+                rows = signs[:, None] * rows
+            out = np.zeros((r, stacked.shape[1]))
+            np.add.at(out, buckets, rows)
+            return out
+
+        return reference
 
     @pytest.mark.parametrize(
         "n,s,assignment",
@@ -202,15 +212,18 @@ class TestBucketSums:
          (50, 2, "bernoulli"), (50, 4, "categorical"), (2000, 1, "bernoulli")],
     )
     def test_bincount_equals_add_at(self, monkeypatch, n, s, assignment):
-        import dpsketch.l1 as l1_module
+        # the release's bucket_sum against np.add.at over an explicit [A; eta]
+        import dpsketch.countsketch as cs_module
 
         data = synthetic_regression(n, 3, seed=n)
         for seed in range(3):
             cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8, s=s, b=4.0, level_assignment=assignment)
             got = private_l1_sketch(data, cfg)
+            calls = []
             with monkeypatch.context() as patch:
-                patch.setattr(l1_module, "_bucket_add", self.add_at_reference)
+                patch.setattr(cs_module, "bucket_sum", self.add_at_reference(calls))
                 want = private_l1_sketch(data, cfg)
+            assert calls == [2]  # the reference summed the two blocks A and eta
             assert got.rows.tobytes() == want.rows.tobytes()
             assert (got.noise_coverage == want.noise_coverage).all()
 

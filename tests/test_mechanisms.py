@@ -24,6 +24,14 @@ class TestParams:
         with pytest.raises(ParameterError):
             RowBound(0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_epsilon_and_bound(self, value):
+        # an infinite epsilon or B would calibrate a noiseless release (sigma 0)
+        with pytest.raises(ParameterError):
+            PrivacyParams(value, 0.05)
+        with pytest.raises(ParameterError):
+            RowBound(value)
+
 
 class TestGaussianSigma:
     def test_zero_sensitivity(self):
