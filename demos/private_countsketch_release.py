@@ -40,7 +40,7 @@ solution = dps.solve_l2_sketch(dps.SketchProblem(sketch))
 exact = dps.exact_l2_solution(data)
 residual = data.X @ solution.beta - data.y
 excess = float(residual @ residual) - exact.sketch_loss
-bound_at_solution = dps.ridge_coeff_bound_l2(bound, pp, r, solution.beta_aug)
+bound_at_solution = dps.ridge_coeff_bound_l2(noise_plan.sigma, r, solution.beta_aug)
 print(f"||beta|| under noise: {np.linalg.norm(solution.beta):.4f} "
       f"vs exact {np.linalg.norm(exact.beta):.4f} (noise perturbs and shrinks the fit)")
 print(f"excess loss on the original data: {excess:.4f}")

@@ -42,8 +42,8 @@ solution = dps.solve_l1_weighted(dps.SketchProblem(ws.rows, ws.weights))
 exact = dps.exact_l1_solution(data)
 print("beta from private sketch:", np.round(solution.beta, 3))
 print("beta exact              :", np.round(exact.beta, 3))
-print(f"regularization bound at the solution: "
-      f"{dps.l1_coeff_bound_multilevel(bound, pp, ws.r, ws.h_m, solution.beta_aug):.1f}\n")
+print(f"regularization bound at the release's sigma: "
+      f"{dps.l1_coeff_bound(ws.sigma, ws.r, solution.beta_aug):.1f}\n")
 
 print("=== zero noise isolates the sketching error (testing only) ===")
 ratios = []

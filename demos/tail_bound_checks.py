@@ -19,10 +19,10 @@ bound = dps.RowBound(1.0)
 print("=== one bound, by hand ===")
 r = 64
 beta_aug = np.array([0.5, -0.5, 1.0, -1.0])
-value = dps.ridge_coeff_bound_l2(bound, pp, r, beta_aug)
-print(f"ridge coefficient bound at r = {r}: {value:.2f}")
-
 sigma = dps.gaussian_sigma(dps.countsketch_sensitivity(bound), pp)
+value = dps.ridge_coeff_bound_l2(sigma, r, beta_aug)
+print(f"ridge coefficient bound at r = {r}, sigma = {sigma:.4f}: {value:.2f}")
+
 spec = dps.GaussianNoiseSpec(rows=dps.noise_row_count(r), sigma=sigma, beta_aug=beta_aug)
 report = dps.verify_tail_bound(spec, "l2", value, threshold_prob=0.25, trials=10_000, seed=1)
 print(f"empirical Pr(||eta beta|| >= bound) = {report.exceedance_rate:.4f} "

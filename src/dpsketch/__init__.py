@@ -8,8 +8,7 @@ verify every noise-calibration formula and tail bound by Monte Carlo.
 from .bounds import (
     BoundReport,
     GaussianNoiseSpec,
-    l1_coeff_bound_multilevel,
-    l1_coeff_bound_simple,
+    l1_coeff_bound,
     ridge_coeff_bound_l2,
     verify_tail_bound,
 )

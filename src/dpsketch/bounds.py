@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .mechanisms import PrivacyParams, RowBound
 
 _MIN_TRIALS = 100
 _BATCH = 1000  # trials per sampling batch, bounds peak memory
@@ -44,44 +43,31 @@ class BoundReport:
         return "pass" if self.exceedance_rate <= self.threshold_prob + slack else "fail"
 
 
-def ridge_coeff_bound_l2(bound: RowBound, pp: PrivacyParams, r: int, beta_aug) -> float:
-    """l2 regularization bound ``13 B/eps * sqrt(r ln r ln(1.25/delta)) * ||beta_aug||_2``.
+def ridge_coeff_bound_l2(sigma: float, r: int, beta_aug) -> float:
+    """l2 regularization bound ``13/(2 sqrt 2) * sigma * sqrt(r ln r) * ||beta_aug||_2``.
 
-    The constant 13 is the evaluated form of ``sqrt(64 ln 16)`` from the
-    Gaussian-tail argument behind the bound.
+    ``sigma`` is the noise level of the release. The constant 13 is the
+    evaluated form of ``sqrt(64 ln 16)`` from the Gaussian-tail argument
+    behind the bound.
     """
-    _check_r(r)
+    _check(sigma, r)
     beta = np.asarray(beta_aug, dtype=float).reshape(-1)
-    return (
-        13.0 * bound.B / pp.epsilon
-        * math.sqrt(r * math.log(r) * math.log(1.25 / pp.delta))
-        * float(np.linalg.norm(beta))
-    )
+    return 13.0 / math.sqrt(8.0) * sigma * math.sqrt(r * math.log(r)) * float(np.linalg.norm(beta))
 
 
-def l1_coeff_bound_simple(bound: RowBound, pp: PrivacyParams, r: int, beta_aug) -> float:
-    """l1 regularization bound ``2 B r ln r sqrt(2 ln(1.25/delta))/eps * ||beta_aug||_1``.
+def l1_coeff_bound(sigma: float, r: int, beta_aug) -> float:
+    """l1 regularization bound ``sigma * r ln r * ||beta_aug||_1``.
 
-    The sqrt(2) is kept: it belongs to the Gaussian noise level and dropping
-    it would under-state the bound.
+    ``sigma`` is the noise level of the release, single- or multi-level.
     """
-    _check_r(r)
+    _check(sigma, r)
     beta = np.asarray(beta_aug, dtype=float).reshape(-1)
-    return (
-        2.0 * bound.B * r * math.log(r) * math.sqrt(2.0 * math.log(1.25 / pp.delta))
-        / pp.epsilon * float(np.abs(beta).sum())
-    )
+    return sigma * r * math.log(r) * float(np.abs(beta).sum())
 
 
-def l1_coeff_bound_multilevel(bound: RowBound, pp: PrivacyParams, r: int, h_m: int, beta_aug) -> float:
-    """Multi-level l1 bound ``2 B r ln r sqrt(2 h_m ln(1.25/delta))/eps * ||beta_aug||_1``."""
-    _check_r(r)
-    if h_m < 1:
-        raise ParameterError("h_m must be at least 1")
-    return l1_coeff_bound_simple(bound, pp, r, beta_aug) * math.sqrt(h_m)
-
-
-def _check_r(r: int) -> None:
+def _check(sigma: float, r: int) -> None:
+    if not (0 <= sigma < math.inf):
+        raise ParameterError(f"sigma must be nonnegative and finite, got {sigma}")
     if r < 2:
         raise ParameterError("bounds need r >= 2 so that ln r > 0")
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .bounds import _MIN_TRIALS, l1_coeff_bound_multilevel, l1_coeff_bound_simple, ridge_coeff_bound_l2
+from .bounds import _MIN_TRIALS, l1_coeff_bound, ridge_coeff_bound_l2
 from .countsketch import private_countsketch_l2
 from .dataset import DatasetFile, ingest
 from .errors import DpSketchError
@@ -89,7 +89,7 @@ def _cmd_sketch(args) -> int:
         meta = {"sigma": plan.sigma, "noise_rows": plan.p, "patched": plan.patched}
         print(f"noise sigma: {plan.sigma:.6g}  noise rows: {plan.p} (+{plan.patched} patched)")
         if args.rows >= 2:
-            advisory = ridge_coeff_bound_l2(bound, pp, args.rows, [1.0])
+            advisory = ridge_coeff_bound_l2(plan.sigma, args.rows, [1.0])
             print(f"l2 regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
     elif method == "l1-illustration":
         sketch = illustration_sketch_private(data, args.rows, pp, bound, args.seed)
@@ -97,7 +97,7 @@ def _cmd_sketch(args) -> int:
         meta = {"sigma": sigma}
         print(f"noise sigma: {sigma:.6g}")
         if args.rows >= 2:
-            advisory = l1_coeff_bound_simple(bound, pp, args.rows, [1.0])
+            advisory = l1_coeff_bound(sigma, args.rows, [1.0])
             print(f"l1 regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
     else:  # l1-multilevel
         h_m = level_count(data.n, args.b)
@@ -115,7 +115,7 @@ def _cmd_sketch(args) -> int:
         print(f"levels h_m = {ws.h_m}, data rows per level {{{occupancy}}}")
         print(f"noise sigma: {ws.sigma:.6g}  noise rows: {ws.noise_rows} (+{ws.patched} patched)")
         if ws.r >= 2:
-            advisory = l1_coeff_bound_multilevel(bound, pp, ws.r, ws.h_m, [1.0])
+            advisory = l1_coeff_bound(ws.sigma, ws.r, [1.0])
             print(f"l1 regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
 
     release = SketchFile(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, max_row_norm
-from .errors import CertificationError, ParameterError
+from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (hook site of perfbench/tracer.py)
+from .errors import ParameterError
 from .linalg import as_matrix
 from .mechanisms import PrivacyParams, RowBound, countsketch_sensitivity, gaussian_sigma
 
@@ -153,14 +153,14 @@ def private_countsketch_l2(
 
     ``eta`` holds ``noise_row_count(r)`` rows of N(0, sigma^2 I) noise with
     ``sigma = gaussian_sigma(2B, pp)``; see ``noised_bucket_release``. The
-    bucket/sign plan and the seed are discarded, never serialized.
+    bucket/sign plan and the seed are discarded, never serialized. Rows come
+    from ``certified_rows`` (``CertificationError`` on a row over ``B``); a
+    ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
 
     ``sigma_override`` forces the noise level and exists for tests only
     (``0.0`` gives the zero-noise degenerate sketch, which is not private).
     """
-    a = data.A if isinstance(data, DataMatrix) else as_matrix(data)
-    if max_row_norm(a) > bound.B * (1.0 + 1e-9):
-        raise CertificationError(f"a row of A exceeds the declared bound B = {bound.B:.6g}")
+    a = certified_rows(data, bound)
     sigma = gaussian_sigma(countsketch_sensitivity(bound), pp) if sigma_override is None else float(sigma_override)
 
     def assign(plan_seed, m):

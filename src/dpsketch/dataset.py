@@ -21,17 +21,20 @@ _NORM_SLACK = 1e-9
 class DataMatrix:
     """The n-by-(d+1) matrix ``A = [X | y]`` with a certified row bound.
 
-    The response column is the last one; certification means every row's l2
-    norm was checked against ``bound.B`` at construction time.
+    The response column is the last one. This is the one certification
+    point: every row's l2 norm is checked against ``bound.B`` at construction
+    and ``A`` is kept as a read-only copy, so writes to the caller's array
+    cannot void the certificate and releases need not scan ``A`` again.
     """
 
     A: np.ndarray
     bound: RowBound
 
     def __post_init__(self):
-        a = as_matrix(self.A)
+        a = np.array(as_matrix(self.A))
         if a.shape[1] < 2:
             raise ParameterError("need at least one feature column plus the response")
+        a.flags.writeable = False
         object.__setattr__(self, "A", a)
         worst = max_row_norm(a)
         if worst > self.bound.B * (1.0 + _NORM_SLACK):
@@ -58,6 +61,19 @@ class DataMatrix:
 
 def max_row_norm(a: np.ndarray) -> float:
     return float(np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=1)).max())
+
+
+def certified_rows(data: "DataMatrix | np.ndarray", bound: RowBound) -> np.ndarray:
+    """The rows of ``data``, certified for a release at ``bound``.
+
+    A ``DataMatrix`` certified at ``B' <= bound.B`` is returned unscanned;
+    anything else goes through ``DataMatrix(..., bound)`` once.
+    """
+    if isinstance(data, DataMatrix):
+        if data.bound.B <= bound.B:
+            return data.A
+        data = data.A
+    return DataMatrix(data, bound).A
 
 
 def from_xy(X, y, bound: RowBound) -> DataMatrix:
@@ -139,6 +155,7 @@ def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult
                 raise ParameterError(
                     f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
                 ) from None
+    del rows  # the parsed text outweighs the matrix several times over
     if not np.all(np.isfinite(values)):
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise ParameterError(f"{path}: non-finite value at row {i + 1}, column {j + 1}")

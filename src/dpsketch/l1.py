@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .countsketch import noised_bucket_release, private_countsketch_l2
-from .dataset import DataMatrix, max_row_norm
-from .errors import CertificationError, ParameterError
-from .linalg import as_matrix
+from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (hook site of perfbench/tracer.py)
+from .errors import ParameterError
 from .mechanisms import PrivacyParams, RowBound, gaussian_sigma
 
 
@@ -198,12 +197,11 @@ def private_l1_sketch(
     ``1..h_m-1``, and in at most one uniform-level bucket, so a single row
     touches at most ``s + h_m`` buckets. Buckets that absorbed no noise row
     get one dedicated extra noise row. ``sigma_override`` forces the noise
-    level and exists for tests only (``0.0`` is not private).
+    level and exists for tests only (``0.0`` is not private). Rows come from
+    ``certified_rows`` (``CertificationError`` on a row over ``B``); a
+    ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
     """
-    a = data.A if isinstance(data, DataMatrix) else as_matrix(data)
-    B = cfg.bound.B
-    if max_row_norm(a) > B * (1.0 + 1e-9):
-        raise CertificationError(f"a row of A exceeds the declared bound B = {B:.6g}")
+    a = certified_rows(data, cfg.bound)
     n = a.shape[0]
 
     h_m = level_count(n, cfg.b)
@@ -212,7 +210,7 @@ def private_l1_sketch(
         raise ParameterError("categorical level assignment needs sum_h 1/b^h <= 1; increase b")
     r = N * h_m + N_u
     factor = float(h_m) if cfg.sigma_scaling == "hm" else math.sqrt(h_m)
-    sigma = gaussian_sigma(2.0 * B * factor, cfg.pp) if sigma_override is None else float(sigma_override)
+    sigma = gaussian_sigma(2.0 * cfg.bound.B * factor, cfg.pp) if sigma_override is None else float(sigma_override)
 
     def assign(assign_seed, m):
         return *_level_assignment(np.random.default_rng(assign_seed), m, cfg, h_m), None

@@ -48,7 +48,7 @@ _ORACLE_MAX_COLS = 3
 
 @dataclass(frozen=True)
 class SketchProblem:
-    """A released sketch plus optional positive per-row weights."""
+    """A released sketch plus optional finite positive per-row weights."""
 
     M: np.ndarray
     weights: "np.ndarray | None" = None
@@ -62,8 +62,8 @@ class SketchProblem:
             w = np.asarray(self.weights, dtype=float).reshape(-1)
             if w.shape[0] != m.shape[0]:
                 raise ParameterError("weights length must match sketch rows")
-            if not np.all(w > 0):
-                raise ParameterError("weights must be strictly positive")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ParameterError("weights must be finite and strictly positive")
             object.__setattr__(self, "weights", w)
 
     @property

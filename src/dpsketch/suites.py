@@ -15,8 +15,7 @@ import numpy as np
 from .bounds import (
     BoundReport,
     GaussianNoiseSpec,
-    l1_coeff_bound_multilevel,
-    l1_coeff_bound_simple,
+    l1_coeff_bound,
     ridge_coeff_bound_l2,
     verify_tail_bound,
 )
@@ -24,7 +23,7 @@ from .countsketch import countsketch_apply, draw_countsketch_plan, noise_row_cou
 from .dataset import synthetic_regression
 from .jl import jl_project
 from .l1 import l1_tail_bound
-from .mechanisms import PrivacyParams, RowBound, gaussian_sigma
+from .mechanisms import PrivacyParams, RowBound, countsketch_sensitivity, gaussian_sigma, l1_sketch_sensitivity
 from .solvers import SketchProblem, approximation_ratio, solve_l2_sketch
 
 # Shared probe direction for the tail suites; unit l2 norm, fixed across runs.
@@ -52,11 +51,11 @@ def suite_lemma1(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
 def suite_thm1(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
     """l2 tail of the CountSketch noise block, for the stated and the implemented
     noise-row counts (the implementation deliberately over-noises)."""
-    sigma = gaussian_sigma(2.0 * _B.B, _PP)
+    sigma = gaussian_sigma(countsketch_sensitivity(_B), _PP)
     reports = []
     i = 0
     for r in (16, 64):
-        bound_value = ridge_coeff_bound_l2(_B, _PP, r, _DIRECTION)
+        bound_value = ridge_coeff_bound_l2(sigma, r, _DIRECTION)
         for label, p in (("stated", math.ceil(r * math.log(r))), ("implemented", noise_row_count(r))):
             spec = GaussianNoiseSpec(rows=p, sigma=sigma, beta_aug=_DIRECTION)
             reports.append(
@@ -70,15 +69,15 @@ def suite_thm1(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
 
 
 def suite_lemma2(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
-    """l1 tail of the single-level noise block against the simple bound."""
-    sigma = gaussian_sigma(2.0 * _B.B, _PP)
+    """l1 tail of the single-level noise block against the l1 bound."""
+    sigma = gaussian_sigma(countsketch_sensitivity(_B), _PP)
     reports = []
     for i, r in enumerate((16, 64)):
         p = math.ceil(r * math.log(r))
         spec = GaussianNoiseSpec(rows=p, sigma=sigma, beta_aug=_DIRECTION)
         reports.append(
             verify_tail_bound(
-                spec, "l1", l1_coeff_bound_simple(_B, _PP, r, _DIRECTION), 0.25, trials, seed + i,
+                spec, "l1", l1_coeff_bound(sigma, r, _DIRECTION), 0.25, trials, seed + i,
                 bound_name=f"lemma2[r={r},p={p}]",
             )
         )
@@ -87,16 +86,15 @@ def suite_lemma2(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
 
 def suite_thm2(trials: int = 10_000, seed: int = 0, h_m: int = 4) -> "list[BoundReport]":
     """Multi-level analogue: noise at the sqrt(h_m) sensitivity calibration
-    against the sqrt(h_m)-scaled bound."""
-    sigma = gaussian_sigma(2.0 * _B.B * math.sqrt(h_m), _PP)
+    against the l1 bound at that sigma."""
+    sigma = gaussian_sigma(l1_sketch_sensitivity(_B, h_m, conservative=False), _PP)
     reports = []
     for i, r in enumerate((16, 64)):
         p = math.ceil(r * math.log(r))
         spec = GaussianNoiseSpec(rows=p, sigma=sigma, beta_aug=_DIRECTION)
         reports.append(
             verify_tail_bound(
-                spec, "l1", l1_coeff_bound_multilevel(_B, _PP, r, h_m, _DIRECTION),
-                0.25, trials, seed + i,
+                spec, "l1", l1_coeff_bound(sigma, r, _DIRECTION), 0.25, trials, seed + i,
                 bound_name=f"thm2[r={r},h_m={h_m},p={p}]",
             )
         )

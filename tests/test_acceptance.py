@@ -12,6 +12,12 @@ from dpsketch.sketchfile import METHODS
 
 PP = dps.PrivacyParams(1.0, 0.05)
 B1 = dps.RowBound(1.0)
+SIGMA_CS = dps.gaussian_sigma(dps.countsketch_sensitivity(B1), PP)
+
+
+def sigma_sqrt_hm(h_m):
+    """Gaussian sigma at the multi-level sketch's sqrt(h_m) sensitivity reading."""
+    return dps.gaussian_sigma(dps.l1_sketch_sensitivity(B1, h_m, conservative=False), PP)
 
 
 def report(name, ok, detail=""):
@@ -24,11 +30,11 @@ def test_criterion_01_formula_exactness():
     checks = [
         ("threshold_w_squared", dps.threshold_w_squared(B1, PP, 100), 336.0796627631176),
         ("gaussian_sigma", dps.gaussian_sigma(2.0, PP), 5.074544964718078),
-        ("ridge_coeff_bound_l2", dps.ridge_coeff_bound_l2(B1, PP, 8, [1.0]), 95.12919359305178),
-        ("l1_coeff_bound_simple", dps.l1_coeff_bound_simple(B1, PP, 8, [1.0]), 84.41775683805606),
+        ("ridge_coeff_bound_l2", dps.ridge_coeff_bound_l2(SIGMA_CS, 8, [1.0]), 95.12919359305178),
+        ("l1_coeff_bound", dps.l1_coeff_bound(SIGMA_CS, 8, [1.0]), 84.41775683805606),
         (
-            "l1_coeff_bound_multilevel",
-            dps.l1_coeff_bound_multilevel(B1, PP, 8, 4, [1.0]),
+            "l1_coeff_bound at sigma(2B sqrt(h_m))",
+            dps.l1_coeff_bound(sigma_sqrt_hm(4), 8, [1.0]),
             168.83551367611213,
         ),
     ]
@@ -91,7 +97,7 @@ def test_criterion_05_l2_ridge_tail():
     beta_aug /= np.linalg.norm(beta_aug)
     rates = []
     for i, r in enumerate((16, 64)):
-        bound = dps.ridge_coeff_bound_l2(B1, PP, r, beta_aug)
+        bound = dps.ridge_coeff_bound_l2(sigma, r, beta_aug)
         for j, p in enumerate((math.ceil(r * math.log(r)), dps.noise_row_count(r))):
             spec = dps.GaussianNoiseSpec(rows=p, sigma=sigma, beta_aug=beta_aug)
             rep = dps.verify_tail_bound(spec, "l2", bound, 0.25, 10_000, seed=500 + 2 * i + j)
@@ -110,7 +116,7 @@ def test_criterion_06_l1_bound_tails():
         p = math.ceil(r * math.log(r))
         simple = dps.GaussianNoiseSpec(rows=p, sigma=dps.gaussian_sigma(2.0, PP), beta_aug=beta_aug)
         rep = dps.verify_tail_bound(
-            simple, "l1", dps.l1_coeff_bound_simple(B1, PP, r, beta_aug), 0.25, 10_000, seed=600 + i
+            simple, "l1", dps.l1_coeff_bound(simple.sigma, r, beta_aug), 0.25, 10_000, seed=600 + i
         )
         rates.append(rep.exceedance_rate)
         h_m = 4
@@ -118,7 +124,7 @@ def test_criterion_06_l1_bound_tails():
             rows=p, sigma=dps.gaussian_sigma(2.0 * math.sqrt(h_m), PP), beta_aug=beta_aug
         )
         rep = dps.verify_tail_bound(
-            multi, "l1", dps.l1_coeff_bound_multilevel(B1, PP, r, h_m, beta_aug),
+            multi, "l1", dps.l1_coeff_bound(sigma_sqrt_hm(h_m), r, beta_aug),
             0.25, 10_000, seed=650 + i,
         )
         rates.append(rep.exceedance_rate)
@@ -177,7 +183,8 @@ def test_criterion_09_private_l2_end_to_end():
                 res = data.X @ sol.beta - data.y
                 loss = float(res @ res)
                 assert np.isfinite(loss)
-                bound = dps.ridge_coeff_bound_l2(B1, pp, r, sol.beta_aug)
+                sigma = dps.gaussian_sigma(dps.countsketch_sensitivity(B1), pp)
+                bound = dps.ridge_coeff_bound_l2(sigma, r, sol.beta_aug)
                 hits += (loss - loss_star) <= bound
             results.append((eps, method, hits))
     ok = all(hits >= 50 for _, _, hits in results)

@@ -8,59 +8,74 @@ from hypothesis import strategies as st
 from dpsketch.bounds import (
     BoundReport,
     GaussianNoiseSpec,
-    l1_coeff_bound_multilevel,
-    l1_coeff_bound_simple,
+    l1_coeff_bound,
     ridge_coeff_bound_l2,
     verify_tail_bound,
 )
 from dpsketch.errors import ParameterError
-from dpsketch.mechanisms import PrivacyParams, RowBound
+from dpsketch.mechanisms import (
+    PrivacyParams,
+    RowBound,
+    countsketch_sensitivity,
+    gaussian_sigma,
+    l1_sketch_sensitivity,
+)
 from dpsketch.suites import suite_lemma1
 
 PP = PrivacyParams(1.0, 0.05)
 B1 = RowBound(1.0)
 
 
+def sigma_cs(b=B1, pp=PP):
+    """Gaussian sigma of the CountSketch releases (sensitivity 2B)."""
+    return gaussian_sigma(countsketch_sensitivity(b), pp)
+
+
+def sigma_sqrt_hm(h_m, b=B1, pp=PP):
+    """Gaussian sigma at the multi-level sketch's 2B sqrt(h_m) sensitivity reading."""
+    return gaussian_sigma(l1_sketch_sensitivity(b, h_m, conservative=False), pp)
+
+
 class TestBoundFormulas:
     def test_ridge_hand_value(self):
         # oracle: 13 sqrt(8 ln 8 ln 25) = 95.12919359305178
-        got = ridge_coeff_bound_l2(B1, PP, 8, [1.0])
+        got = ridge_coeff_bound_l2(sigma_cs(), 8, [1.0])
         assert got == pytest.approx(95.12919359305178, rel=1e-12)
 
     def test_l1_simple_hand_value(self):
         # oracle: 16 ln 8 sqrt(2 ln 25) = 84.41775683805606
-        got = l1_coeff_bound_simple(B1, PP, 8, [1.0])
+        got = l1_coeff_bound(sigma_cs(), 8, [1.0])
         assert got == pytest.approx(84.41775683805606, rel=1e-12)
 
     def test_l1_multilevel_hand_value(self):
-        got = l1_coeff_bound_multilevel(B1, PP, 8, 4, [1.0])
+        got = l1_coeff_bound(sigma_sqrt_hm(4), 8, [1.0])
         assert got == pytest.approx(2.0 * 84.41775683805606, rel=1e-12)
 
     def test_multilevel_reduces_to_simple(self):
         beta = [0.2, -0.7, 1.0]
-        assert l1_coeff_bound_multilevel(B1, PP, 16, 1, beta) == pytest.approx(
-            l1_coeff_bound_simple(B1, PP, 16, beta), rel=1e-12
+        assert l1_coeff_bound(sigma_sqrt_hm(1), 16, beta) == pytest.approx(
+            l1_coeff_bound(sigma_cs(), 16, beta), rel=1e-12
         )
 
     def test_multilevel_monotone_in_levels(self):
-        vals = [l1_coeff_bound_multilevel(B1, PP, 16, h, [1.0]) for h in range(1, 9)]
+        vals = [l1_coeff_bound(sigma_sqrt_hm(h), 16, [1.0]) for h in range(1, 9)]
         assert vals == sorted(vals)
 
     def test_beta_norm_linearity(self):
-        one = ridge_coeff_bound_l2(B1, PP, 8, [0.6, -0.8])
-        two = ridge_coeff_bound_l2(B1, PP, 8, [1.2, -1.6])
+        one = ridge_coeff_bound_l2(sigma_cs(), 8, [0.6, -0.8])
+        two = ridge_coeff_bound_l2(sigma_cs(), 8, [1.2, -1.6])
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_r_floor(self):
         for fn in (
-            lambda: ridge_coeff_bound_l2(B1, PP, 1, [1.0]),
-            lambda: l1_coeff_bound_simple(B1, PP, 1, [1.0]),
-            lambda: l1_coeff_bound_multilevel(B1, PP, 1, 2, [1.0]),
+            lambda: ridge_coeff_bound_l2(sigma_cs(), 1, [1.0]),
+            lambda: l1_coeff_bound(sigma_cs(), 1, [1.0]),
+            lambda: l1_coeff_bound(sigma_sqrt_hm(2), 1, [1.0]),
         ):
             with pytest.raises(ParameterError):
                 fn()
         with pytest.raises(ParameterError):
-            l1_coeff_bound_multilevel(B1, PP, 8, 0, [1.0])
+            l1_coeff_bound(sigma_sqrt_hm(0), 8, [1.0])
 
     @given(
         st.floats(min_value=0.1, max_value=10.0),
@@ -74,9 +89,9 @@ class TestBoundFormulas:
         scaled_pp = PrivacyParams(eps_scale, 0.05)
         beta = np.array([0.3, -1.2, 0.5])
         for fn in (
-            lambda b, pp, v: ridge_coeff_bound_l2(b, pp, 32, v),
-            lambda b, pp, v: l1_coeff_bound_simple(b, pp, 32, v),
-            lambda b, pp, v: l1_coeff_bound_multilevel(b, pp, 32, 3, v),
+            lambda b, pp, v: ridge_coeff_bound_l2(sigma_cs(b, pp), 32, v),
+            lambda b, pp, v: l1_coeff_bound(sigma_cs(b, pp), 32, v),
+            lambda b, pp, v: l1_coeff_bound(sigma_sqrt_hm(3, b, pp), 32, v),
         ):
             base = fn(RowBound(1.0), base_pp, beta)
             assert fn(RowBound(b_scale), base_pp, beta) == pytest.approx(b_scale * base, rel=1e-9)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dpsketch import countsketch, dataset, jl, l1
+from dpsketch.countsketch import private_countsketch_l2
 from dpsketch.dataset import (
     DataMatrix,
     DatasetFile,
@@ -10,7 +12,11 @@ from dpsketch.dataset import (
     synthetic_regression,
 )
 from dpsketch.errors import CertificationError, ParameterError
-from dpsketch.mechanisms import RowBound
+from dpsketch.jl import JlConfig, private_jl_sketch
+from dpsketch.l1 import L1SketchConfig, private_l1_sketch
+from dpsketch.mechanisms import PrivacyParams, RowBound
+
+PP = PrivacyParams(1.0, 0.05)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -43,6 +49,68 @@ class TestDataMatrix:
         dm = synthetic_regression(100, 3, seed=1, bound=2.5)
         assert max_row_norm(dm.A) <= 2.5 * (1 + 1e-9)
         assert dm.n == 100 and dm.d == 3
+
+
+class TestCertifyOnce:
+    """``DataMatrix`` is the one certification point; releases trust it."""
+
+    RELEASES = {
+        "jl": lambda data, bound: private_jl_sketch(data, JlConfig(16, PP, bound, seed=1)),
+        "cs2": lambda data, bound: private_countsketch_l2(data, 8, PP, bound, seed=1),
+        "l1": lambda data, bound: private_l1_sketch(data, L1SketchConfig(PP, bound, seed=1, N=8)),
+    }
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        # Count row-norm scans at every site that imports max_row_norm, so a
+        # scan reintroduced in any release is counted too.
+        calls = []
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return max_row_norm(a)
+
+        for module in (dataset, jl, countsketch, l1):
+            monkeypatch.setattr(module, "max_row_norm", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", sorted(RELEASES))
+    @pytest.mark.parametrize("certified_at", [0.5, 1.0])
+    def test_certified_matrix_is_not_rescanned(self, method, certified_at, scans):
+        data = synthetic_regression(200, 3, seed=2, bound=certified_at)
+        scans.clear()
+        self.RELEASES[method](data, RowBound(1.0))
+        assert scans == []
+
+    @pytest.mark.parametrize("method", sorted(RELEASES))
+    def test_raw_array_is_scanned_once(self, method, scans):
+        a = synthetic_regression(200, 3, seed=2, bound=1.0).A.copy()
+        scans.clear()
+        self.RELEASES[method](a, RowBound(1.0))
+        assert scans == [a.shape]
+        scans.clear()
+        a[7] *= 1.01 / np.linalg.norm(a[7])
+        with pytest.raises(CertificationError):
+            self.RELEASES[method](a, RowBound(1.0))
+        assert scans == [a.shape]
+
+    @pytest.mark.parametrize("method", sorted(RELEASES))
+    def test_tighter_release_bound_is_scanned_once(self, method, scans):
+        data = synthetic_regression(200, 3, seed=2, bound=1.0)
+        scans.clear()
+        with pytest.raises(CertificationError):
+            self.RELEASES[method](data, RowBound(0.5))
+        assert scans == [data.A.shape]
+
+    def test_matrix_is_a_read_only_copy(self):
+        a = np.array([[0.6, 0.8], [0.0, 1.0]])
+        dm = DataMatrix(a, RowBound(1.0))
+        a[0] = [30.0, 40.0]
+        assert dm.A.tolist() == [[0.6, 0.8], [0.0, 1.0]]
+        with pytest.raises(ValueError):
+            dm.A[0, 0] = 30.0
+        with pytest.raises(ValueError):
+            dm.X[1] = 5.0
 
 
 class TestIngest:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsketch.bounds import GaussianNoiseSpec, l1_coeff_bound_simple, verify_tail_bound
+from dpsketch.bounds import GaussianNoiseSpec, l1_coeff_bound, verify_tail_bound
 from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import CertificationError, ParameterError
 from dpsketch.l1 import (
@@ -77,7 +77,7 @@ class TestIllustrationSketch:
         sigma = gaussian_sigma(2.0 * B1.B, PP)
         beta_aug = np.array([0.3, -0.4, 0.2, -1.0])
         spec = GaussianNoiseSpec(rows=p, sigma=sigma, beta_aug=beta_aug)
-        bound = l1_coeff_bound_simple(B1, PP, r, beta_aug)
+        bound = l1_coeff_bound(sigma, r, beta_aug)
         report = verify_tail_bound(spec, "l1", bound, 0.25, 1000, seed=8)
         assert report.exceedance_rate <= 0.3
 

@@ -93,6 +93,17 @@ class TestSolveL1:
         with pytest.raises(ParameterError):
             SketchProblem(np.ones((3, 2)), np.array([1.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("solver", [solve_l1_weighted, solve_l2_sketch])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_weights_must_be_finite(self, solver, bad):
+        # an infinite weight used to give a "converged" l1 solve with loss inf
+        # and a misleading non-finite-matrix error from the l2 solve
+        m = np.random.default_rng(6).standard_normal((8, 3))
+        w = np.ones(8)
+        w[2] = bad
+        with pytest.raises(ParameterError, match="weights must be finite"):
+            solver(SketchProblem(m, w))
+
     def test_each_pivot_lowers_perturbed_objective(self):
         # from an arbitrary start basis, every pivot strictly lowers the loss
         # on the tie-broken target, duplicated rows included
