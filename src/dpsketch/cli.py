@@ -88,17 +88,11 @@ def _cmd_sketch(args) -> int:
         sketch, plan = private_countsketch_l2(data, args.rows, pp, bound, args.seed)
         meta = {"sigma": plan.sigma, "noise_rows": plan.p, "patched": plan.patched}
         print(f"noise sigma: {plan.sigma:.6g}  noise rows: {plan.p} (+{plan.patched} patched)")
-        if args.rows >= 2:
-            advisory = ridge_coeff_bound_l2(plan.sigma, args.rows, [1.0])
-            print(f"l2 regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
     elif method == "l1-illustration":
         sketch = illustration_sketch_private(data, args.rows, pp, bound, args.seed)
         sigma = gaussian_sigma(countsketch_sensitivity(bound), pp)
         meta = {"sigma": sigma}
         print(f"noise sigma: {sigma:.6g}")
-        if args.rows >= 2:
-            advisory = l1_coeff_bound(sigma, args.rows, [1.0])
-            print(f"l1 regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
     else:  # l1-multilevel
         h_m = level_count(data.n, args.b)
         n_level = _split_l1_budget(args.rows, h_m, args.s, args.nu)
@@ -109,19 +103,21 @@ def _cmd_sketch(args) -> int:
         sketch, weights = ws.rows, ws.weights
         meta = {
             "sigma": ws.sigma, "h_m": ws.h_m, "b": ws.b, "s": ws.s,
-            "N": ws.N, "N_u": ws.N_u, "sigma_scaling": ws.sigma_scaling,
+            "N": ws.N, "N_u": ws.N_u, "sigma_scaling": "hm",
         }
         occupancy = ", ".join(f"{h}:{c}" for h, c in enumerate(ws.data_level_counts))
         print(f"levels h_m = {ws.h_m}, data rows per level {{{occupancy}}}")
         print(f"noise sigma: {ws.sigma:.6g}  noise rows: {ws.noise_rows} (+{ws.patched} patched)")
-        if ws.r >= 2:
-            advisory = l1_coeff_bound(ws.sigma, ws.r, [1.0])
-            print(f"l1 regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
 
     release = SketchFile(
         method=method, matrix=sketch, epsilon=pp.epsilon, delta=pp.delta, B=bound.B,
         meta=meta, weights=weights,
     )
+    if "sigma" in meta and release.r >= 2:
+        norm = METHODS[method].norm
+        coeff_bound = ridge_coeff_bound_l2 if norm == "l2" else l1_coeff_bound
+        advisory = coeff_bound(meta["sigma"], release.r, [1.0])
+        print(f"{norm} regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
     write_sketch(args.output, release)
     print(f"wrote {release.r} x {release.d + 1} {method} sketch to {args.output}")
     return 0
@@ -129,12 +125,14 @@ def _cmd_sketch(args) -> int:
 
 def _split_l1_budget(rows: int, h_m: int, s: int, n_u: "int | None") -> int:
     """Choose N (a multiple of s) so N*h_m + N_u fits the requested row budget."""
+    if s < 1:
+        raise DpSketchError(f"level-0 sparsity --s must be at least 1, got {s}")
     if n_u is None:
         n_level = rows // (h_m + 1)
     else:
         n_level = (rows - n_u) // h_m
     n_level -= n_level % s
-    if n_level < max(s, 1):
+    if n_level < s:
         raise DpSketchError(
             f"row budget {rows} too small for h_m = {h_m} levels with s = {s}"
         )

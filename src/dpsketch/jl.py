@@ -59,10 +59,6 @@ class JlReleaseMeta:
     branch: str  # "no-augment" | "spectral-augment"
     w_squared: float
     c: float
-    r: int
-    epsilon: float
-    delta: float
-    B: float
     utility_warning: bool = False
 
 
@@ -97,19 +93,32 @@ def spectral_augment(a, w: float) -> "tuple[np.ndarray, float]":
     ``w / sigma_min(A)`` and norms ``||Q beta|| = ||A beta||`` are preserved.
     """
     a = as_matrix(a)
-    if a.shape[0] < a.shape[1]:
-        raise SingularSystemError("a wide matrix cannot have full column rank")
-    u, s, v = svd(a)
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= smax * max(a.shape) * np.finfo(float).eps:
-        raise SingularSystemError("cannot augment a rank-deficient matrix")
+    s, v = _full_rank_spectrum(a)
+    smin = float(s[-1])
     if smin > w:
         raise ParameterError(
             f"sigma_min = {smin:.6g} already exceeds w = {w:.6g}; augmentation not needed"
         )
     c = _augment_factor(smin, w)
-    q = (v * s) @ v.T
-    return np.vstack([a, c * q]), c
+    return np.vstack([a, c * _root(s, v)]), c
+
+
+def _full_rank_spectrum(a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Singular values ``s`` (descending) and right singular vectors ``V`` of ``a``.
+
+    Raises ``SingularSystemError`` unless ``a`` is tall with full column rank.
+    """
+    if a.shape[0] < a.shape[1]:
+        raise SingularSystemError("a wide matrix cannot have full column rank")
+    _, s, v = svd(a)
+    if s[-1] <= s[0] * max(a.shape) * np.finfo(float).eps:
+        raise SingularSystemError("A must have full column rank")
+    return s, v
+
+
+def _root(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``Q = V diag(s) V^T``, which is ``(A^T A)^{1/2}`` for the thin SVD of ``A``."""
+    return (v * s) @ v.T
 
 
 def _augment_factor(smin: float, w: float) -> float:
@@ -124,7 +133,7 @@ def _gaussian_times_root(v: np.ndarray, s: np.ndarray, r: int, seed) -> np.ndarr
     the rows of ``G Q`` are iid ``N(0, A^T A)``: the law of the rows of
     ``S A`` for an r-by-n Gaussian ``S``, which is never formed.
     """
-    q = (v * s) @ v.T
+    q = _root(s, v)
     return sample_gaussian_matrix(r, q.shape[0], 1.0, seed) @ q
 
 
@@ -173,30 +182,17 @@ def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[
         If ``A`` is not of full column rank.
     """
     a = certified_rows(data, cfg.bound)
-    b = cfg.bound.B
-    n, d1 = a.shape
-
     w_sq = threshold_w_squared(cfg.bound, cfg.pp, cfg.r)
-    _, s, v = svd(a)
-    smax, smin = float(s[0]), float(s[-1])
-    if n < d1 or smin <= smax * max(a.shape) * np.finfo(float).eps:
-        raise SingularSystemError("A must have full column rank")
+    s, v = _full_rank_spectrum(a)
+    smin = float(s[-1])
 
     lap_seed, proj_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    if noisy_rank_test(smin**2, w_sq, cfg.bound, cfg.pp, lap_seed):
-        meta = JlReleaseMeta(
-            branch="no-augment", w_squared=w_sq, c=0.0, r=cfg.r,
-            epsilon=cfg.pp.epsilon, delta=cfg.pp.delta, B=b,
-        )
-        return _gaussian_times_root(v, s, cfg.r, proj_seed), meta
-
-    # When the Laplace draw fails the test even though sigma_min >= w, c = 0
-    # (appending zero rows) already satisfies sigma_min(Ahat) >= w.
-    w = math.sqrt(w_sq)
-    c = 0.0 if smin >= w else _augment_factor(smin, w)
+    passed = noisy_rank_test(smin**2, w_sq, cfg.bound, cfg.pp, lap_seed)
+    # A failed test with sigma_min >= w gets c = 0 from the clamp: appending
+    # zero rows already satisfies sigma_min(Ahat) >= w.
+    c = 0.0 if passed else _augment_factor(smin, math.sqrt(w_sq))
     meta = JlReleaseMeta(
-        branch="spectral-augment", w_squared=w_sq, c=c, r=cfg.r,
-        epsilon=cfg.pp.epsilon, delta=cfg.pp.delta, B=b,
+        branch="no-augment" if passed else "spectral-augment", w_squared=w_sq, c=c,
         utility_warning=(1.0 + c**2) > _UTILITY_WARN_FACTOR,
     )
     return math.sqrt(1.0 + c**2) * _gaussian_times_root(v, s, cfg.r, proj_seed), meta

@@ -11,11 +11,8 @@ free. Both releases sum ``S [A; eta]`` (``eta`` Gaussian noise rows) block
 by block through ``countsketch.noised_bucket_release``, never forming the
 stack, and patch every bucket to contain at least one noise row.
 
-Noise calibration defaults to ``sigma = 2 B h_m / eps * sqrt(2 ln(1.25/delta))``,
-the larger of the two calibrations consistent with a row appearing in at
-most ``h_m`` sampled buckets; ``sigma_scaling="sqrt_hm"`` selects the
-``2 B sqrt(h_m)`` sensitivity reading instead. The release metadata records
-which one was used.
+The multi-level release calibrates its noise to sensitivity ``2 B h_m``:
+``sigma = 2 B h_m / eps * sqrt(2 ln(1.25/delta))``.
 """
 
 from __future__ import annotations
@@ -30,6 +27,10 @@ from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (ho
 from .errors import ParameterError
 from .mechanisms import PrivacyParams, RowBound, gaussian_sigma
 
+# level_count multiplies once per level; refuse a b so close to 1 that
+# log_b n exceeds this before looping.
+_MAX_LEVELS = 10_000
+
 
 def level_count(n: int, b: float) -> int:
     """Number of sampled levels ``h_m = max(1, ceil(log_b n))``, computed exactly."""
@@ -37,6 +38,8 @@ def level_count(n: int, b: float) -> int:
         raise ParameterError("n must be at least 1")
     if not b > 1:
         raise ParameterError("branching parameter b must exceed 1")
+    if math.log(n) / math.log(b) > _MAX_LEVELS:
+        raise ParameterError(f"log_b n exceeds {_MAX_LEVELS} levels at n = {n}, b = {b!r}; increase b")
     h = 1
     cap = b
     while cap < n:
@@ -94,7 +97,7 @@ class L1SketchConfig:
     level-0 sparsity ``s``), ``N_u`` buckets at the uniform level (defaults
     to ``N``). ``level_assignment`` chooses between independent Bernoulli
     inclusion per level (default) and a single categorical level draw per
-    row. ``sigma_scaling`` is ``"hm"`` or ``"sqrt_hm"``, see module docs.
+    row. The noise is calibrated to sensitivity ``2 B h_m``, see module docs.
     """
 
     pp: PrivacyParams
@@ -105,7 +108,6 @@ class L1SketchConfig:
     s: int = 1
     N_u: "int | None" = None
     level_assignment: str = "bernoulli"
-    sigma_scaling: str = "hm"
 
     def __post_init__(self):
         if not self.b > 1:
@@ -118,8 +120,6 @@ class L1SketchConfig:
             raise ParameterError("N_u must be positive")
         if self.level_assignment not in ("bernoulli", "categorical"):
             raise ParameterError("level_assignment must be 'bernoulli' or 'categorical'")
-        if self.sigma_scaling not in ("hm", "sqrt_hm"):
-            raise ParameterError("sigma_scaling must be 'hm' or 'sqrt_hm'")
 
     @property
     def uniform_buckets(self) -> int:
@@ -148,7 +148,6 @@ class WeightedSketch:
     N_u: int
     noise_rows: int
     patched: int
-    sigma_scaling: str
     data_level_counts: np.ndarray = field(repr=False)
     noise_coverage: np.ndarray = field(repr=False)
     max_data_memberships: int = 0
@@ -209,8 +208,7 @@ def private_l1_sketch(
     if cfg.level_assignment == "categorical" and sum(b**-h for h in range(1, h_m)) > 1.0:
         raise ParameterError("categorical level assignment needs sum_h 1/b^h <= 1; increase b")
     r = N * h_m + N_u
-    factor = float(h_m) if cfg.sigma_scaling == "hm" else math.sqrt(h_m)
-    sigma = gaussian_sigma(2.0 * cfg.bound.B * factor, cfg.pp) if sigma_override is None else float(sigma_override)
+    sigma = gaussian_sigma(2.0 * cfg.bound.B * h_m, cfg.pp) if sigma_override is None else float(sigma_override)
 
     def assign(assign_seed, m):
         return *_level_assignment(np.random.default_rng(assign_seed), m, cfg, h_m), None
@@ -237,7 +235,6 @@ def private_l1_sketch(
         N_u=N_u,
         noise_rows=noise.p,
         patched=noise.patched,
-        sigma_scaling=cfg.sigma_scaling,
         data_level_counts=data_level_counts,
         noise_coverage=noise.coverage,
         max_data_memberships=int(np.bincount(idx[is_data], minlength=n).max()),

@@ -51,10 +51,9 @@ def l1_sketch_sensitivity(bound: RowBound, h_m: int, s: int = 1, conservative: b
     A changed row perturbs at most ``s`` buckets at level 0 plus one bucket
     at each of the ``h_m`` sampled levels, giving ``2B * sqrt(s + h_m)``
     (``conservative=True``, the default). With ``conservative=False`` the
-    level-0 copies are not counted and the value is ``2B * sqrt(h_m)``,
-    which reproduces the constant used by the multi-level noise calibration.
-    Callers that release sketches record which mode they used in the release
-    metadata.
+    level-0 copies are not counted and the value is the paper's
+    ``2B * sqrt(h_m)`` constant, which only ``verify --suite thm2`` uses; no
+    release is calibrated with it (the multi-level release uses ``2B h_m``).
     """
     if h_m < 1:
         raise ParameterError("h_m must be at least 1")

@@ -29,6 +29,27 @@ def run_sketch(csv_path, out, method="jl", extra=()):
     ])
 
 
+PINNED_STDOUT = {
+    "jl": "branch: spectral-augment  (w^2 = 183.154, c = 7.0403)\nwrote 16 x 4 jl sketch to {out}\n",
+    "cs2": (
+        "noise sigma: 5.07454  noise rows: 109 (+0 patched)\n"
+        "l2 regularization bound at ||beta_aug|| = 1: 155.345\n"
+        "wrote 16 x 4 countsketch-l2 sketch to {out}\n"
+    ),
+    "l1-illus": (
+        "noise sigma: 5.07454\n"
+        "l1 regularization bound at ||beta_aug|| = 1: 225.114\n"
+        "wrote 16 x 4 l1-illustration sketch to {out}\n"
+    ),
+    "l1": (
+        "levels h_m = 6, data rows per level {{0:60, 1:37, 2:15, 3:9, 4:3, 5:3, 6:2}}\n"
+        "noise sigma: 30.4473  noise rows: 450 (+5 patched)\n"
+        "l1 regularization bound at ||beta_aug|| = 1: 6863.41\n"
+        "wrote 56 x 4 l1-multilevel sketch to {out}\n"
+    ),
+}
+
+
 class TestSketchCommand:
     @pytest.mark.parametrize("method,released", [(spec.flag, name) for name, spec in METHODS.items()])
     def test_release_files(self, tmp_path, csv_path, method, released, capsys):
@@ -107,7 +128,7 @@ class TestSketchCommand:
         assert code == 0
         assert read_sketch(out).meta["h_m"] == 10
 
-    def test_well_conditioned_data_releases_no_augment(self, tmp_path):
+    def test_well_conditioned_data_releases_no_augment(self, tmp_path, capsys):
         # rows on the unit sphere give sigma_min^2 near n/d, far above w^2
         rng = np.random.default_rng(6)
         rows = rng.standard_normal((2000, 5))
@@ -122,6 +143,36 @@ class TestSketchCommand:
         ])
         assert code == 0
         assert read_sketch(out).meta["branch"] == "no-augment"
+        assert capsys.readouterr().out == (
+            f"branch: no-augment  (w^2 = 153.293, c = 0)\nwrote 8 x 5 jl sketch to {out}\n"
+        )
+
+    @pytest.mark.parametrize("flag,expected", sorted(PINNED_STDOUT.items()))
+    def test_pinned_stdout(self, tmp_path, capsys, flag, expected):
+        # the 60-row data and arguments of test_release_digests.cli_digest
+        a = np.random.default_rng(1060).standard_normal((60, 4))
+        a /= max(1.0, np.linalg.norm(a, axis=1).max())
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(",".join(f"{v:.9f}" for v in row) for row in a) + "\n")
+        out = str(tmp_path / f"{flag}.dps")
+        extra = ["--rows", "60", "--s", "2"] if flag == "l1" else ["--rows", "16"]
+        code = main([
+            "sketch", "--method", flag, "--epsilon", "1.0", "--delta", "0.05", "--bound", "1.0",
+            "--seed", "7", "--in", str(path), "--out", out, *extra,
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == expected.format(out=out)
+
+    def test_zero_sparsity_refused(self, tmp_path, csv_path, capsys):
+        out = tmp_path / "s0.dps"
+        code = main([
+            "sketch", "--method", "l1", "--epsilon", "1.0", "--delta", "0.05",
+            "--bound", "1.0", "--rows", "60", "--s", "0", "--seed", "3",
+            "--in", csv_path, "--out", str(out),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path, csv_path):
         out1, out2 = str(tmp_path / "a.dps"), str(tmp_path / "b.dps")
