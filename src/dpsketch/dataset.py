@@ -130,6 +130,8 @@ def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult
     """
     if clip not in ("reject", "scale"):
         raise ParameterError(f"clip must be 'reject' or 'scale', got {clip!r}")
+    if len(f.delimiter) != 1:
+        raise ParameterError(f"delimiter must be one character, got {f.delimiter!r}")
     path = Path(f.path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle, delimiter=f.delimiter)
@@ -144,6 +146,8 @@ def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult
         raise ParameterError(f"{path}: no data rows")
 
     width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise ParameterError(f"{path}: header has {len(header)} cells, expected {width}")
     values = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if len(row) != width:

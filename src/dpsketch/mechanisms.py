@@ -45,20 +45,15 @@ def countsketch_sensitivity(bound: RowBound) -> float:
     return 2.0 * bound.B
 
 
-def l1_sketch_sensitivity(bound: RowBound, h_m: int, s: int = 1, conservative: bool = True) -> float:
-    """l2 sensitivity of the multi-level l1 sketch.
+def l1_sketch_sensitivity(bound: RowBound, h_m: int, s: int = 1) -> float:
+    """l2 sensitivity ``2B * sqrt(s + h_m)`` of the multi-level l1 sketch.
 
     A changed row perturbs at most ``s`` buckets at level 0 plus one bucket
-    at each of the ``h_m`` sampled levels, giving ``2B * sqrt(s + h_m)``
-    (``conservative=True``, the default). With ``conservative=False`` the
-    level-0 copies are not counted and the value is the paper's
-    ``2B * sqrt(h_m)`` constant, which only ``verify --suite thm2`` uses; no
-    release is calibrated with it (the multi-level release uses ``2B h_m``).
+    at each of the ``h_m`` sampled levels. No release is calibrated with it
+    yet: the multi-level release uses ``2B h_m``.
     """
     if h_m < 1:
         raise ParameterError("h_m must be at least 1")
     if s < 1:
         raise ParameterError("s must be at least 1")
-    if conservative:
-        return 2.0 * bound.B * math.sqrt(s + h_m)
-    return 2.0 * bound.B * math.sqrt(h_m)
+    return 2.0 * bound.B * math.sqrt(s + h_m)

@@ -16,8 +16,8 @@ SIGMA_CS = dps.gaussian_sigma(dps.countsketch_sensitivity(B1), PP)
 
 
 def sigma_sqrt_hm(h_m):
-    """Gaussian sigma at the multi-level sketch's sqrt(h_m) sensitivity reading."""
-    return dps.gaussian_sigma(dps.l1_sketch_sensitivity(B1, h_m, conservative=False), PP)
+    """Gaussian sigma at the paper's 2B sqrt(h_m) multi-level sensitivity constant."""
+    return dps.gaussian_sigma(2.0 * B1.B * math.sqrt(h_m), PP)
 
 
 def report(name, ok, detail=""):

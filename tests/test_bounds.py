@@ -32,8 +32,8 @@ def sigma_cs(b=B1, pp=PP):
 
 
 def sigma_sqrt_hm(h_m, b=B1, pp=PP):
-    """Gaussian sigma at the multi-level sketch's 2B sqrt(h_m) sensitivity reading."""
-    return gaussian_sigma(l1_sketch_sensitivity(b, h_m, conservative=False), pp)
+    """Gaussian sigma at the paper's 2B sqrt(h_m) multi-level sensitivity constant."""
+    return gaussian_sigma(2.0 * b.B * math.sqrt(h_m), pp)
 
 
 class TestBoundFormulas:
@@ -75,7 +75,7 @@ class TestBoundFormulas:
             with pytest.raises(ParameterError):
                 fn()
         with pytest.raises(ParameterError):
-            l1_coeff_bound(sigma_sqrt_hm(0), 8, [1.0])
+            l1_sketch_sensitivity(B1, 0)
 
     @given(
         st.floats(min_value=0.1, max_value=10.0),

@@ -7,6 +7,7 @@ import pytest
 
 from dpsketch.cli import main
 from dpsketch.sketchfile import METHODS, read_sketch
+from dpsketch.suites import SUITES
 
 
 @pytest.fixture
@@ -84,6 +85,13 @@ class TestSketchCommand:
         assert main(args) == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "x.dps").exists()
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_bad_delimiter(self, tmp_path, csv_path, capsys, delimiter):
+        out = tmp_path / "x.dps"
+        assert run_sketch(csv_path, str(out), method="cs2", extra=("--delimiter", delimiter)) == 2
+        assert capsys.readouterr().err.startswith("error: delimiter must be one character")
+        assert not out.exists()
 
     def test_l1_multilevel_release(self, tmp_path, csv_path, capsys):
         out = str(tmp_path / "ml.dps")
@@ -270,7 +278,51 @@ class TestSolveCommand:
         assert main(["solve", "--norm", "l2", "--in", str(tmp_path / "no.dps")]) == 2
 
 
+# `verify --seed 0` stdout of every suite at its default trial count; a change
+# to a suite's cases, seeds, draws or output format shows here.
+PINNED_VERIFY = {
+    "lemma1": (
+        "[PASS] lemma1[r=10,sigma=1]: 1460/10000 exceedances (rate 0.1460, threshold 0.25, bound 10)\n"
+        "[PASS] lemma1[r=50,sigma=1]: 113/10000 exceedances (rate 0.0113, threshold 0.25, bound 50)\n"
+        "[PASS] lemma1[r=50,sigma=3]: 126/10000 exceedances (rate 0.0126, threshold 0.25, bound 150)\n"
+        "suite lemma1: 3/3 checks passed\n"
+    ),
+    "thm1": (
+        "[PASS] thm1[r=16,p=stated:45]: 0/10000 exceedances (rate 0.0000, threshold 0.25, bound 155.345)\n"
+        "[PASS] thm1[r=16,p=implemented:109]: 0/10000 exceedances (rate 0.0000, threshold 0.25, bound 155.345)\n"
+        "[PASS] thm1[r=64,p=stated:267]: 0/10000 exceedances (rate 0.0000, threshold 0.25, bound 380.517)\n"
+        "[PASS] thm1[r=64,p=implemented:523]: 0/10000 exceedances (rate 0.0000, threshold 0.25, bound 380.517)\n"
+        "suite thm1: 4/4 checks passed\n"
+    ),
+    "lemma2": (
+        "[PASS] lemma2[r=16,p=45]: 0/10000 exceedances (rate 0.0000, threshold 0.25, bound 432.343)\n"
+        "[PASS] lemma2[r=64,p=267]: 0/10000 exceedances (rate 0.0000, threshold 0.25, bound 2594.06)\n"
+        "suite lemma2: 2/2 checks passed\n"
+    ),
+    "jl-distortion": (
+        "[PASS] jl-distortion[r=1000,dim=200]: 0/4000 exceedances (rate 0.0000, threshold 0.05, bound 0.35)\n"
+        "suite jl-distortion: 1/1 checks passed\n"
+    ),
+    "cs-embedding": (
+        "[PASS] cs-embedding[n=5000,r=2500]: 0/10000 exceedances (rate 0.0000, threshold 0.1, bound 0.5)\n"
+        "suite cs-embedding: 1/1 checks passed\n"
+    ),
+    "approx-ratio": (
+        "[PASS] approx-ratio[l2,r=403]: 0/100 exceedances (rate 0.0000, threshold 0.5, bound 1.5)\n"
+        "suite approx-ratio: 1/1 checks passed\n"
+    ),
+}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("suite", sorted(PINNED_VERIFY))
+    def test_pinned_stdout(self, capsys, suite):
+        assert main(["verify", "--suite", suite, "--seed", "0"]) == 0
+        assert capsys.readouterr().out == PINNED_VERIFY[suite]
+
+    def test_suite_names(self):
+        assert sorted(SUITES) == sorted(PINNED_VERIFY)
+
     def test_lemma1_passes(self, capsys):
         assert main(["verify", "--suite", "lemma1", "--trials", "2000", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -288,6 +340,11 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "fermat", "--trials", "500"])
+        assert exc.value.code == 2
+
+    def test_thm2_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "thm2"])
         assert exc.value.code == 2
 
 

@@ -156,6 +156,20 @@ class TestIngest:
         res = ingest(DatasetFile(path, delimiter=";"), RowBound(10.0))
         assert res.data.n == 3
 
+    @pytest.mark.parametrize("header", ["a,b,c,target", "a,b"])
+    def test_header_width_must_match_rows(self, tmp_path, header):
+        path = write_csv(tmp_path, header + "\n1,2,3\n2,1,4\n1,1,5\n0,2,6\n")
+        with pytest.raises(ParameterError, match="header has"):
+            ingest(DatasetFile(path, has_header=True, response_column="target"), RowBound(10.0))
+        with pytest.raises(ParameterError, match="header has"):
+            ingest(DatasetFile(path, has_header=True, response_column="b"), RowBound(10.0))
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_checked_before_open(self, tmp_path, delimiter):
+        missing = str(tmp_path / "absent.csv")
+        with pytest.raises(ParameterError, match="one character"):
+            ingest(DatasetFile(missing, delimiter=delimiter), RowBound(10.0))
+
     def test_named_response_needs_header(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3,4\n1,1\n")
         with pytest.raises(ParameterError, match="header"):

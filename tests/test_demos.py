@@ -15,8 +15,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # demos that write files use tempfile
+    tmpdir = tmp_path / "tmp"  # demos that write files use tempfile
+    tmpdir.mkdir()
+    env["TMPDIR"] = str(tmpdir)
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list(tmpdir.iterdir()) == [], "demo left temporary files behind"

@@ -77,9 +77,6 @@ class TestSensitivities:
     def test_countsketch_exact_2b(self, b):
         assert countsketch_sensitivity(RowBound(b)) == 2.0 * b
 
-    def test_l1_paper_literal(self):
-        assert l1_sketch_sensitivity(RowBound(1.0), h_m=4, conservative=False) == pytest.approx(4.0)
-
     def test_l1_conservative(self):
         got = l1_sketch_sensitivity(RowBound(1.0), h_m=4, s=1)
         assert got == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-12)
@@ -93,10 +90,3 @@ class TestSensitivities:
             l1_sketch_sensitivity(RowBound(1.0), h_m=0)
         with pytest.raises(ParameterError):
             l1_sketch_sensitivity(RowBound(1.0), h_m=2, s=0)
-
-    def test_l1_conservative_dominates(self):
-        for h_m in range(1, 8):
-            for s in (1, 2, 4):
-                assert l1_sketch_sensitivity(RowBound(2.0), h_m, s) > l1_sketch_sensitivity(
-                    RowBound(2.0), h_m, s, conservative=False
-                )
