@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sk.add_argument("--clip", choices=("scale", "reject"), default="scale")
 
     so = sub.add_parser("solve", help="solve the regression problem on a released sketch")
-    so.add_argument("--norm", required=True, choices=("l1", "l2"))
+    so.add_argument("--norm", choices=("l1", "l2"), help="default: the norm of the release's method")
     so.add_argument("--in", dest="input", required=True, metavar="SKETCH.DPS")
     so.add_argument("--json", dest="json_out", default=None, metavar="OUT.JSON")
 
@@ -60,7 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DpSketchError(f"--seed must be at least 0, got {seed}")
+
+
 def _cmd_sketch(args) -> int:
+    _check_seed(args.seed)
     pp = PrivacyParams(args.epsilon, args.delta)
     bound = RowBound(args.bound)
     spec = DatasetFile(
@@ -141,13 +147,13 @@ def _split_l1_budget(rows: int, h_m: int, s: int, n_u: "int | None") -> int:
 
 def _cmd_solve(args) -> int:
     release = read_sketch(args.input)
-    expected = METHODS[release.method].norm
-    if args.norm != expected:
+    norm = METHODS[release.method].norm
+    if args.norm not in (None, norm):
         raise DpSketchError(
-            f"method {release.method!r} must be solved with --norm {expected}, not {args.norm}"
+            f"method {release.method!r} must be solved with --norm {norm}, not {args.norm}"
         )
     problem = SketchProblem(release.matrix, weights=release.weights)
-    if args.norm == "l2":
+    if norm == "l2":
         sol = solve_l2_sketch(problem)
     else:
         sol = solve_l1_weighted(problem)
@@ -155,7 +161,7 @@ def _cmd_solve(args) -> int:
     print(f"method: {release.method}  solver: {sol.method}")
     print("beta:", " ".join(f"{v:.10g}" for v in sol.beta))
     print(f"sketch loss: {sol.sketch_loss:.10g}")
-    if args.norm == "l1":
+    if norm == "l1":
         state = "certified optimal" if sol.converged else "NOT certified"
         print(f"l1: {state} after {sol.iterations} pivot(s)")
     if args.json_out:
@@ -175,6 +181,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_seed(args.seed)
     if args.trials is not None and args.trials < _MIN_TRIALS:
         raise DpSketchError(f"--trials must be at least {_MIN_TRIALS}, got {args.trials}")
     suite = SUITES[args.suite]

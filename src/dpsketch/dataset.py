@@ -133,9 +133,12 @@ def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult
     if len(f.delimiter) != 1:
         raise ParameterError(f"delimiter must be one character, got {f.delimiter!r}")
     path = Path(f.path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=f.delimiter)
-        rows = [row for row in reader if row]
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle, delimiter=f.delimiter)
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
     header: "list[str] | None" = None
     if f.has_header:
         if not rows:

@@ -110,8 +110,8 @@ class L1SketchConfig:
     level_assignment: str = "bernoulli"
 
     def __post_init__(self):
-        if not self.b > 1:
-            raise ParameterError("branching parameter b must exceed 1")
+        if not 1 < self.b < math.inf:
+            raise ParameterError(f"branching parameter b must be finite and exceed 1, got {self.b!r}")
         if self.s < 1:
             raise ParameterError("level-0 sparsity s must be at least 1")
         if self.N < 1 or self.N % self.s != 0:

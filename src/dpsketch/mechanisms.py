@@ -3,9 +3,21 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+
+def _check_in_range(name: str, value, low: float, high: float) -> None:
+    """Refuse anything but a finite real number, not a bool, strictly inside ``(low, high)``."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        ok = number and math.isfinite(value) and low < value < high
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        raise ParameterError(f"{name} must be a finite number in ({low:g}, {high:g}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -16,10 +28,8 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        if not (0 < self.epsilon < math.inf):
-            raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (0 < self.delta < 1):
-            raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_in_range("epsilon", self.epsilon, 0.0, math.inf)
+        _check_in_range("delta", self.delta, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -29,8 +39,7 @@ class RowBound:
     B: float
 
     def __post_init__(self):
-        if not (0 < self.B < math.inf):
-            raise ParameterError(f"row bound must be positive and finite, got {self.B}")
+        _check_in_range("row bound B", self.B, 0.0, math.inf)
 
 
 def gaussian_sigma(sensitivity: float, pp: PrivacyParams) -> float:

@@ -15,8 +15,6 @@ voids the privacy guarantee.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import struct
 import uuid
@@ -28,6 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, SketchFileError
 from .linalg import as_matrix
+from .mechanisms import PrivacyParams, RowBound
 
 MAGIC = b"DPSK"
 VERSION = 1
@@ -66,11 +65,8 @@ class SketchFile:
         if not isinstance(self.method, str) or self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
-        for name, low, high in (("epsilon", 0.0, math.inf), ("delta", 0.0, 1.0), ("B", 0.0, math.inf)):
-            value = getattr(self, name)
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not number or not math.isfinite(value) or not low < value < high:
-                raise ParameterError(f"{name} must be a finite number in ({low:g}, {high:g}), got {value!r}")
+        PrivacyParams(self.epsilon, self.delta)
+        RowBound(self.B)
         if not isinstance(self.meta, dict):
             raise ParameterError(f"meta must be a mapping, got {type(self.meta).__name__}")
         for key in self.meta:

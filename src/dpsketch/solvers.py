@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,72 +124,56 @@ def l1_objective(problem: SketchProblem, beta) -> float:
     return float(problem.effective_weights() @ np.abs(residual))
 
 
-@dataclass(frozen=True)
-class _Vertex:
-    """The point interpolating the ``basis`` rows, with its LAD dual.
-
-    ``dual`` solves ``X_B^T t = -X_N^T (w * sign)``: it completes
-    ``w * sign`` on the nonbasic rows to a vector ``lambda`` with
-    ``X^T lambda = 0``, and moving off basic row ``j`` changes the loss at
-    rate ``w_j - |t_j|``. ``leaving`` is the basis position whose bound
-    ``|t_j| <= w_j`` is broken the most, or None when none is broken.
-    """
+class _Vertex(NamedTuple):
+    """A vertex of the descent: the point interpolating the ``basis`` rows."""
 
     basis: np.ndarray
     inverse: np.ndarray  # X_B^{-1}
     residual: np.ndarray  # X beta - y, exactly zero on the basis
     sign: np.ndarray
-    dual: np.ndarray
-    leaving: "int | None"
-
-
-def _vertex(design, target, w, basis) -> _Vertex:
-    try:
-        inverse = np.linalg.inv(design[basis])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("LAD basis is singular; design is rank deficient") from exc
-    residual = design @ (inverse @ target[basis]) - target
-    residual[basis] = 0.0
-    sign = np.sign(residual)
-    dual = -inverse.T @ (design.T @ (w * sign))
-    excess = np.abs(dual) - w[basis]
-    worst = int(np.argmax(excess))
-    leaving = worst if excess[worst] > _DUAL_SLACK * w[basis][worst] else None
-    return _Vertex(basis.copy(), inverse, residual, sign, dual, leaving)
-
-
-def _entering(design, w, vertex: _Vertex) -> int:
-    """Row that replaces ``vertex.leaving``: the weighted median along the edge.
-
-    Along the edge the residuals move as ``residual + tau * a``. The loss
-    slope starts at ``w_j - |t_j| < 0`` and rises by ``2 w_i |a_i|`` as
-    ``tau`` crosses row ``i``'s zero ``-residual_i / a_i``; the step ends
-    at the first zero where the slope stops being negative.
-    """
-    j = vertex.leaving
-    a = design @ (np.sign(vertex.dual[j]) * vertex.inverse[:, j])
-    rows = np.flatnonzero(vertex.residual * a < 0)
-    crossings = -vertex.residual[rows] / a[rows]
-    order = np.argsort(crossings)
-    rise = np.cumsum(2.0 * w[rows[order]] * np.abs(a[rows[order]]))
-    descent = abs(vertex.dual[j]) - w[vertex.basis[j]]
-    stop = min(int(np.searchsorted(rise, descent)), rise.size - 1)
-    return int(rows[order[stop]])
+    optimal: bool  # no dual bound |t_j| <= w_j is broken
 
 
 def _descent(design, target, w, basis):
     """Yield the vertices of the descent from ``basis``, ending at an optimal one.
 
-    Each pivot swaps the leaving row for the entering one and, when no
-    nonbasic residual is zero, strictly lowers the loss.
+    At each vertex the dual ``t`` solves ``X_B^T t = -X_N^T (w * sign)``: it
+    completes ``w * sign`` on the nonbasic rows to a vector ``lambda`` with
+    ``X^T lambda = 0``, and moving off basic row ``j`` changes the loss at
+    rate ``w_j - |t_j|``. The vertex is optimal when no bound ``|t_j| <= w_j``
+    is broken; otherwise the basic row that breaks it the most leaves.
+
+    The entering row is the weighted median along that edge. The residuals
+    move as ``residual + tau * a``. The loss slope starts at
+    ``w_j - |t_j| < 0`` and rises by ``2 w_i |a_i|`` as ``tau`` crosses row
+    ``i``'s zero ``-residual_i / a_i``; the step ends at the first zero
+    where the slope stops being negative. When no nonbasic residual is
+    zero, each pivot strictly lowers the loss.
     """
     basis = np.array(basis)
     while True:
-        vertex = _vertex(design, target, w, basis)
-        yield vertex
-        if vertex.leaving is None:
+        try:
+            inverse = np.linalg.inv(design[basis])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError("LAD basis is singular; design is rank deficient") from exc
+        residual = design @ (inverse @ target[basis]) - target
+        residual[basis] = 0.0
+        sign = np.sign(residual)
+        dual = -inverse.T @ (design.T @ (w * sign))
+        excess = np.abs(dual) - w[basis]
+        j = int(np.argmax(excess))
+        optimal = not excess[j] > _DUAL_SLACK * w[basis][j]
+        yield _Vertex(basis.copy(), inverse, residual, sign, optimal)
+        if optimal:
             return
-        basis[vertex.leaving] = _entering(design, w, vertex)
+        a = design @ (np.sign(dual[j]) * inverse[:, j])
+        rows = np.flatnonzero(residual * a < 0)
+        crossings = -residual[rows] / a[rows]
+        order = np.argsort(crossings)
+        rise = np.cumsum(2.0 * w[rows[order]] * np.abs(a[rows[order]]))
+        descent = abs(dual[j]) - w[basis[j]]
+        stop = min(int(np.searchsorted(rise, descent)), rise.size - 1)
+        basis[j] = rows[order[stop]]
 
 
 def _start_basis(design, residual) -> np.ndarray:
@@ -274,11 +259,11 @@ def solve_l1_weighted(problem: SketchProblem) -> RegressionSolution:
     cap = _PIVOTS_PER_COLUMN * design.shape[1]
     pivots, vertex = _walk(design, perturbed, w, basis, cap)
     beta, residual, signs_kept = _on_target(design, target, vertex)
-    if vertex.leaving is None and not signs_kept:
+    if vertex.optimal and not signs_kept:
         more, vertex = _walk(design, target, w, vertex.basis, cap - pivots)
         pivots += more
         beta, residual, signs_kept = _on_target(design, target, vertex)
-    certified = vertex.leaving is None and signs_kept
+    certified = vertex.optimal and signs_kept
     return _finish(
         beta, w @ np.abs(residual), "vertex-descent", converged=certified, iterations=pivots
     )

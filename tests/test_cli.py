@@ -86,6 +86,43 @@ class TestSketchCommand:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "x.dps").exists()
 
+    def test_negative_seed_exits_before_ingest(self, tmp_path, csv_path, capsys, monkeypatch):
+        import dpsketch.cli as cli
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "ingest", no_ingest)
+        out = tmp_path / "x.dps"
+        args = [
+            "sketch", "--method", "cs2", "--epsilon", "1.0", "--delta", "0.05",
+            "--bound", "1.0", "--rows", "16", "--seed", "-1",
+            "--in", csv_path, "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0.1,0.2\n0.3,0.1\n0.2,0.2\n0.1,0.1\n\xe9,0.1\n")
+        out = tmp_path / "x.dps"
+        assert run_sketch(str(path), str(out), method="cs2") == 2
+        assert "latin1.csv: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_branching_exits_before_release(self, tmp_path, csv_path, capsys, monkeypatch):
+        import dpsketch.cli as cli
+
+        def no_release(*args, **kwargs):
+            raise AssertionError("release computed")
+
+        monkeypatch.setattr(cli, "private_l1_sketch", no_release)
+        out = tmp_path / "x.dps"
+        assert run_sketch(csv_path, str(out), method="l1", extra=("--b", "inf")) == 2
+        assert "branching parameter b must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("delimiter", ["", ";;"])
     def test_bad_delimiter(self, tmp_path, csv_path, capsys, delimiter):
         out = tmp_path / "x.dps"
@@ -274,6 +311,20 @@ class TestSolveCommand:
         assert main(["solve", "--norm", "l1", "--in", out]) == 2
         assert "must be solved with --norm l2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,rows", [("jl", "16"), ("l1", "60")])
+    def test_norm_defaults_to_method(self, tmp_path, csv_path, capsys, method, rows):
+        out = str(tmp_path / f"{method}.dps")
+        assert main([
+            "sketch", "--method", method, "--epsilon", "1.0", "--delta", "0.05",
+            "--bound", "1.0", "--rows", rows, "--seed", "3",
+            "--in", csv_path, "--out", out,
+        ]) == 0
+        norm = METHODS[read_sketch(out).method].norm
+        default_json, explicit_json = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert main(["solve", "--in", out, "--json", str(default_json)]) == 0
+        assert main(["solve", "--norm", norm, "--in", out, "--json", str(explicit_json)]) == 0
+        assert json.loads(default_json.read_text()) == json.loads(explicit_json.read_text())
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", "--norm", "l2", "--in", str(tmp_path / "no.dps")]) == 2
 
@@ -336,6 +387,10 @@ class TestVerifyCommand:
     def test_trials_floor(self, capsys):
         assert main(["verify", "--suite", "lemma1", "--trials", "10"]) == 2
         assert "at least 100" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        assert main(["verify", "--suite", "lemma1", "--trials", "100", "--seed", "-1"]) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:

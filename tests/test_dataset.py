@@ -180,6 +180,17 @@ class TestIngest:
         with pytest.raises(ParameterError, match="rows"):
             ingest(DatasetFile(path), RowBound(100.0))
 
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_byte_order_mark_is_not_data(self, tmp_path, has_header):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        text = ("target,x\n" if has_header else "") + "3.25,1\n4,2\n5,1\n6,2\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        response = "target" if has_header else "0"
+        res = ingest(DatasetFile(str(path), has_header=has_header, response_column=response), RowBound(10.0))
+        assert res.data.y.tolist() == [3.25, 4.0, 5.0, 6.0]
+        assert res.data.X[:, 0].tolist() == [1.0, 2.0, 1.0, 2.0]
+
     def test_unknown_clip_mode(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3,4\n1,1\n")
         with pytest.raises(ParameterError):

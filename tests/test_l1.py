@@ -99,6 +99,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             L1SketchConfig(pp=PP, bound=B1, seed=0, N=10, b=1.0)
 
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_b_must_be_finite(self, b):
+        with pytest.raises(ParameterError, match="finite"):
+            L1SketchConfig(pp=PP, bound=B1, seed=0, N=10, b=b)
+
     def test_assignment_mode_names(self):
         with pytest.raises(ParameterError):
             L1SketchConfig(pp=PP, bound=B1, seed=0, N=10, level_assignment="both")

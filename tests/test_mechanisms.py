@@ -33,6 +33,26 @@ class TestParams:
             RowBound(value)
 
 
+    @pytest.mark.parametrize(
+        "value", ["1", None, True, False, [1.0], 10**400],
+        ids=["str", "none", "true", "false", "list", "huge-int"],
+    )
+    def test_only_finite_real_numbers(self, value):
+        # a bool is an int to Python, and 10**400 overflows a float
+        with pytest.raises(ParameterError, match="finite"):
+            PrivacyParams(value, 0.05)
+        with pytest.raises(ParameterError, match="finite"):
+            PrivacyParams(1.0, value)
+        with pytest.raises(ParameterError, match="finite"):
+            RowBound(value)
+
+    def test_integers_and_numpy_scalars_pass(self):
+        import numpy as np
+
+        assert PrivacyParams(2, np.float64(0.5)).epsilon == 2
+        assert RowBound(np.float32(3.0)).B == 3.0
+
+
 class TestGaussianSigma:
     def test_zero_sensitivity(self):
         assert gaussian_sigma(0.0, PrivacyParams(1.0, 0.05)) == 0.0
