@@ -23,8 +23,9 @@ class DataMatrix:
 
     The response column is the last one. This is the one certification
     point: every row's l2 norm is checked against ``bound.B`` at construction
-    and ``A`` is kept as a read-only copy, so writes to the caller's array
-    cannot void the certificate and releases need not scan ``A`` again.
+    (a refusal names the first row over it, counting from 1) and ``A`` is kept
+    as a read-only copy, so writes to the caller's array cannot void the
+    certificate and releases need not scan ``A`` again.
     """
 
     A: np.ndarray
@@ -36,10 +37,12 @@ class DataMatrix:
             raise ParameterError("need at least one feature column plus the response")
         a.flags.writeable = False
         object.__setattr__(self, "A", a)
-        worst = max_row_norm(a)
-        if worst > self.bound.B * (1.0 + _NORM_SLACK):
+        limit = self.bound.B * (1.0 + _NORM_SLACK)
+        if max_row_norm(a) > limit:
+            norms = np.sqrt((a**2).sum(axis=1))
+            bad = int(np.argmax(norms > limit))
             raise CertificationError(
-                f"row norm {worst:.6g} exceeds declared bound {self.bound.B:.6g}"
+                f"row {bad + 1} has norm {norms[bad]:.6g} > bound {self.bound.B:.6g}"
             )
 
     @property
@@ -122,11 +125,11 @@ class IngestResult:
 
 
 def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult:
-    """Parse a CSV file into a certified DataMatrix.
+    """Parse a CSV file into a DataMatrix, which certifies it.
 
-    ``clip="reject"`` raises on any row whose l2 norm exceeds ``bound.B``;
-    ``clip="scale"`` rescales offending rows to norm exactly B and reports
-    how many were touched.
+    ``clip="scale"`` first rescales rows whose l2 norm exceeds ``bound.B`` to
+    norm exactly B and reports how many were touched; under ``clip="reject"``
+    such a row raises the ``DataMatrix`` refusal, prefixed with the path.
     """
     if clip not in ("reject", "scale"):
         raise ParameterError(f"clip must be 'reject' or 'scale', got {clip!r}")
@@ -168,28 +171,20 @@ def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult
         raise ParameterError(f"{path}: non-finite value at row {i + 1}, column {j + 1}")
 
     resp = _resolve_response(f.response_column, header, width, path)
-    y = values[:, resp]
-    X = np.delete(values, resp, axis=1)
-    if X.shape[1] < 1:
-        raise ParameterError(f"{path}: need at least one feature column")
-    a = np.column_stack([X, y])
-
-    n, d1 = a.shape
-    if n < d1 + 1:
-        raise ParameterError(f"{path}: need at least d+2 = {d1 + 1} rows, got {n}")
-
-    norms = np.sqrt((a**2).sum(axis=1))
-    over = norms > bound.B * (1.0 + _NORM_SLACK)
-    rescaled = int(over.sum())
-    if rescaled and clip == "reject":
-        bad = int(np.flatnonzero(over)[0])
-        raise CertificationError(
-            f"{path}: row {bad + 1} has norm {norms[bad]:.6g} > bound {bound.B:.6g}"
-        )
-    if rescaled:
-        a = a.copy()
+    a = values[:, [j for j in range(width) if j != resp] + [resp]]
+    rescaled = 0
+    if clip == "scale":
+        norms = np.sqrt((a**2).sum(axis=1))
+        over = norms > bound.B * (1.0 + _NORM_SLACK)
+        rescaled = int(over.sum())
         a[over] *= (bound.B / norms[over])[:, None]
-    return IngestResult(DataMatrix(a, bound), rescaled)
+    try:
+        data = DataMatrix(a, bound)
+    except (CertificationError, ParameterError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    if data.n < data.d + 2:
+        raise ParameterError(f"{path}: need at least d+2 = {data.d + 2} rows, got {data.n}")
+    return IngestResult(data, rescaled)
 
 
 def _resolve_response(column, header, width, path) -> int:
@@ -202,8 +197,11 @@ def _resolve_response(column, header, width, path) -> int:
                 raise ParameterError(
                     f"{path}: response column {column!r} given by name but file has no header"
                 ) from None
-            if stripped not in header:
+            count = header.count(stripped)
+            if count == 0:
                 raise ParameterError(f"{path}: no column named {column!r} in header") from None
+            if count > 1:
+                raise ParameterError(f"{path}: column {column!r} appears {count} times in header") from None
             return header.index(stripped)
         column = idx
     idx = int(column)

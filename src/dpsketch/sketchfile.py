@@ -7,6 +7,9 @@ are bit-exact so solvers in any language read identical sketches. Writes go
 to a temporary file in the target directory that is then renamed over the
 target, so a failed write leaves any earlier file in place.
 
+``read_sketch`` only parses these bytes; ``SketchFile`` keeps the file-level
+rules and leaves the payload checks to ``SketchProblem``, which solvers read.
+
 The header carries only public calibration metadata. Seeds, bucket/sign
 plans, and raw data rows must never enter this file; publishing a seed
 voids the privacy guarantee.
@@ -25,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, SketchFileError
-from .linalg import as_matrix
 from .mechanisms import PrivacyParams, RowBound
+from .solvers import SketchProblem
 
 MAGIC = b"DPSK"
 VERSION = 1
@@ -64,7 +67,6 @@ class SketchFile:
     def __post_init__(self):
         if not isinstance(self.method, str) or self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "matrix", as_matrix(self.matrix))
         PrivacyParams(self.epsilon, self.delta)
         RowBound(self.B)
         if not isinstance(self.meta, dict):
@@ -72,17 +74,13 @@ class SketchFile:
         for key in self.meta:
             if key in _FORBIDDEN_META_KEYS:
                 raise ParameterError(f"refusing to serialize {key!r} in a release header")
-        if METHODS[self.method].weighted:
-            if self.weights is None:
-                raise ParameterError(f"{self.method} releases require a weight vector")
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
-            if w.shape[0] != self.matrix.shape[0]:
-                raise ParameterError("weights length must match sketch rows")
-            if not np.all(np.isfinite(w) & (w > 0)):
-                raise ParameterError("weights must be finite and positive")
-            object.__setattr__(self, "weights", w)
-        elif self.weights is not None:
+        if METHODS[self.method].weighted and self.weights is None:
+            raise ParameterError(f"{self.method} releases require a weight vector")
+        if not METHODS[self.method].weighted and self.weights is not None:
             raise ParameterError(f"method {self.method!r} does not carry weights")
+        payload = SketchProblem(self.matrix, self.weights)
+        object.__setattr__(self, "matrix", payload.M)
+        object.__setattr__(self, "weights", payload.weights)
 
     @property
     def r(self) -> int:
@@ -147,7 +145,7 @@ def read_sketch(path) -> SketchFile:
         meta = header.get("meta", {})
     except KeyError as exc:
         raise SketchFileError(f"{path}: header missing field {exc}") from exc
-    for key, value, least in (("r", r, 1), ("d", d, 0)):
+    for key, value, least in (("r", r, 1), ("d", d, 1)):
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
             raise SketchFileError(f"{path}: header field {key!r} must be an integer >= {least}, got {value!r}")
     if not isinstance(has_weights, bool):

@@ -241,6 +241,22 @@ class TestSketchCommand:
         ])
         assert code == 2
 
+    def test_reject_mode_names_row(self, tmp_path, capsys):
+        path = tmp_path / "fat.csv"
+        path.write_text("9,9\n0.1,0.1\n0.1,0.2\n0.2,0.1\n")
+        out = tmp_path / "x.dps"
+        assert run_sketch(str(path), str(out), extra=("--clip", "reject")) == 2
+        assert capsys.readouterr().err == f"error: {path}: row 1 has norm 12.7279 > bound 1\n"
+        assert not out.exists()
+
+    def test_ambiguous_response_name_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,a\n0.1,0.2,0.3\n0.2,0.1,0.1\n0.1,0.1,0.2\n0.3,0.1,0.1\n")
+        out = tmp_path / "x.dps"
+        assert run_sketch(str(path), str(out), extra=("--header", "--response", "a")) == 2
+        assert "column 'a' appears 2 times in header" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_solve_l2(self, tmp_path, csv_path, capsys):
@@ -248,7 +264,7 @@ class TestSolveCommand:
         run_sketch(csv_path, out, method="jl")
         json_out = str(tmp_path / "sol.json")
         assert main(["solve", "--norm", "l2", "--in", out, "--json", json_out]) == 0
-        payload = json.loads(open(json_out).read())
+        payload = json.loads(Path(json_out).read_text())
         assert len(payload["beta"]) == 3
         assert payload["beta_aug"][-1] == -1.0
         assert "beta:" in capsys.readouterr().out
@@ -302,7 +318,7 @@ class TestSolveCommand:
             "--in", str(path), "--out", out,
         ]) == 0
         assert main(["solve", "--norm", "l2", "--in", out, "--json", json_out]) == 0
-        beta = np.array(json.loads(open(json_out).read())["beta"])
+        beta = np.array(json.loads(Path(json_out).read_text())["beta"])
         assert np.abs(beta - star.beta).max() <= 0.05
 
     def test_incompatible_norm(self, tmp_path, csv_path, capsys):

@@ -37,6 +37,11 @@ class TestDataMatrix:
         with pytest.raises(CertificationError):
             DataMatrix(np.array([[3.0, 4.0]]), RowBound(4.9))
 
+    def test_violation_names_first_offending_row(self):
+        a = np.array([[0.3, 0.4], [3.0, 4.0], [6.0, 8.0]])
+        with pytest.raises(CertificationError, match=r"^row 2 has norm 5 > bound 4\.9$"):
+            DataMatrix(a, RowBound(4.9))
+
     def test_from_xy(self):
         dm = from_xy([[1.0], [2.0]], [3.0, 4.0], RowBound(10.0))
         assert dm.A.shape == (2, 2)
@@ -137,6 +142,24 @@ class TestIngest:
         path = write_csv(tmp_path, "1,2\n3,oops\n4,5\n")
         with pytest.raises(ParameterError, match=r"row 2, column 2"):
             ingest(DatasetFile(path), RowBound(10.0))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_cell(self, tmp_path, cell):
+        path = write_csv(tmp_path, f"1,2\n3,4\n4,{cell}\n1,1\n")
+        with pytest.raises(ParameterError, match=r"non-finite value at row 3, column 2$"):
+            ingest(DatasetFile(path), RowBound(10.0))
+
+    def test_one_column_refused(self, tmp_path):
+        path = write_csv(tmp_path, "1\n2\n3\n")
+        with pytest.raises(ParameterError, match=r"data\.csv: need at least one feature column plus the response$"):
+            ingest(DatasetFile(path), RowBound(10.0))
+
+    def test_ambiguous_response_name(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,a\n1,2,3\n2,1,4\n1,1,5\n0,2,6\n")
+        with pytest.raises(ParameterError, match=r"column 'a' appears 2 times in header"):
+            ingest(DatasetFile(path, has_header=True, response_column="a"), RowBound(10.0))
+        res = ingest(DatasetFile(path, has_header=True, response_column="b"), RowBound(10.0))
+        assert res.data.y.tolist() == [2.0, 1.0, 1.0, 2.0]
 
     def test_header_and_named_response(self, tmp_path):
         path = write_csv(tmp_path, "age,income,target\n1,2,3\n2,1,4\n1,1,5\n0,2,6\n")

@@ -111,6 +111,26 @@ def cli_digest(tmp_path, flag: str) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+# ``cs2`` on the CLI input with every third row pushed to four times its
+# norm, so ``--clip scale`` rescales rows before the release.
+CLIP_SCALE_DIGEST = "ed7d36defc41d2060317612ccc28078ff4b2d7d8ce462587af8124ff100cf7ad"
+
+
+def test_cli_clip_scale_bytes(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    a = _data(60)
+    a[::3] *= 4.0
+    path.write_text("\n".join(",".join(f"{v:.9f}" for v in row) for row in a) + "\n")
+    out = tmp_path / "clip.dps"
+    code = main([
+        "sketch", "--method", "cs2", "--epsilon", "1.0", "--delta", "0.05", "--bound", "1.0",
+        "--seed", "7", "--rows", "16", "--clip", "scale", "--in", str(path), "--out", str(out),
+    ])
+    assert code == 0
+    assert "warning: rescaled 20 row(s) to norm B = 1" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLIP_SCALE_DIGEST
+
+
 DIGEST_OF = {"countsketch-l2": cs2_digest, "l1-illustration": illus_digest, "l1-multilevel": l1_digest}
 
 

@@ -152,6 +152,16 @@ class TestHeaderValidation:
         with pytest.raises(SketchFileError):
             read_sketch(path)
 
+    def test_header_needs_a_feature_column(self, tmp_path):
+        path = tmp_path / "d0.dps"
+        header_file(path, {**VALID_HEADER, "d": 0}, b"\x00" * 8)
+        with pytest.raises(SketchFileError, match="header field 'd' must be an integer >= 1"):
+            read_sketch(path)
+
+    def test_constructor_needs_a_feature_column(self):
+        with pytest.raises(ParameterError, match="feature column"):
+            SketchFile(method="jl", matrix=np.ones((4, 1)), epsilon=1.0, delta=0.05, B=1.0)
+
     def test_bad_weights(self, tmp_path):
         for w in (0.0, -1.0, float("nan")):
             path = tmp_path / "w.dps"
