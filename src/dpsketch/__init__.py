@@ -24,7 +24,6 @@ from .dataset import (
     DataMatrix,
     DatasetFile,
     IngestResult,
-    from_xy,
     ingest,
     max_row_norm,
     synthetic_regression,
@@ -43,8 +42,6 @@ from .jl import (
     jl_project,
     noisy_rank_test,
     private_jl_sketch,
-    spectral_augment,
-    suggested_jl_rows,
     threshold_w_squared,
 )
 from .l1 import (
@@ -54,7 +51,6 @@ from .l1 import (
     l1_tail_bound,
     level_count,
     private_l1_sketch,
-    suggested_l1_rows,
 )
 from .linalg import (
     SvdResult,
@@ -79,7 +75,6 @@ from .solvers import (
     approximation_ratio,
     exact_l1_solution,
     exact_l2_solution,
-    lad_vertex_oracle,
     solve_l1_weighted,
     solve_l2_sketch,
 )

@@ -79,15 +79,6 @@ def certified_rows(data: "DataMatrix | np.ndarray", bound: RowBound) -> np.ndarr
     return DataMatrix(data, bound).A
 
 
-def from_xy(X, y, bound: RowBound) -> DataMatrix:
-    """Stack features and response into a certified ``[X | y]`` matrix."""
-    x = as_matrix(X)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if yv.shape[0] != x.shape[0]:
-        raise ParameterError("X and y disagree on the number of rows")
-    return DataMatrix(np.column_stack([x, yv]), bound)
-
-
 def synthetic_regression(
     n: int,
     d: int,

@@ -31,8 +31,8 @@ import numpy as np
 
 from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (hook site of perfbench/tracer.py)
 from .errors import ParameterError, SingularSystemError
-from .linalg import as_matrix, sample_gaussian_matrix, sample_laplace, svd
-from .mechanisms import PrivacyParams, RowBound
+from .linalg import sample_gaussian_matrix, sample_laplace, svd
+from .mechanisms import PrivacyParams, RowBound, finite_calibration
 
 # Utility degrades by (1 + c^2); flag releases where that factor got large.
 _UTILITY_WARN_FACTOR = 100.0
@@ -67,7 +67,10 @@ def threshold_w_squared(bound: RowBound, pp: PrivacyParams, r: int) -> float:
     if r < 1:
         raise ParameterError("r must be at least 1")
     log_term = math.log(8.0 / pp.delta)
-    return 8.0 * bound.B**2 / pp.epsilon * (math.sqrt(2.0 * r * log_term) + 2.0 * log_term)
+    return finite_calibration(
+        "threshold w^2",
+        lambda: 8.0 * bound.B**2 / pp.epsilon * (math.sqrt(2.0 * r * log_term) + 2.0 * log_term),
+    )
 
 
 def noisy_rank_test(sigma_min_sq: float, w_sq: float, bound: RowBound, pp: PrivacyParams, seed) -> bool:
@@ -79,28 +82,9 @@ def noisy_rank_test(sigma_min_sq: float, w_sq: float, bound: RowBound, pp: Priva
     """
     if sigma_min_sq < 0:
         raise ParameterError("sigma_min_sq must be nonnegative")
-    z = sample_laplace(4.0 * bound.B**2 / pp.epsilon, seed)
+    z = sample_laplace(finite_calibration("Laplace scale", lambda: 4.0 * bound.B**2 / pp.epsilon), seed)
     margin = 4.0 * bound.B**2 * math.log(1.0 / pp.delta) / pp.epsilon
     return sigma_min_sq > w_sq + z + margin
-
-
-def spectral_augment(a, w: float) -> "tuple[np.ndarray, float]":
-    """Append ``c Q`` with ``Q = V Sigma V^T`` so the smallest singular value becomes w.
-
-    Returns ``([A; cQ], c)`` with ``c = sqrt(w^2 / sigma_min(A)^2 - 1)``.
-    Because ``Q^T Q = A^T A``, the stacked matrix satisfies
-    ``Ahat^T Ahat = (1 + c^2) A^T A``: every singular value is scaled by
-    ``w / sigma_min(A)`` and norms ``||Q beta|| = ||A beta||`` are preserved.
-    """
-    a = as_matrix(a)
-    s, v = _full_rank_spectrum(a)
-    smin = float(s[-1])
-    if smin > w:
-        raise ParameterError(
-            f"sigma_min = {smin:.6g} already exceeds w = {w:.6g}; augmentation not needed"
-        )
-    c = _augment_factor(smin, w)
-    return np.vstack([a, c * _root(s, v)]), c
 
 
 def _full_rank_spectrum(a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -116,11 +100,6 @@ def _full_rank_spectrum(a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return s, v
 
 
-def _root(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``Q = V diag(s) V^T``, which is ``(A^T A)^{1/2}`` for the thin SVD of ``A``."""
-    return (v * s) @ v.T
-
-
 def _augment_factor(smin: float, w: float) -> float:
     """``c = sqrt(w^2 / sigma_min^2 - 1)``, clamped at 0."""
     return math.sqrt(max(w**2 / smin**2 - 1.0, 0.0))
@@ -133,21 +112,7 @@ def _gaussian_times_root(v: np.ndarray, s: np.ndarray, r: int, seed) -> np.ndarr
     the rows of ``G Q`` are iid ``N(0, A^T A)``: the law of the rows of
     ``S A`` for an r-by-n Gaussian ``S``, which is never formed.
     """
-    q = _root(s, v)
-    return sample_gaussian_matrix(r, q.shape[0], 1.0, seed) @ q
-
-
-def suggested_jl_rows(mu: float, d: int, constant: float = 1.0) -> int:
-    """Advisory row count ``ceil(C * mu^-2 * d * ln(max(d, 2)))`` for target distortion mu.
-
-    ``constant`` is a tunable, not a derived quantity; the scaling in d and mu
-    is the part with theoretical backing.
-    """
-    if not (0 < mu < 1):
-        raise ParameterError("target distortion mu must lie in (0, 1)")
-    if d < 1:
-        raise ParameterError("d must be at least 1")
-    return math.ceil(constant * mu**-2 * d * math.log(max(d, 2)))
+    return sample_gaussian_matrix(r, v.shape[0], 1.0, seed) @ ((v * s) @ v.T)
 
 
 def jl_project(a, r: int, seed) -> np.ndarray:

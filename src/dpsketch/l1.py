@@ -57,19 +57,6 @@ def l1_tail_bound(r: int, sigma: float) -> float:
     return r * sigma
 
 
-def suggested_l1_rows(d: int, n: int, c: float = 1.0, constant: float = 1.0) -> int:
-    """Asymptotic sketch-size guidance ``ceil(C * d^(1+c) * ln(n)^(3+5c))``, 0 < c <= 1.
-
-    This grows very quickly in n; it is guidance about scaling, not a
-    practical default. ``constant`` is a documented tunable.
-    """
-    if d < 1 or n < 2:
-        raise ParameterError("need d >= 1 and n >= 2")
-    if not (0 < c <= 1):
-        raise ParameterError("c must lie in (0, 1]")
-    return math.ceil(constant * d ** (1.0 + c) * math.log(n) ** (3.0 + 5.0 * c))
-
-
 def illustration_sketch_private(
     data: "DataMatrix | np.ndarray",
     r: int,

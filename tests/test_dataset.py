@@ -6,7 +6,6 @@ from dpsketch.countsketch import private_countsketch_l2
 from dpsketch.dataset import (
     DataMatrix,
     DatasetFile,
-    from_xy,
     ingest,
     max_row_norm,
     synthetic_regression,
@@ -41,10 +40,6 @@ class TestDataMatrix:
         a = np.array([[0.3, 0.4], [3.0, 4.0], [6.0, 8.0]])
         with pytest.raises(CertificationError, match=r"^row 2 has norm 5 > bound 4\.9$"):
             DataMatrix(a, RowBound(4.9))
-
-    def test_from_xy(self):
-        dm = from_xy([[1.0], [2.0]], [3.0, 4.0], RowBound(10.0))
-        assert dm.A.shape == (2, 2)
 
     def test_single_column_rejected(self):
         with pytest.raises(ParameterError):

@@ -11,8 +11,6 @@ from dpsketch.jl import (
     jl_project,
     noisy_rank_test,
     private_jl_sketch,
-    spectral_augment,
-    suggested_jl_rows,
     threshold_w_squared,
 )
 from dpsketch.linalg import min_singular_value, sample_gaussian_matrix, svd
@@ -48,59 +46,15 @@ class TestNoisyRankTest:
     def test_zero_fails(self):
         assert not noisy_rank_test(0.0, 1e6, B1, PP, seed=0)
 
+    def test_overflowing_laplace_scale_refused(self):
+        with pytest.raises(ParameterError, match="Laplace scale overflows"):
+            noisy_rank_test(1.0, 1.0, RowBound(1e200), PP, seed=0)
+        with pytest.raises(ParameterError, match="Laplace scale overflows"):
+            noisy_rank_test(1.0, 1.0, B1, PrivacyParams(1e-320, 0.05), seed=0)
+
     def test_deterministic(self):
         outcomes = {noisy_rank_test(350.0, 336.08, B1, PP, seed=7) for _ in range(5)}
         assert len(outcomes) == 1
-
-
-class TestSpectralAugment:
-    def test_identity_input(self):
-        a_hat, c = spectral_augment(np.eye(2), w=2.0)
-        assert c == pytest.approx(math.sqrt(3.0), rel=1e-9)
-        # Q = I for the identity, so the tail block is sqrt(3) I
-        assert np.allclose(a_hat, np.vstack([np.eye(2), math.sqrt(3.0) * np.eye(2)]))
-        assert np.allclose(a_hat.T @ a_hat, 4.0 * np.eye(2), atol=1e-10)
-        assert min_singular_value(a_hat) == pytest.approx(2.0, rel=1e-9)
-
-    def test_diagonal_input(self):
-        a_hat, c = spectral_augment(np.diag([3.0, 1.0]), w=2.0)
-        assert c == pytest.approx(math.sqrt(3.0), rel=1e-9)
-        s = svd(a_hat).singular_values
-        assert s == pytest.approx([6.0, 2.0], rel=1e-9)
-
-    def test_equal_sigma_min_appends_zeros(self):
-        a_hat, c = spectral_augment(np.eye(3), w=1.0)
-        assert c == 0.0
-        assert np.allclose(a_hat[3:], 0.0)
-        assert min_singular_value(a_hat) == pytest.approx(1.0, rel=1e-9)
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(SingularSystemError):
-            spectral_augment(np.array([[1.0, 1.0], [2.0, 2.0]]), w=3.0)
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(SingularSystemError):
-            spectral_augment(np.array([[0.1, 0.2, 0.3]]), w=3.0)
-
-    def test_sigma_min_above_w_rejected(self):
-        with pytest.raises(ParameterError):
-            spectral_augment(5.0 * np.eye(2), w=1.0)
-
-    def test_randomized_contract(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            a = rng.standard_normal((30, 4))
-            smin = min_singular_value(a)
-            w = smin * rng.uniform(1.1, 5.0)
-            a_hat, c = spectral_augment(a, w)
-            assert min_singular_value(a_hat) == pytest.approx(w, rel=1e-6)
-            gram = a_hat.T @ a_hat
-            assert np.allclose(gram, (1 + c**2) * (a.T @ a), rtol=1e-6)
-            beta = rng.standard_normal(4)
-            q = a_hat[30:] / c
-            assert np.linalg.norm(q @ beta) == pytest.approx(
-                np.linalg.norm(a @ beta), rel=1e-8
-            )
 
 
 class TestStackedIdentity:
@@ -285,17 +239,3 @@ class TestGramRootRelease:
         finally:
             tracemalloc.stop()
         assert peak < 2 * data.A.nbytes
-
-
-class TestRowsHelper:
-    def test_formula(self):
-        assert suggested_jl_rows(0.5, 10) == math.ceil(0.5**-2 * 10 * math.log(10))
-
-    def test_d_one_uses_floor_log(self):
-        assert suggested_jl_rows(0.5, 1) == math.ceil(4 * math.log(2))
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            suggested_jl_rows(0.0, 5)
-        with pytest.raises(ParameterError):
-            suggested_jl_rows(1.5, 5)

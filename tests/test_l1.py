@@ -13,7 +13,6 @@ from dpsketch.l1 import (
     l1_tail_bound,
     level_count,
     private_l1_sketch,
-    suggested_l1_rows,
 )
 from dpsketch.mechanisms import PrivacyParams, RowBound, gaussian_sigma
 
@@ -230,14 +229,3 @@ class TestBucketSums:
             assert calls == [2]  # the reference summed the two blocks A and eta
             assert got.rows.tobytes() == want.rows.tobytes()
             assert (got.noise_coverage == want.noise_coverage).all()
-
-
-class TestRowsHelper:
-    def test_formula(self):
-        assert suggested_l1_rows(3, 100, c=1.0) == math.ceil(9 * math.log(100) ** 8)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            suggested_l1_rows(0, 100)
-        with pytest.raises(ParameterError):
-            suggested_l1_rows(3, 100, c=2.0)

@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsketch.countsketch import private_countsketch_l2
+from dpsketch.dataset import DataMatrix
 from dpsketch.errors import ParameterError
+from dpsketch.l1 import L1SketchConfig, illustration_sketch_private, level_count, private_l1_sketch
 from dpsketch.mechanisms import (
     PrivacyParams,
     RowBound,
@@ -12,6 +16,8 @@ from dpsketch.mechanisms import (
     gaussian_sigma,
     l1_sketch_sensitivity,
 )
+
+PP = PrivacyParams(1.0, 0.05)
 
 
 class TestParams:
@@ -47,8 +53,6 @@ class TestParams:
             RowBound(value)
 
     def test_integers_and_numpy_scalars_pass(self):
-        import numpy as np
-
         assert PrivacyParams(2, np.float64(0.5)).epsilon == 2
         assert RowBound(np.float32(3.0)).B == 3.0
 
@@ -110,3 +114,71 @@ class TestSensitivities:
             l1_sketch_sensitivity(RowBound(1.0), h_m=0)
         with pytest.raises(ParameterError):
             l1_sketch_sensitivity(RowBound(1.0), h_m=2, s=0)
+
+
+class TestNeighbourAudit:
+    """Neighbouring datasets (one row replaced, both within B) released with the
+    same seed and ``sigma_override=0.0`` differ by exactly what the changed row
+    moves, so the displacement must stay within the structural sensitivity.
+    This checks the releases' structure, not their noise calibration."""
+
+    CASES = 60
+
+    @staticmethod
+    def neighbours(rng):
+        n, d1 = int(rng.integers(20, 300)), int(rng.integers(2, 6))
+        bound = RowBound(float(rng.choice([0.5, 1.0, 3.0])))
+        a = rng.standard_normal((n, d1))
+        a *= bound.B * rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(a, axis=1, keepdims=True)
+        k = int(rng.integers(n))
+        a[k] *= bound.B / np.linalg.norm(a[k])
+        a_prime = a.copy()
+        if rng.random() < 0.5:
+            a_prime[k] = -a[k]  # the antipodal row moves every bucket it touches by 2B
+        else:
+            row = rng.standard_normal(d1)
+            a_prime[k] = row * bound.B * rng.uniform(0.0, 1.0) / np.linalg.norm(row)
+        return DataMatrix(a, bound), DataMatrix(a_prime, bound), bound
+
+    def audit(self, seed, release, sensitivity):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for case in range(self.CASES):
+            data, data_prime, bound = self.neighbours(rng)
+            params = rng.integers(1 << 32, size=4)
+            moved = release(data, bound, case, params) - release(data_prime, bound, case, params)
+            limit = sensitivity(data, bound, params)
+            ratio = float(np.linalg.norm(moved)) / limit
+            assert ratio <= 1.0 + 1e-9, f"case {case}: displacement {ratio:.6f} of the bound"
+            worst = max(worst, ratio)
+        # an audit whose displacements stay far below the bound shows nothing
+        assert worst >= 0.5
+
+    @pytest.mark.parametrize("signed", [True, False], ids=["cs2", "l1-illus"])
+    def test_countsketch_releases(self, signed):
+        def release(data, bound, seed, params):
+            r = int(params[0] % 64) + 1
+            if signed:
+                return private_countsketch_l2(data, r, PP, bound, seed, sigma_override=0.0)[0]
+            return illustration_sketch_private(data, r, PP, bound, seed, sigma_override=0.0)
+
+        self.audit(31 + signed, release, lambda data, bound, params: countsketch_sensitivity(bound))
+
+    @pytest.mark.parametrize("assignment", ["bernoulli", "categorical"])
+    def test_multilevel_release(self, assignment):
+        def config(bound, seed, params):
+            s = int([1, 2, 4, 16][params[1] % 4])
+            b = float([2.0, 4.0, 1000.0][params[2] % 3])
+            return L1SketchConfig(
+                pp=PP, bound=bound, seed=seed, N=s * int(params[3] % 8 + 1), b=b, s=s,
+                level_assignment=assignment,
+            )
+
+        def release(data, bound, seed, params):
+            return private_l1_sketch(data, config(bound, seed, params), sigma_override=0.0).rows
+
+        def sensitivity(data, bound, params):
+            cfg = config(bound, 0, params)
+            return l1_sketch_sensitivity(bound, level_count(data.n, cfg.b), cfg.s)
+
+        self.audit(33 if assignment == "bernoulli" else 34, release, sensitivity)

@@ -162,6 +162,17 @@ class TestHeaderValidation:
         with pytest.raises(ParameterError, match="feature column"):
             SketchFile(method="jl", matrix=np.ones((4, 1)), epsilon=1.0, delta=0.05, B=1.0)
 
+    def test_fewer_rows_than_coefficients_refused(self, tmp_path):
+        # no solver fits 3 coefficients from 2 rows, so such a release is never written or read
+        with pytest.raises(ParameterError, match="need rows >= d"):
+            SketchFile(method="jl", matrix=np.ones((2, 4)), epsilon=1.0, delta=0.05, B=1.0)
+        path = tmp_path / "wide.dps"
+        header_file(path, {**VALID_HEADER, "r": 2, "d": 3}, b"\x00" * 64)
+        with pytest.raises(SketchFileError, match="need rows >= d"):
+            read_sketch(path)
+        square = SketchFile(method="jl", matrix=np.eye(4)[:3], epsilon=1.0, delta=0.05, B=1.0)
+        assert (square.r, square.d) == (3, 3)
+
     def test_bad_weights(self, tmp_path):
         for w in (0.0, -1.0, float("nan")):
             path = tmp_path / "w.dps"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpsketch import solvers
-from dpsketch.dataset import from_xy, synthetic_regression
+from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
 from dpsketch.mechanisms import RowBound
 from dpsketch.solvers import (
@@ -271,7 +271,7 @@ class TestApproximationRatio:
 
     def test_zero_exact_loss_reports_excess(self):
         x = np.array([[0.1], [0.2], [0.3]])
-        data = from_xy(x, 2.0 * x[:, 0], RowBound(1.0))
+        data = DataMatrix(np.column_stack([x, 2.0 * x[:, 0]]), RowBound(1.0))
         sol = exact_l2_solution(data)
         rep = approximation_ratio(data, fabricate_solution(sol.beta + 1.0), "l2")
         assert rep.kind == "absolute-excess"
