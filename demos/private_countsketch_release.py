@@ -1,8 +1,9 @@
 """Private CountSketch for l2 regression: noise-row augmentation in action.
 
 Shows the 2B sensitivity of a fixed plan, the coupon-collector noise block
-with patch-up, the implicit ridge effect of the appended noise, and the
-analytic bound on the regularization coefficient.
+with patch-up, the implicit ridge effect of the appended noise, the analytic
+bound on the regularization coefficient, and why the seed stays secret: a
+second release with the same seed strips the noise.
 
 Run: python demos/private_countsketch_release.py
 """
@@ -10,6 +11,7 @@ Run: python demos/private_countsketch_release.py
 import numpy as np
 
 import dpsketch as dps
+from dpsketch.countsketch import countsketch_apply
 
 pp = dps.PrivacyParams(epsilon=1.0, delta=0.05)
 bound = dps.RowBound(1.0)
@@ -22,7 +24,7 @@ a /= np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1.0)
 a_neighbor = a.copy()
 a_neighbor[17] = -a[17]  # swap one row for another bounded row
 plan = dps.draw_countsketch_plan(n, r=8, seed=5)
-diff = dps.countsketch_apply(plan, a) - dps.countsketch_apply(plan, a_neighbor)
+diff = countsketch_apply(plan, a) - countsketch_apply(plan, a_neighbor)
 print(f"rows changed in SA: {int((np.abs(diff).max(axis=1) > 0).sum())} (exactly one bucket)")
 print(f"||SA - SA'||_2 = {np.linalg.norm(diff):.4f} <= 2B = {dps.countsketch_sensitivity(bound)}\n")
 
@@ -47,8 +49,11 @@ print(f"excess loss on the original data: {excess:.4f}")
 print(f"analytic coefficient bound at the solution: {bound_at_solution:.2f}")
 print(f"excess <= bound: {excess <= bound_at_solution}\n")
 
-print("=== zero-noise mode is a plain CountSketch (testing only) ===")
-plain, plan0 = dps.private_countsketch_l2(data, r, pp, bound, seed=42, sigma_override=0.0)
+print("=== whoever holds the seed can strip the noise ===")
+# Same seed and n: the same plan and the same noise rows, so they cancel.
+zeros, _ = dps.private_countsketch_l2(np.zeros_like(data.A), r, pp, bound, seed=42)
+plain = sketch - zeros
 sol0 = dps.solve_l2_sketch(dps.SketchProblem(plain))
-print(f"sigma = {plan0.sigma}; solution now tracks the exact one:",
-      np.round(sol0.beta - exact.beta, 4))
+print("release minus a same-seed release of zeros is the plain CountSketch of A;")
+print("its solution tracks the exact one:", np.round(sol0.beta - exact.beta, 4))
+print("this is why the seed must never be published")

@@ -15,7 +15,6 @@ from .bounds import (
 from .countsketch import (
     CountSketchPlan,
     NoisePlan,
-    countsketch_apply,
     draw_countsketch_plan,
     noise_row_count,
     private_countsketch_l2,
@@ -39,7 +38,6 @@ from .errors import (
 from .jl import (
     JlConfig,
     JlReleaseMeta,
-    jl_project,
     noisy_rank_test,
     private_jl_sketch,
     threshold_w_squared,

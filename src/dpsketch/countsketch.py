@@ -121,8 +121,6 @@ def noised_bucket_release(a: np.ndarray, r: int, sigma: float, seed, assign):
     dedicated extra noise row each. Returns the sketch, its ``NoisePlan``
     and the assignment, which must not be published.
     """
-    if sigma < 0:
-        raise ParameterError("sigma override must be nonnegative")
     n, d1 = a.shape
     p = noise_row_count(r)
     noise_seed, assign_seed, patch_seed = np.random.SeedSequence(seed).spawn(3)
@@ -147,7 +145,6 @@ def private_countsketch_l2(
     bound: RowBound,
     seed,
     signed: bool = True,
-    sigma_override: "float | None" = None,
 ) -> "tuple[np.ndarray, NoisePlan]":
     """Release a private CountSketch ``S [A; eta]`` for l2 regression.
 
@@ -156,12 +153,9 @@ def private_countsketch_l2(
     bucket/sign plan and the seed are discarded, never serialized. Rows come
     from ``certified_rows`` (``CertificationError`` on a row over ``B``); a
     ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
-
-    ``sigma_override`` forces the noise level and exists for tests only
-    (``0.0`` gives the zero-noise degenerate sketch, which is not private).
     """
     a = certified_rows(data, bound)
-    sigma = gaussian_sigma(countsketch_sensitivity(bound), pp) if sigma_override is None else float(sigma_override)
+    sigma = gaussian_sigma(countsketch_sensitivity(bound), pp)
 
     def assign(plan_seed, m):
         plan = draw_countsketch_plan(m, r, plan_seed, signed=signed)

@@ -144,18 +144,23 @@ def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[
     CertificationError
         If some row of ``A`` exceeds the declared bound.
     SingularSystemError
-        If ``A`` is not of full column rank.
+        If ``A`` is not of full column rank, or ``sigma_min(A)^2`` is too
+        small for the augmentation factor ``c`` to be finite.
     """
     a = certified_rows(data, cfg.bound)
     w_sq = threshold_w_squared(cfg.bound, cfg.pp, cfg.r)
     s, v = _full_rank_spectrum(a)
-    smin = float(s[-1])
+    smin, w = float(s[-1]), math.sqrt(w_sq)
+    if smin**2 == 0.0 or math.isinf(w**2 / smin**2):
+        raise SingularSystemError(
+            f"sigma_min(A)^2 underflows in double precision (sigma_min(A) = {smin:.3g}); scale the data up towards B"
+        )
 
     lap_seed, proj_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     passed = noisy_rank_test(smin**2, w_sq, cfg.bound, cfg.pp, lap_seed)
     # A failed test with sigma_min >= w gets c = 0 from the clamp: appending
     # zero rows already satisfies sigma_min(Ahat) >= w.
-    c = 0.0 if passed else _augment_factor(smin, math.sqrt(w_sq))
+    c = 0.0 if passed else _augment_factor(smin, w)
     meta = JlReleaseMeta(
         branch="no-augment" if passed else "spectral-augment", w_squared=w_sq, c=c,
         utility_warning=(1.0 + c**2) > _UTILITY_WARN_FACTOR,

@@ -63,17 +63,13 @@ def illustration_sketch_private(
     pp: PrivacyParams,
     bound: RowBound,
     seed,
-    sigma_override: "float | None" = None,
 ) -> np.ndarray:
     """Single-level private l1 sketch: CountSketch pipeline with all signs +1.
 
     Noise rows are calibrated to sensitivity 2B exactly as in the l2
-    release; only the signs differ. ``sigma_override`` is for tests only.
+    release; only the signs differ.
     """
-    sketch, _ = private_countsketch_l2(
-        data, r, pp, bound, seed, signed=False, sigma_override=sigma_override
-    )
-    return sketch
+    return private_countsketch_l2(data, r, pp, bound, seed, signed=False)[0]
 
 
 @dataclass(frozen=True)
@@ -171,21 +167,16 @@ def _level_assignment(rng: np.random.Generator, m: int, cfg: L1SketchConfig, h_m
     return np.concatenate(buckets), np.concatenate(idx)
 
 
-def private_l1_sketch(
-    data: "DataMatrix | np.ndarray",
-    cfg: L1SketchConfig,
-    sigma_override: "float | None" = None,
-) -> WeightedSketch:
+def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> WeightedSketch:
     """Release the multi-level weighted l1 sketch of ``A = [X | y]``.
 
     Every row of ``[A; eta]`` lands in ``s`` distinct level-0 buckets (one
     per block of ``N'`` buckets), in at most one bucket per sampled level
     ``1..h_m-1``, and in at most one uniform-level bucket, so a single row
     touches at most ``s + h_m`` buckets. Buckets that absorbed no noise row
-    get one dedicated extra noise row. ``sigma_override`` forces the noise
-    level and exists for tests only (``0.0`` is not private). Rows come from
-    ``certified_rows`` (``CertificationError`` on a row over ``B``); a
-    ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
+    get one dedicated extra noise row. Rows come from ``certified_rows``
+    (``CertificationError`` on a row over ``B``); a ``DataMatrix`` certified
+    at ``B' <= B`` is not scanned again.
     """
     a = certified_rows(data, cfg.bound)
     n = a.shape[0]
@@ -195,7 +186,7 @@ def private_l1_sketch(
     if cfg.level_assignment == "categorical" and sum(b**-h for h in range(1, h_m)) > 1.0:
         raise ParameterError("categorical level assignment needs sum_h 1/b^h <= 1; increase b")
     r = N * h_m + N_u
-    sigma = gaussian_sigma(2.0 * cfg.bound.B * h_m, cfg.pp) if sigma_override is None else float(sigma_override)
+    sigma = gaussian_sigma(2.0 * cfg.bound.B * h_m, cfg.pp)
 
     def assign(assign_seed, m):
         return *_level_assignment(np.random.default_rng(assign_seed), m, cfg, h_m), None

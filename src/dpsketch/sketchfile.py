@@ -52,6 +52,17 @@ METHODS = {
 _FORBIDDEN_META_KEYS = ("seed", "plan", "bucket_of", "sign_of")
 
 
+def _keys(value):
+    """Every mapping key in ``value``, at any depth of nested dicts and lists."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _keys(item)
+
+
 @dataclass(frozen=True)
 class SketchFile:
     """In-memory form of a serialized sketch release."""
@@ -71,7 +82,7 @@ class SketchFile:
         RowBound(self.B)
         if not isinstance(self.meta, dict):
             raise ParameterError(f"meta must be a mapping, got {type(self.meta).__name__}")
-        for key in self.meta:
+        for key in _keys(self.meta):
             if key in _FORBIDDEN_META_KEYS:
                 raise ParameterError(f"refusing to serialize {key!r} in a release header")
         if METHODS[self.method].weighted and self.weights is None:

@@ -144,6 +144,20 @@ class TestSketchCommand:
         assert captured.err.startswith("error: threshold w^2 overflows a float")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_jl_tiny_scale_exits_2(self, tmp_path, capsys, scale):
+        # rows far inside B and of full rank, but sigma_min(A)^2 underflows: to 0
+        # at 1e-170, to a subnormal that makes c = inf at 1e-160
+        rows = np.random.default_rng(3).standard_normal((60, 4)) * scale
+        path = tmp_path / "tiny.csv"
+        np.savetxt(path, rows, delimiter=",")
+        out = tmp_path / "tiny.dps"
+        assert run_sketch(str(path), str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sigma_min(A)^2 underflows")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["jl", "cs2", "l1-illus"])
     def test_fewer_rows_than_coefficients_exits_2(self, tmp_path, csv_path, capsys, method):
         out = tmp_path / "one-row.dps"

@@ -113,21 +113,21 @@ class TestPrivateCountSketch:
         assert plan.p == noise_row_count(16)
 
     def test_zero_noise_release_is_linear_in_data(self):
-        # sigma = 0 makes the release a plain CountSketch of [A; 0]; the plan
-        # depends only on the seed and the row count, so the map A -> sketch
-        # must be linear across calls with the same seed
+        # the plan and the noise depend only on the seed, n and r, so two
+        # releases with one seed share them: the release minus that of an
+        # all-zero A is the plain CountSketch of A, linear in A
         rng = np.random.default_rng(8)
         a1 = rng.standard_normal((30, 3)) * 0.1
         a2 = rng.standard_normal((30, 3)) * 0.1
         bound = RowBound(1.0)
 
-        def release(a):
-            sketch, plan = private_countsketch_l2(a, 8, PP, bound, seed=5, sigma_override=0.0)
-            assert plan.sigma == 0.0
-            return sketch
+        def stripped(a):
+            sketch, plan = private_countsketch_l2(a, 8, PP, bound, seed=5)
+            assert plan.sigma > 0.0
+            return sketch - private_countsketch_l2(np.zeros_like(a), 8, PP, bound, seed=5)[0]
 
-        assert np.allclose(release(a1 + a2), release(a1) + release(a2), atol=1e-12)
-        assert np.allclose(release(3.0 * a1), 3.0 * release(a1), atol=1e-12)
+        assert np.allclose(stripped(a1 + a2), stripped(a1) + stripped(a2), atol=1e-12)
+        assert np.allclose(stripped(3.0 * a1), 3.0 * stripped(a1), atol=1e-12)
 
     def test_coverage_sweep(self):
         data = synthetic_regression(40, 2, seed=7, bound=1.0)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion against the package in ``src``, with
+warnings raised as errors as in the rest of the suite."""
 
 import os
 import subprocess
@@ -19,7 +20,8 @@ def test_demo_runs(demo, tmp_path):
     tmpdir.mkdir()
     env["TMPDIR"] = str(tmpdir)
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert list(tmpdir.iterdir()) == [], "demo left temporary files behind"

@@ -60,9 +60,11 @@ class TestIllustrationSketch:
         assert sketch.shape == (12, 4)
 
     def test_zero_noise_preserves_column_sums(self):
-        # all signs are +1, so bucket rows partition the data rows
+        # all signs are +1, so bucket rows partition the data rows; a same-seed
+        # release of an all-zero A carries the same noise and strips it
         data = synthetic_regression(300, 2, seed=5)
-        sketch = illustration_sketch_private(data, 10, PP, B1, seed=2, sigma_override=0.0)
+        sketch = illustration_sketch_private(data, 10, PP, B1, seed=2)
+        sketch -= illustration_sketch_private(np.zeros_like(data.A), 10, PP, B1, seed=2)
         assert np.allclose(sketch.sum(axis=0), data.A.sum(axis=0), atol=1e-10)
 
     def test_l1_loss_decomposition(self):
@@ -125,16 +127,17 @@ class TestMultiLevelSketch:
         assert ws.sigma == pytest.approx(gaussian_sigma(2.0 * h_m, PP), rel=1e-12)
 
     def test_zero_noise_degenerate_countmin(self):
-        # huge b collapses the sketch to level 0 plus an (empty) uniform level
+        # huge b collapses the sketch to level 0 plus an (empty) uniform level;
+        # a same-seed release of an all-zero A carries the same noise
         rng = np.random.default_rng(9)
         a = rng.standard_normal((200, 3)) * 0.05
         data = DataMatrix(a, B1)
         cfg = L1SketchConfig(pp=PP, bound=B1, seed=4, N=16, b=1e9, s=1)
-        ws = private_l1_sketch(data, cfg, sigma_override=0.0)
+        ws = private_l1_sketch(data, cfg)
         assert ws.h_m == 1
-        level0 = ws.rows[:16]
-        assert np.allclose(level0.sum(axis=0), a.sum(axis=0), atol=1e-10)
-        assert np.allclose(ws.rows[16:], 0.0)  # nothing sampled at rate 1/b
+        rows = ws.rows - private_l1_sketch(np.zeros_like(a), cfg).rows
+        assert np.allclose(rows[:16].sum(axis=0), a.sum(axis=0), atol=1e-10)
+        assert np.allclose(rows[16:], 0.0)  # nothing sampled at rate 1/b
 
     def test_membership_audit(self):
         data = synthetic_regression(400, 2, seed=10)
@@ -150,7 +153,7 @@ class TestMultiLevelSketch:
         counts = []
         for seed in range(1000):
             cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=16, b=b)
-            ws = private_l1_sketch(data, cfg, sigma_override=0.0)
+            ws = private_l1_sketch(data, cfg)
             counts.append(ws.data_level_counts[h])
         mean = float(np.mean(counts))
         assert 590.0 <= mean <= 660.0
@@ -167,7 +170,7 @@ class TestMultiLevelSketch:
     def test_categorical_mode(self):
         data = synthetic_regression(300, 2, seed=14)
         cfg = L1SketchConfig(pp=PP, bound=B1, seed=15, N=10, b=2.0, level_assignment="categorical")
-        ws = private_l1_sketch(data, cfg, sigma_override=0.0)
+        ws = private_l1_sketch(data, cfg)
         assert ws.rows.shape[0] == ws.r
         # categorical assigns each row to at most one middle level
         assert ws.max_data_memberships <= cfg.s + 2
@@ -177,7 +180,7 @@ class TestMultiLevelSketch:
         data = synthetic_regression(5000, 2, seed=16)
         cfg = L1SketchConfig(pp=PP, bound=B1, seed=17, N=10, b=1.3, level_assignment="categorical")
         with pytest.raises(ParameterError):
-            private_l1_sketch(data, cfg, sigma_override=0.0)
+            private_l1_sketch(data, cfg)
 
     def test_certification(self):
         a = np.array([[3.0, 4.0], [0.0, 0.1], [0.1, 0.0]])

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpsketch
 from dpsketch.countsketch import private_countsketch_l2
 from dpsketch.dataset import DataMatrix
 from dpsketch.errors import ParameterError
@@ -118,9 +121,10 @@ class TestSensitivities:
 
 class TestNeighbourAudit:
     """Neighbouring datasets (one row replaced, both within B) released with the
-    same seed and ``sigma_override=0.0`` differ by exactly what the changed row
-    moves, so the displacement must stay within the structural sensitivity.
-    This checks the releases' structure, not their noise calibration."""
+    same seed share the plan and the noise, so the releases differ by exactly
+    what the changed row moves, and the displacement must stay within the
+    structural sensitivity. Each release runs at its own calibrated sigma;
+    this checks the releases' structure, not whether that sigma suffices."""
 
     CASES = 60
 
@@ -159,8 +163,8 @@ class TestNeighbourAudit:
         def release(data, bound, seed, params):
             r = int(params[0] % 64) + 1
             if signed:
-                return private_countsketch_l2(data, r, PP, bound, seed, sigma_override=0.0)[0]
-            return illustration_sketch_private(data, r, PP, bound, seed, sigma_override=0.0)
+                return private_countsketch_l2(data, r, PP, bound, seed)[0]
+            return illustration_sketch_private(data, r, PP, bound, seed)
 
         self.audit(31 + signed, release, lambda data, bound, params: countsketch_sensitivity(bound))
 
@@ -175,10 +179,24 @@ class TestNeighbourAudit:
             )
 
         def release(data, bound, seed, params):
-            return private_l1_sketch(data, config(bound, seed, params), sigma_override=0.0).rows
+            return private_l1_sketch(data, config(bound, seed, params)).rows
 
         def sensitivity(data, bound, params):
             cfg = config(bound, 0, params)
             return l1_sketch_sensitivity(bound, level_count(data.n, cfg.b), cfg.s)
 
         self.audit(33 if assignment == "bernoulli" else 34, release, sensitivity)
+
+
+def test_package_root_exports_only_calibrated_releases():
+    # the non-private sketchers stay in their modules, and no release exported
+    # at the root takes a parameter (or a config field) that sets its noise
+    assert not {"countsketch_apply", "jl_project"} & set(dpsketch.__all__)
+    releases = [
+        getattr(dpsketch, name) for name in dpsketch.__all__
+        if name.startswith("private_") or name.endswith("_private")
+    ]
+    assert len(releases) == 4
+    names = [param for fn in releases for param in inspect.signature(fn).parameters]
+    names += [f.name for cfg in (dpsketch.JlConfig, dpsketch.L1SketchConfig) for f in dataclasses.fields(cfg)]
+    assert [name for name in names if "sigma" in name or "noise" in name] == []

@@ -56,6 +56,13 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+NESTED_SECRETS = [
+    {"extra": {"seed": 123456789}},
+    {"extra": [{"plan": [1, 2]}]},
+    {"branch": "no-augment", "audit": [[{"trace": {"sign_of": [1, -1]}}]]},
+]
+
+
 class TestValidation:
     def test_multilevel_requires_weights(self):
         with pytest.raises(ParameterError):
@@ -70,10 +77,9 @@ class TestValidation:
             sample_file(method="fourier")
 
     def test_meta_must_not_carry_seed(self):
-        with pytest.raises(ParameterError):
-            sample_file(meta={"seed": 42})
-        with pytest.raises(ParameterError):
-            sample_file(meta={"bucket_of": [1, 2]})
+        for meta in ({"seed": 42}, {"bucket_of": [1, 2]}, *NESTED_SECRETS):
+            with pytest.raises(ParameterError, match="refusing to serialize"):
+                sample_file(meta=meta)
 
 
 class TestCorruptFiles:
@@ -150,6 +156,13 @@ class TestHeaderValidation:
         path = tmp_path / "bad.dps"
         header_file(path, {**VALID_HEADER, key: value}, b"\x00" * 16)
         with pytest.raises(SketchFileError):
+            read_sketch(path)
+
+    @pytest.mark.parametrize("meta", NESTED_SECRETS)
+    def test_meta_secret_at_any_depth_refused(self, tmp_path, meta):
+        path = tmp_path / "nested.dps"
+        header_file(path, {**VALID_HEADER, "meta": meta}, b"\x00" * 16)
+        with pytest.raises(SketchFileError, match="refusing to serialize"):
             read_sketch(path)
 
     def test_header_needs_a_feature_column(self, tmp_path):
