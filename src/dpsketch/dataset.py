@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +16,9 @@ from .mechanisms import RowBound
 # Relative slack when checking row norms against B, so rows rescaled to
 # exactly B still certify despite rounding.
 _NORM_SLACK = 1e-9
+# CSV cells parsed per block. A block's text, several times the size of its
+# floats, is the only parse temporary, so it is held to a fixed size.
+_INGEST_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -130,39 +134,36 @@ def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=f.delimiter)
-            rows = [row for row in reader if row]
+            rows = filter(None, reader)  # a blank line parses as [] and is skipped
+            header: "list[str] | None" = None
+            if f.has_header:
+                first = next(rows, None)
+                if first is None:
+                    raise ParameterError(f"{path}: empty file")
+                header = [c.strip() for c in first]
+            first = next(rows, None)
+            if first is None:
+                raise ParameterError(f"{path}: no data rows")
+            width = len(first)
+            if header is not None and len(header) != width:
+                raise ParameterError(f"{path}: header has {len(header)} cells, expected {width}")
+            step = max(1, _INGEST_CELLS // width)
+            blocks, start = [], 0
+            block = [first, *itertools.islice(rows, step - 1)]
+            while block:
+                blocks.append(_parse_block(block, width, start, path))
+                start += len(block)
+                block = list(itertools.islice(rows, step))
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    header: "list[str] | None" = None
-    if f.has_header:
-        if not rows:
-            raise ParameterError(f"{path}: empty file")
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise ParameterError(f"{path}: no data rows")
-
-    width = len(rows[0])
-    if header is not None and len(header) != width:
-        raise ParameterError(f"{path}: header has {len(header)} cells, expected {width}")
-    values = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParameterError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise ParameterError(
-                    f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
-                ) from None
-    del rows  # the parsed text outweighs the matrix several times over
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise ParameterError(f"{path}: non-finite value at row {i + 1}, column {j + 1}")
+    except csv.Error as exc:
+        raise ParameterError(f"{path}: line {reader.line_num}: {exc}") from None
+    values = np.concatenate(blocks)
+    del blocks
 
     resp = _resolve_response(f.response_column, header, width, path)
     a = values[:, [j for j in range(width) if j != resp] + [resp]]
+    del values
     rescaled = 0
     if clip == "scale":
         norms = np.sqrt((a**2).sum(axis=1))
@@ -176,6 +177,35 @@ def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult
     if data.n < data.d + 2:
         raise ParameterError(f"{path}: need at least d+2 = {data.d + 2} rows, got {data.n}")
     return IngestResult(data, rescaled)
+
+
+def _parse_block(block: "list[list[str]]", width: int, start: int, path: Path) -> np.ndarray:
+    """The rows of ``block`` as floats; ``start`` rows of the file come before it.
+
+    numpy's str-to-float cast parses each cell with Python's ``float``. When
+    the cast fails or the block is ragged, the cells are parsed one at a
+    time to name the first bad one, counting rows from 1 across the file.
+    """
+    try:
+        values = np.array(block, dtype=float)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(block), width):
+        values = np.empty((len(block), width))
+        for i, row in enumerate(block, start + 1):
+            if len(row) != width:
+                raise ParameterError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+            for j, cell in enumerate(row):
+                try:
+                    values[i - start - 1, j] = float(cell)
+                except ValueError:
+                    raise ParameterError(
+                        f"{path}: non-numeric cell at row {i}, column {j + 1}: {cell!r}"
+                    ) from None
+    if not np.all(np.isfinite(values)):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ParameterError(f"{path}: non-finite value at row {start + i + 1}, column {j + 1}")
+    return values
 
 
 def _resolve_response(column, header, width, path) -> int:

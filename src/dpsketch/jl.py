@@ -16,6 +16,12 @@ the same law as ``S A`` (``c = 0``) or ``S [A; cQ]``, at the cost of an
 ``r x (d+1)`` draw instead of an ``r x n`` one. The privacy analysis of the
 JL release depends only on this law.
 
+``Sigma`` and ``V`` come from the SVD of the ``(d+1) x (d+1)`` R factor of
+``A`` (``linalg.tall_skinny_r``), which has the singular values and right
+singular vectors of ``A``. The blocked QR holds one fixed-size group of rows
+at a time, so beyond ``A`` the release needs memory of the sketch's order,
+not of ``n``.
+
 The entries are unscaled N(0, 1); the argmin of the sketched problem is
 invariant to scaling, so the conventional ``1/sqrt(r)`` factor is applied
 only inside distortion diagnostics, never to the release. ``G`` and the seed
@@ -31,7 +37,7 @@ import numpy as np
 
 from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (hook site of perfbench/tracer.py)
 from .errors import ParameterError, SingularSystemError
-from .linalg import sample_gaussian_matrix, sample_laplace, svd
+from .linalg import as_matrix, sample_gaussian_matrix, sample_laplace, svd, tall_skinny_r
 from .mechanisms import PrivacyParams, RowBound, finite_calibration
 
 # Utility degrades by (1 + c^2); flag releases where that factor got large.
@@ -90,11 +96,12 @@ def noisy_rank_test(sigma_min_sq: float, w_sq: float, bound: RowBound, pp: Priva
 def _full_rank_spectrum(a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Singular values ``s`` (descending) and right singular vectors ``V`` of ``a``.
 
+    Taken from the SVD of the R factor of ``a``; ``a`` must be finite.
     Raises ``SingularSystemError`` unless ``a`` is tall with full column rank.
     """
     if a.shape[0] < a.shape[1]:
         raise SingularSystemError("a wide matrix cannot have full column rank")
-    _, s, v = svd(a)
+    _, s, v = svd(tall_skinny_r(a))
     if s[-1] <= s[0] * max(a.shape) * np.finfo(float).eps:
         raise SingularSystemError("A must have full column rank")
     return s, v
@@ -108,7 +115,8 @@ def _augment_factor(smin: float, w: float) -> float:
 def _gaussian_times_root(v: np.ndarray, s: np.ndarray, r: int, seed) -> np.ndarray:
     """``G Q`` for ``Q = V diag(s) V^T`` and ``G`` an r-row matrix of N(0, 1) entries.
 
-    With ``V``, ``s`` from the thin SVD of ``A``, ``Q = (A^T A)^{1/2}`` and
+    With ``V``, ``s`` the right singular vectors and singular values of
+    ``A`` (from the SVD of its R factor), ``Q = (A^T A)^{1/2}`` and
     the rows of ``G Q`` are iid ``N(0, A^T A)``: the law of the rows of
     ``S A`` for an r-by-n Gaussian ``S``, which is never formed.
     """
@@ -118,10 +126,10 @@ def _gaussian_times_root(v: np.ndarray, s: np.ndarray, r: int, seed) -> np.ndarr
 def jl_project(a, r: int, seed) -> np.ndarray:
     """Plain (non-private) JL sketch with the law of ``S A``, S r-by-n with N(0,1) entries.
 
-    Drawn as ``G (A^T A)^{1/2}`` from the thin SVD of ``A``; ``S`` is never
-    formed.
+    Drawn as ``G (A^T A)^{1/2}`` from the SVD of the R factor of ``A``;
+    neither ``S`` nor an n-row ``U`` is formed.
     """
-    _, s, v = svd(a)
+    _, s, v = svd(tall_skinny_r(as_matrix(a)))
     return _gaussian_times_root(v, s, r, seed)
 
 

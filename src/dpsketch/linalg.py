@@ -2,7 +2,10 @@
 
 Every least-squares solve goes through one kernel, ``augmented_least_squares``:
 a blocked (tall-skinny) Householder QR of the augmented ``[M | rhs]`` whose
-R factor already holds ``Q^T rhs``, so ``Q`` is never formed.
+R factor already holds ``Q^T rhs``, so ``Q`` is never formed. The same R
+factor, ``tall_skinny_r``, gives singular values and right singular vectors
+(``M`` and ``R`` share both), so no routine here but the public ``svd``
+forms an n-row ``U``.
 
 Randomness policy: all sampling goes through ``numpy.random.default_rng``
 (PCG64). Normal variates use numpy's ziggurat sampler, Laplace variates its
@@ -53,8 +56,12 @@ def svd(m) -> SvdResult:
 
 
 def min_singular_value(m) -> float:
-    """Smallest singular value of ``m`` (zero for rank-deficient input)."""
-    return float(svd(m).singular_values[-1])
+    """Smallest singular value of ``m`` (zero for rank-deficient input).
+
+    Taken from the SVD of the R factor of ``m``, which has the same singular
+    values, so no n-row ``U`` is formed.
+    """
+    return float(svd(tall_skinny_r(as_matrix(m))).singular_values[-1])
 
 
 def qr_least_squares(m, rhs) -> np.ndarray:
@@ -83,20 +90,32 @@ _QR_BLOCK = 256
 # Below this many rows one unblocked QR is faster than the three LAPACK
 # calls of the blocked one (they broke even near 3000 rows at 11 columns).
 _QR_BLOCKED_MIN_ROWS = 16 * _QR_BLOCK
+# Entries of ``ab`` per batched QR call. The batched call copies its input,
+# so this bounds the temporary at 512 kB whatever ``n`` is.
+_QR_GROUP_ENTRIES = 1 << 16
 
 
-def _tall_skinny_r(ab: np.ndarray) -> np.ndarray:
+def tall_skinny_r(ab: np.ndarray) -> np.ndarray:
     """R factor of ``ab`` from Householder QR of row blocks, then of their stacked Rs.
 
     ``ab = Q_1 R_1`` per block and ``[R_1; R_2; ...] = Q' R`` give
     ``ab = diag(Q_1, Q_2, ...) Q' R``, so ``R`` is an R factor of ``ab``
     (Demmel, Grigori, Hoemmen & Langou, tall-skinny QR). No ``Q`` is formed.
+    The blocks go to LAPACK in groups of about ``_QR_GROUP_ENTRIES`` entries;
+    each block's R is the same call's result whatever the grouping.
+
+    ``ab`` must be a finite float matrix (callers validate, e.g. with
+    ``as_matrix``).
     """
     n, k = ab.shape
     if n < _QR_BLOCKED_MIN_ROWS or k >= _QR_BLOCK:
         return np.linalg.qr(ab, mode="r")
     full = n - n % _QR_BLOCK
-    parts = [np.linalg.qr(ab[:full].reshape(-1, _QR_BLOCK, k), mode="r").reshape(-1, k)]
+    step = _QR_BLOCK * max(1, _QR_GROUP_ENTRIES // (_QR_BLOCK * k))
+    parts = [
+        np.linalg.qr(ab[i : min(i + step, full)].reshape(-1, _QR_BLOCK, k), mode="r").reshape(-1, k)
+        for i in range(0, full, step)
+    ]
     if full < n:
         parts.append(np.linalg.qr(ab[full:], mode="r"))
     return np.linalg.qr(np.vstack(parts), mode="r")
@@ -123,7 +142,7 @@ def augmented_least_squares(ab: np.ndarray) -> np.ndarray:
     rows, k = ab.shape[0], ab.shape[1] - 1
     if rows < k:
         raise ParameterError(f"need rows >= cols, got shape {(rows, k)}")
-    r = _tall_skinny_r(ab)
+    r = tall_skinny_r(ab)
     diag = np.abs(np.diag(r)[:k])
     tol = max(rows, k) * np.finfo(float).eps * max(diag.max(), 1e-300)
     if diag.min() <= tol:

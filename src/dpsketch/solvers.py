@@ -301,8 +301,11 @@ def lad_vertex_oracle(problem: SketchProblem) -> RegressionSolution:
 
 
 def exact_l2_solution(data: DataMatrix) -> RegressionSolution:
-    """Exact least squares on the original data (loss is the squared l2 norm)."""
-    beta = qr_least_squares(data.X, data.y)
+    """Exact least squares on the original data (loss is the squared l2 norm).
+
+    ``data.A`` is already the certified ``[X | y]``, so it is factored as is.
+    """
+    beta = augmented_least_squares(data.A)
     residual = data.X @ beta - data.y
     return _finish(beta, float(residual @ residual), "qr")
 

@@ -1,3 +1,7 @@
+import csv
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +212,69 @@ class TestIngest:
         res = ingest(DatasetFile(str(path), has_header=has_header, response_column=response), RowBound(10.0))
         assert res.data.y.tolist() == [3.25, 4.0, 5.0, 6.0]
         assert res.data.X[:, 0].tolist() == [1.0, 2.0, 1.0, 2.0]
+
+    def test_peak_memory_is_a_few_copies_of_the_matrix(self, tmp_path):
+        # the text of one row block is held at a time, not every cell's string
+        a = np.random.default_rng(5).standard_normal((20_000, 11))
+        path = tmp_path / "big.csv"
+        np.savetxt(path, a / np.linalg.norm(a, axis=1).max(), delimiter=",")
+        tracemalloc.start()
+        try:
+            res = ingest(DatasetFile(str(path)), RowBound(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * res.data.A.nbytes
+
+    @pytest.mark.parametrize("clip,bound", [("reject", 1e5), ("scale", 2e3)])
+    def test_blocks_bit_identical_to_per_cell_float(self, tmp_path, clip, bound):
+        width = 4
+        n = 2 * (dataset._INGEST_CELLS // width) + 123  # two full blocks and a part
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((n, width)) * np.geomspace(1e-3, 1e3, width)
+        cells = [[repr(float(v)) for v in row] for row in values]
+        for i in range(0, n, 7):
+            cells[i][1] = f'"{cells[i][1]}"'  # quoted
+        for i in range(3, n, 11):
+            cells[i][2] = f" {float(values[i, 2]):.6e} "
+        text = "a,target,b,c\n" + "\n".join(",".join(row) for row in cells) + "\n"
+        path = write_csv(tmp_path, text)
+        res = ingest(DatasetFile(path, has_header=True, response_column="target"), RowBound(bound), clip=clip)
+
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        ref = np.array([[float(c) for c in row] for row in rows])[:, [0, 2, 3, 1]]
+        if clip == "scale":
+            norms = np.sqrt((ref**2).sum(axis=1))
+            over = norms > bound * (1.0 + 1e-9)
+            ref[over] *= (bound / norms[over])[:, None]
+            assert res.rescaled_rows == int(over.sum()) > 0
+        assert res.data.A.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("1,2", "row {row} has 2 cells, expected 3"),
+            ("1,x2,3", "non-numeric cell at row {row}, column 2: 'x2'"),
+            ("1,2,-inf", "non-finite value at row {row}, column 3"),
+        ],
+        ids=["ragged", "non-numeric", "non-finite"],
+    )
+    def test_error_in_second_block_names_global_row(self, tmp_path, has_header, bad, message):
+        step = dataset._INGEST_CELLS // 3
+        lines = ["0.1,0.2,0.3"] * (2 * step)
+        lines[step + 5] = bad
+        text = ("a,b,c\n" if has_header else "") + "\n".join(lines) + "\n"
+        path = write_csv(tmp_path, text)
+        expected = message.format(row=step + 6)
+        with pytest.raises(ParameterError, match=f": {re.escape(expected)}$"):
+            ingest(DatasetFile(path, has_header=has_header), RowBound(1.0))
+
+    def test_oversized_field_refused(self, tmp_path):
+        path = write_csv(tmp_path, "1,2\n3," + "4" * 200_000 + "\n1,1\n")
+        with pytest.raises(ParameterError, match=r"data\.csv: line 2: field larger than field limit"):
+            ingest(DatasetFile(path), RowBound(10.0))
 
     def test_unknown_clip_mode(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3,4\n1,1\n")

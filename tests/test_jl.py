@@ -8,6 +8,7 @@ from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import CertificationError, ParameterError, SingularSystemError
 from dpsketch.jl import (
     JlConfig,
+    _full_rank_spectrum,
     jl_project,
     noisy_rank_test,
     private_jl_sketch,
@@ -230,7 +231,8 @@ class TestGramRootRelease:
         assert meta.w_squared == pytest.approx(153.29284961632226, rel=1e-12)
 
     def test_peak_memory_scales_with_input_not_r_times_n(self):
-        # forming S (256 x 50k) alone would take 102 MB, 23x the 4.4 MB input
+        # forming S (256 x 50k) alone would take 102 MB, 23x the 4.4 MB input,
+        # and a thin SVD's n-row U 1x; the R factor needs one group of blocks
         data = synthetic_regression(50_000, 10, seed=1)
         tracemalloc.start()
         try:
@@ -238,4 +240,24 @@ class TestGramRootRelease:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * data.A.nbytes
+        assert peak < 0.25 * data.A.nbytes
+
+
+class TestSpectrum:
+    """``s`` and ``Q = V diag(s) V^T`` from the R factor agree with LAPACK's
+    thin SVD of ``A`` itself, below and above the blocked-QR threshold."""
+
+    @pytest.mark.parametrize("n", [60, 4097, 30_011])
+    def test_matches_thin_svd(self, n):
+        a = synthetic_regression(n, 10, seed=n).A
+        s, v = _full_rank_spectrum(a)
+        _, s_ref, vt = np.linalg.svd(a, full_matrices=False)
+        assert np.max(np.abs(s - s_ref) / s_ref) <= 1e-12
+        q, q_ref = (v * s) @ v.T, (vt.T * s_ref) @ vt
+        assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
+
+    def test_jl_project_validates_its_input(self):
+        with pytest.raises(ParameterError):
+            jl_project([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]], 4, seed=0)
+        with pytest.raises(ParameterError):
+            jl_project(np.ones((0, 3)), 4, seed=0)

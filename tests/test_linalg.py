@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsketch import linalg
 from dpsketch.dataset import synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
 from dpsketch.linalg import (
@@ -14,8 +15,9 @@ from dpsketch.linalg import (
     sample_gaussian_matrix,
     sample_laplace,
     svd,
+    tall_skinny_r,
 )
-from dpsketch.solvers import exact_l1_solution
+from dpsketch.solvers import exact_l1_solution, exact_l2_solution
 
 
 def charpoly_singular_values_2x2(m):
@@ -96,6 +98,45 @@ class TestMinSingularValue:
         assert min_singular_value(c * m) == pytest.approx(
             abs(c) * min_singular_value(m), rel=1e-8
         )
+
+    @pytest.mark.parametrize("n", [50, 4097, 20003])
+    def test_matches_lapack_svd_on_tall_input(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, 7)) * np.geomspace(1.0, 1e-3, 7)
+        expected = np.linalg.svd(m, compute_uv=False)[-1]
+        assert min_singular_value(m) == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ParameterError):
+            min_singular_value([[1.0, 0.0], [0.0, np.inf], [1.0, 1.0]])
+
+
+class TestTallSkinnyR:
+    @staticmethod
+    def one_batched_call(ab):
+        """Reference: every full 256-row block in a single batched QR call."""
+        n, k = ab.shape
+        full = n - n % 256
+        parts = [np.linalg.qr(ab[:full].reshape(-1, 256, k), mode="r").reshape(-1, k)]
+        if full < n:
+            parts.append(np.linalg.qr(ab[full:], mode="r"))
+        return np.linalg.qr(np.vstack(parts), mode="r")
+
+    @pytest.mark.parametrize("k", [4, 11, 40])
+    def test_grouped_blocks_bit_identical_to_one_batched_call(self, k):
+        group = 256 * max(1, linalg._QR_GROUP_ENTRIES // (256 * k))
+        # three full groups, a partial group of three blocks, a 37-row remainder
+        n = 3 * group + 3 * 256 + 37
+        assert n >= linalg._QR_BLOCKED_MIN_ROWS
+        ab = np.random.default_rng(k).standard_normal((n, k))
+        got = tall_skinny_r(ab)
+        assert got.shape == (k, k)
+        assert got.tobytes() == self.one_batched_call(ab).tobytes()
+
+    def test_exact_l2_is_bit_identical_to_qr_least_squares(self):
+        data = synthetic_regression(20_000, 10, seed=4)
+        beta = exact_l2_solution(data).beta
+        assert beta.tobytes() == qr_least_squares(data.X, data.y).tobytes()
 
 
 class TestQrLeastSquares:

@@ -7,8 +7,11 @@ hashed releases moved onto one bucket-sum kernel, and every version since
 must reproduce them. A digest that moves is a change to the random stream:
 record it in CHANGES.md and re-pin it here in the same change.
 
-The ``jl`` file goes through LAPACK (SVD) and BLAS; the hashed releases use
-only numpy's generator and ``np.bincount``.
+The ``jl`` file goes through LAPACK (Householder QR of ``A``, then the SVD of
+its R factor) and BLAS; the hashed releases use only numpy's generator and
+``np.bincount``. At the 60 rows pinned here the QR is one unblocked LAPACK
+call, the same factorization LAPACK's SVD of a tall matrix starts with, so
+moving the spectrum onto the R factor left this digest unchanged.
 """
 
 import hashlib
