@@ -21,7 +21,6 @@ from .countsketch import (
 )
 from .dataset import (
     DataMatrix,
-    DatasetFile,
     IngestResult,
     ingest,
     max_row_norm,

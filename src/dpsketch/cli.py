@@ -15,7 +15,7 @@ import sys
 
 from .bounds import _MIN_TRIALS, l1_coeff_bound, ridge_coeff_bound_l2
 from .countsketch import private_countsketch_l2
-from .dataset import DatasetFile, ingest
+from .dataset import ingest
 from .errors import DpSketchError
 from .jl import JlConfig, private_jl_sketch
 from .l1 import L1SketchConfig, illustration_sketch_private, level_count, private_l1_sketch
@@ -69,11 +69,10 @@ def _cmd_sketch(args) -> int:
     _check_seed(args.seed)
     pp = PrivacyParams(args.epsilon, args.delta)
     bound = RowBound(args.bound)
-    spec = DatasetFile(
-        path=args.input, delimiter=args.delimiter,
+    result = ingest(
+        args.input, bound, clip=args.clip, delimiter=args.delimiter,
         has_header=args.header, response_column=args.response,
     )
-    result = ingest(spec, bound, clip=args.clip)
     data = result.data
     if result.rescaled_rows:
         print(f"warning: rescaled {result.rescaled_rows} row(s) to norm B = {bound.B:g}")

@@ -16,8 +16,8 @@ from .mechanisms import RowBound
 # Relative slack when checking row norms against B, so rows rescaled to
 # exactly B still certify despite rounding.
 _NORM_SLACK = 1e-9
-# CSV cells parsed per block. A block's text, several times the size of its
-# floats, is the only parse temporary, so it is held to a fixed size.
+# Cells per block when parsing a CSV or squaring rows. A block's text (several
+# times the size of its floats) and its squares are held to a fixed size.
 _INGEST_CELLS = 1 << 14
 
 
@@ -29,7 +29,8 @@ class DataMatrix:
     point: every row's l2 norm is checked against ``bound.B`` at construction
     (a refusal names the first row over it, counting from 1) and ``A`` is kept
     as a read-only copy, so writes to the caller's array cannot void the
-    certificate and releases need not scan ``A`` again.
+    certificate and releases need not scan ``A`` again. The copy is the only
+    n x (d+1) allocation: ``row_norms`` squares a block of rows at a time.
     """
 
     A: np.ndarray
@@ -43,7 +44,7 @@ class DataMatrix:
         object.__setattr__(self, "A", a)
         limit = self.bound.B * (1.0 + _NORM_SLACK)
         if max_row_norm(a) > limit:
-            norms = np.sqrt((a**2).sum(axis=1))
+            norms = row_norms(a)
             bad = int(np.argmax(norms > limit))
             raise CertificationError(
                 f"row {bad + 1} has norm {norms[bad]:.6g} > bound {self.bound.B:.6g}"
@@ -66,8 +67,22 @@ class DataMatrix:
         return self.A[:, -1]
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of ``a``, squared and summed ``_INGEST_CELLS``
+    cells at a time; rows whose squares overflow are measured by ``hypot``."""
+    a = np.asarray(a, dtype=float)
+    step = max(1, _INGEST_CELLS // max(1, a.shape[1]))
+    norms = np.empty(len(a))
+    with np.errstate(over="ignore"):
+        for i in range(0, len(a), step):
+            norms[i : i + step] = np.sqrt((a[i : i + step] ** 2).sum(axis=1))
+        big = np.isinf(norms)
+        norms[big] = np.hypot.reduce(a[big], axis=1, initial=0.0)
+    return norms
+
+
 def max_row_norm(a: np.ndarray) -> float:
-    return float(np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=1)).max())
+    return float(row_norms(a).max())
 
 
 def certified_rows(data: "DataMatrix | np.ndarray", bound: RowBound) -> np.ndarray:
@@ -104,72 +119,63 @@ def synthetic_regression(
 
 
 @dataclass(frozen=True)
-class DatasetFile:
-    """Where and how to read a CSV regression dataset."""
-
-    path: str
-    delimiter: str = ","
-    has_header: bool = False
-    response_column: "str | int" = -1
-
-
-@dataclass(frozen=True)
 class IngestResult:
     data: DataMatrix
     rescaled_rows: int
 
 
-def ingest(f: DatasetFile, bound: RowBound, clip: str = "scale") -> IngestResult:
+def ingest(
+    path: "str | Path", bound: RowBound, clip: str = "scale", delimiter: str = ",",
+    has_header: bool = False, response_column: "str | int" = -1,
+) -> IngestResult:
     """Parse a CSV file into a DataMatrix, which certifies it.
 
-    ``clip="scale"`` first rescales rows whose l2 norm exceeds ``bound.B`` to
-    norm exactly B and reports how many were touched; under ``clip="reject"``
-    such a row raises the ``DataMatrix`` refusal, prefixed with the path.
+    The response column is resolved before any row is parsed. Each block of
+    about ``_INGEST_CELLS`` cells is then parsed, put in response-last order
+    and, under ``clip="scale"``, has its rows over ``bound.B`` rescaled to norm
+    exactly B (counted in the result). Under ``clip="reject"`` such a row
+    raises the ``DataMatrix`` refusal, prefixed with the path.
     """
     if clip not in ("reject", "scale"):
         raise ParameterError(f"clip must be 'reject' or 'scale', got {clip!r}")
-    if len(f.delimiter) != 1:
-        raise ParameterError(f"delimiter must be one character, got {f.delimiter!r}")
-    path = Path(f.path)
+    if len(delimiter) != 1:
+        raise ParameterError(f"delimiter must be one character, got {delimiter!r}")
+    path = Path(path)
+    blocks, start, rescaled = [], 0, 0
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle, delimiter=f.delimiter)
+            reader = csv.reader(handle, delimiter=delimiter)
             rows = filter(None, reader)  # a blank line parses as [] and is skipped
-            header: "list[str] | None" = None
-            if f.has_header:
-                first = next(rows, None)
-                if first is None:
-                    raise ParameterError(f"{path}: empty file")
-                header = [c.strip() for c in first]
+            header = [c.strip() for c in next(rows, [])] if has_header else None
             first = next(rows, None)
-            if first is None:
-                raise ParameterError(f"{path}: no data rows")
+            if first is None:  # a header is never [], as blank lines are skipped
+                raise ParameterError(f"{path}: " + ("empty file" if header == [] else "no data rows"))
             width = len(first)
             if header is not None and len(header) != width:
                 raise ParameterError(f"{path}: header has {len(header)} cells, expected {width}")
+            resp = _resolve_response(response_column, header, width, path)
+            order = [j for j in range(width) if j != resp] + [resp]
             step = max(1, _INGEST_CELLS // width)
-            blocks, start = [], 0
-            block = [first, *itertools.islice(rows, step - 1)]
-            while block:
-                blocks.append(_parse_block(block, width, start, path))
+            rows = itertools.chain([first], rows)
+            while block := list(itertools.islice(rows, step)):
+                a = _parse_block(block, width, start, path)[:, order]
                 start += len(block)
-                block = list(itertools.islice(rows, step))
+                del block  # the text goes before the next block's is read
+                if clip == "scale":
+                    norms = row_norms(a)
+                    over = norms > bound.B * (1.0 + _NORM_SLACK)
+                    huge = over & (norms > np.sqrt(np.finfo(float).max))  # squares overflow
+                    a[huge] /= np.abs(a[huge]).max(axis=1)[:, None]  # so B / norm is not 0
+                    norms[huge] = row_norms(a[huge])
+                    rescaled += int(over.sum())
+                    a[over] *= (bound.B / norms[over])[:, None]
+                blocks.append(a)
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise ParameterError(f"{path}: line {reader.line_num}: {exc}") from None
-    values = np.concatenate(blocks)
-    del blocks
-
-    resp = _resolve_response(f.response_column, header, width, path)
-    a = values[:, [j for j in range(width) if j != resp] + [resp]]
-    del values
-    rescaled = 0
-    if clip == "scale":
-        norms = np.sqrt((a**2).sum(axis=1))
-        over = norms > bound.B * (1.0 + _NORM_SLACK)
-        rescaled = int(over.sum())
-        a[over] *= (bound.B / norms[over])[:, None]
+    a = np.concatenate(blocks)
+    del blocks  # not held while DataMatrix copies a
     try:
         data = DataMatrix(a, bound)
     except (CertificationError, ParameterError) as exc:
@@ -209,25 +215,20 @@ def _parse_block(block: "list[list[str]]", width: int, start: int, path: Path) -
 
 
 def _resolve_response(column, header, width, path) -> int:
-    if isinstance(column, str):
-        stripped = column.strip()
-        try:
-            idx = int(stripped)
-        except ValueError:
-            if header is None:
-                raise ParameterError(
-                    f"{path}: response column {column!r} given by name but file has no header"
-                ) from None
-            count = header.count(stripped)
-            if count == 0:
-                raise ParameterError(f"{path}: no column named {column!r} in header") from None
-            if count > 1:
-                raise ParameterError(f"{path}: column {column!r} appears {count} times in header") from None
-            return header.index(stripped)
-        column = idx
-    idx = int(column)
-    if idx < 0:
-        idx += width
-    if not (0 <= idx < width):
-        raise ParameterError(f"{path}: response column index {column} out of range")
-    return idx
+    try:
+        idx = int(column)
+    except ValueError:
+        name = column.strip()
+        if header is None:
+            raise ParameterError(
+                f"{path}: response column {column!r} given by name but file has no header"
+            ) from None
+        count = header.count(name)
+        if count == 0:
+            raise ParameterError(f"{path}: no column named {column!r} in header") from None
+        if count > 1:
+            raise ParameterError(f"{path}: column {column!r} appears {count} times in header") from None
+        return header.index(name)
+    if not -width <= idx < width:
+        raise ParameterError(f"{path}: response column index {idx} out of range")
+    return idx % width

@@ -9,9 +9,9 @@ from dpsketch import countsketch, dataset, jl, l1
 from dpsketch.countsketch import private_countsketch_l2
 from dpsketch.dataset import (
     DataMatrix,
-    DatasetFile,
     ingest,
     max_row_norm,
+    row_norms,
     synthetic_regression,
 )
 from dpsketch.errors import CertificationError, ParameterError
@@ -49,10 +49,40 @@ class TestDataMatrix:
         with pytest.raises(ParameterError):
             DataMatrix(np.ones((3, 1)), RowBound(2.0))
 
+    def test_norm_whose_squares_overflow_certifies(self):
+        # 1e155**2 overflows, but the row's norm is 1e155 <= B
+        a = np.array([[1e155, 0.0], [0.1, 0.2]])
+        assert DataMatrix(a, RowBound(1e200)).n == 2
+        with pytest.raises(CertificationError, match=r"^row 1 has norm 1e\+155 > bound 1e\+150$"):
+            DataMatrix(a, RowBound(1e150))
+
+    def test_construction_peak_is_the_copy(self):
+        a = np.random.default_rng(7).standard_normal((200_000, 11))
+        a /= np.linalg.norm(a, axis=1).max()
+        tracemalloc.start()
+        try:
+            DataMatrix(a, RowBound(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.nbytes
+
     def test_synthetic_is_certified(self):
         dm = synthetic_regression(100, 3, seed=1, bound=2.5)
         assert max_row_norm(dm.A) <= 2.5 * (1 + 1e-9)
         assert dm.n == 100 and dm.d == 3
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("width", [2, 4, 11, 33])
+    def test_blocked_bit_identical_to_whole_matrix(self, width):
+        n = 3 * (dataset._INGEST_CELLS // width) + 17  # several blocks and a part
+        a = np.random.default_rng(width).standard_normal((n, width)) * np.geomspace(1e-3, 1e3, width)
+        assert row_norms(a).tobytes() == np.sqrt((a**2).sum(axis=1)).tobytes()
+
+    def test_overflowing_squares_are_measured_by_hypot(self):
+        a = np.array([[1e200, 1e200, 3.0], [3.0, 4.0, 0.0], [-1e300, 0.0, 0.0]])
+        assert row_norms(a).tolist() == [np.hypot(1e200, 1e200), 5.0, 1e300]
 
 
 class TestCertifyOnce:
@@ -120,14 +150,14 @@ class TestCertifyOnce:
 class TestIngest:
     def test_accepts_bounded_rows(self, tmp_path):
         path = write_csv(tmp_path, "1,2,0.5\n2,1,0.25\n0,1,1\n1,0,1\n")
-        res = ingest(DatasetFile(path), RowBound(10.0))
+        res = ingest(path, RowBound(10.0))
         assert res.data.n == 4 and res.data.d == 2
         assert res.rescaled_rows == 0
         assert res.data.bound.B == 10.0
 
     def test_scale_clips_offending_row(self, tmp_path):
         path = write_csv(tmp_path, "12,0\n1,0\n2,0\n")
-        res = ingest(DatasetFile(path), RowBound(10.0), clip="scale")
+        res = ingest(path, RowBound(10.0), clip="scale")
         assert res.rescaled_rows == 1
         assert res.data.A[0, 0] == pytest.approx(12.0 * 10.0 / 12.0)
         assert res.data.A[1, 0] == 1.0  # untouched
@@ -135,72 +165,70 @@ class TestIngest:
     def test_reject_raises(self, tmp_path):
         path = write_csv(tmp_path, "12,0\n1,0\n2,0\n")
         with pytest.raises(CertificationError, match="row 1"):
-            ingest(DatasetFile(path), RowBound(10.0), clip="reject")
+            ingest(path, RowBound(10.0), clip="reject")
 
     def test_parse_error_names_cell(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3,oops\n4,5\n")
         with pytest.raises(ParameterError, match=r"row 2, column 2"):
-            ingest(DatasetFile(path), RowBound(10.0))
+            ingest(path, RowBound(10.0))
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_names_cell(self, tmp_path, cell):
         path = write_csv(tmp_path, f"1,2\n3,4\n4,{cell}\n1,1\n")
         with pytest.raises(ParameterError, match=r"non-finite value at row 3, column 2$"):
-            ingest(DatasetFile(path), RowBound(10.0))
+            ingest(path, RowBound(10.0))
 
     def test_one_column_refused(self, tmp_path):
         path = write_csv(tmp_path, "1\n2\n3\n")
         with pytest.raises(ParameterError, match=r"data\.csv: need at least one feature column plus the response$"):
-            ingest(DatasetFile(path), RowBound(10.0))
+            ingest(path, RowBound(10.0))
 
     def test_ambiguous_response_name(self, tmp_path):
         path = write_csv(tmp_path, "a,b,a\n1,2,3\n2,1,4\n1,1,5\n0,2,6\n")
         with pytest.raises(ParameterError, match=r"column 'a' appears 2 times in header"):
-            ingest(DatasetFile(path, has_header=True, response_column="a"), RowBound(10.0))
-        res = ingest(DatasetFile(path, has_header=True, response_column="b"), RowBound(10.0))
+            ingest(path, RowBound(10.0), has_header=True, response_column="a")
+        res = ingest(path, RowBound(10.0), has_header=True, response_column="b")
         assert res.data.y.tolist() == [2.0, 1.0, 1.0, 2.0]
 
     def test_header_and_named_response(self, tmp_path):
         path = write_csv(tmp_path, "age,income,target\n1,2,3\n2,1,4\n1,1,5\n0,2,6\n")
-        res = ingest(
-            DatasetFile(path, has_header=True, response_column="target"), RowBound(10.0)
-        )
+        res = ingest(path, RowBound(10.0), has_header=True, response_column="target")
         assert np.allclose(res.data.y, [3.0, 4.0, 5.0, 6.0])
 
     def test_response_by_index(self, tmp_path):
         path = write_csv(tmp_path, "1,9,2\n2,8,1\n1,7,1\n0,6,2\n")
-        res = ingest(DatasetFile(path, response_column=1), RowBound(20.0))
+        res = ingest(path, RowBound(20.0), response_column=1)
         assert np.allclose(res.data.y, [9.0, 8.0, 7.0, 6.0])
         assert res.data.d == 2
 
     def test_custom_delimiter(self, tmp_path):
         path = write_csv(tmp_path, "1;2\n3;4\n1;1\n")
-        res = ingest(DatasetFile(path, delimiter=";"), RowBound(10.0))
+        res = ingest(path, RowBound(10.0), delimiter=";")
         assert res.data.n == 3
 
     @pytest.mark.parametrize("header", ["a,b,c,target", "a,b"])
     def test_header_width_must_match_rows(self, tmp_path, header):
         path = write_csv(tmp_path, header + "\n1,2,3\n2,1,4\n1,1,5\n0,2,6\n")
         with pytest.raises(ParameterError, match="header has"):
-            ingest(DatasetFile(path, has_header=True, response_column="target"), RowBound(10.0))
+            ingest(path, RowBound(10.0), has_header=True, response_column="target")
         with pytest.raises(ParameterError, match="header has"):
-            ingest(DatasetFile(path, has_header=True, response_column="b"), RowBound(10.0))
+            ingest(path, RowBound(10.0), has_header=True, response_column="b")
 
     @pytest.mark.parametrize("delimiter", ["", ";;"])
     def test_delimiter_checked_before_open(self, tmp_path, delimiter):
         missing = str(tmp_path / "absent.csv")
         with pytest.raises(ParameterError, match="one character"):
-            ingest(DatasetFile(missing, delimiter=delimiter), RowBound(10.0))
+            ingest(missing, RowBound(10.0), delimiter=delimiter)
 
     def test_named_response_needs_header(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3,4\n1,1\n")
         with pytest.raises(ParameterError, match="header"):
-            ingest(DatasetFile(path, response_column="target"), RowBound(10.0))
+            ingest(path, RowBound(10.0), response_column="target")
 
     def test_too_few_rows(self, tmp_path):
         path = write_csv(tmp_path, "1,2,3\n4,5,6\n")  # d+1 = 3 needs >= 4 rows
         with pytest.raises(ParameterError, match="rows"):
-            ingest(DatasetFile(path), RowBound(100.0))
+            ingest(path, RowBound(100.0))
 
     @pytest.mark.parametrize("has_header", [True, False])
     def test_byte_order_mark_is_not_data(self, tmp_path, has_header):
@@ -209,7 +237,7 @@ class TestIngest:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         response = "target" if has_header else "0"
-        res = ingest(DatasetFile(str(path), has_header=has_header, response_column=response), RowBound(10.0))
+        res = ingest(str(path), RowBound(10.0), has_header=has_header, response_column=response)
         assert res.data.y.tolist() == [3.25, 4.0, 5.0, 6.0]
         assert res.data.X[:, 0].tolist() == [1.0, 2.0, 1.0, 2.0]
 
@@ -220,11 +248,11 @@ class TestIngest:
         np.savetxt(path, a / np.linalg.norm(a, axis=1).max(), delimiter=",")
         tracemalloc.start()
         try:
-            res = ingest(DatasetFile(str(path)), RowBound(1.0))
+            res = ingest(str(path), RowBound(1.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * res.data.A.nbytes
+        assert peak < 3 * res.data.A.nbytes
 
     @pytest.mark.parametrize("clip,bound", [("reject", 1e5), ("scale", 2e3)])
     def test_blocks_bit_identical_to_per_cell_float(self, tmp_path, clip, bound):
@@ -239,7 +267,7 @@ class TestIngest:
             cells[i][2] = f" {float(values[i, 2]):.6e} "
         text = "a,target,b,c\n" + "\n".join(",".join(row) for row in cells) + "\n"
         path = write_csv(tmp_path, text)
-        res = ingest(DatasetFile(path, has_header=True, response_column="target"), RowBound(bound), clip=clip)
+        res = ingest(path, RowBound(bound), clip=clip, has_header=True, response_column="target")
 
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))[1:]
@@ -269,14 +297,33 @@ class TestIngest:
         path = write_csv(tmp_path, text)
         expected = message.format(row=step + 6)
         with pytest.raises(ParameterError, match=f": {re.escape(expected)}$"):
-            ingest(DatasetFile(path, has_header=has_header), RowBound(1.0))
+            ingest(path, RowBound(1.0), has_header=has_header)
+
+    def test_response_resolved_before_rows_are_parsed(self, tmp_path):
+        step = dataset._INGEST_CELLS // 3
+        lines = ["0.1,0.2,0.3"] * (2 * step)
+        lines[step + 5] = "1,x2,3"
+        path = write_csv(tmp_path, "a,b,c\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match=r"no column named 'missing' in header$"):
+            ingest(path, RowBound(1.0), has_header=True, response_column="missing")
+
+    @pytest.mark.parametrize("row", ["1e200,1e200,3", "1.5e308,1.5e308,0"])
+    def test_scale_keeps_direction_when_squares_overflow(self, tmp_path, row):
+        path = write_csv(tmp_path, row + "\n0.1,0.2,0.3\n0.3,0.1,0.2\n0.2,0.3,0.1\n0.1,0.1,0.1\n")
+        res = ingest(path, RowBound(2.0), clip="scale")
+        assert res.rescaled_rows == 1
+        first = res.data.A[0]
+        assert np.linalg.norm(first) == pytest.approx(2.0)
+        x = np.array([float(v) for v in row.split(",")])
+        assert first == pytest.approx(2.0 * (x / np.abs(x).max()) / np.linalg.norm(x / np.abs(x).max()))
+        assert res.data.A[1:].tolist() == [[0.1, 0.2, 0.3], [0.3, 0.1, 0.2], [0.2, 0.3, 0.1], [0.1, 0.1, 0.1]]
 
     def test_oversized_field_refused(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3," + "4" * 200_000 + "\n1,1\n")
         with pytest.raises(ParameterError, match=r"data\.csv: line 2: field larger than field limit"):
-            ingest(DatasetFile(path), RowBound(10.0))
+            ingest(path, RowBound(10.0))
 
     def test_unknown_clip_mode(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3,4\n1,1\n")
         with pytest.raises(ParameterError):
-            ingest(DatasetFile(path), RowBound(10.0), clip="truncate")
+            ingest(path, RowBound(10.0), clip="truncate")
