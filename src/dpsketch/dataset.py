@@ -31,13 +31,26 @@ class DataMatrix:
     as a read-only copy, so writes to the caller's array cannot void the
     certificate and releases need not scan ``A`` again. The copy is the only
     n x (d+1) allocation: ``row_norms`` squares a block of rows at a time.
+    ``ingest`` hands over the array it has just built, which is kept without
+    a copy (``_adopt``).
     """
 
     A: np.ndarray
     bound: RowBound
 
     def __post_init__(self):
-        a = np.array(as_matrix(self.A))
+        self._certify(np.array(as_matrix(self.A)))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray, bound: RowBound) -> "DataMatrix":
+        """A DataMatrix over ``a`` itself, not a copy of it: for an array the
+        caller has just built and holds no other reference to."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "bound", bound)
+        data._certify(as_matrix(a))
+        return data
+
+    def _certify(self, a: np.ndarray) -> None:
         if a.shape[1] < 2:
             raise ParameterError("need at least one feature column plus the response")
         a.flags.writeable = False
@@ -130,37 +143,62 @@ def ingest(
 ) -> IngestResult:
     """Parse a CSV file into a DataMatrix, which certifies it.
 
-    The response column is resolved before any row is parsed. Each block of
-    about ``_INGEST_CELLS`` cells is then parsed, put in response-last order
-    and, under ``clip="scale"``, has its rows over ``bound.B`` rescaled to norm
-    exactly B (counted in the result). Under ``clip="reject"`` such a row
-    raises the ``DataMatrix`` refusal, prefixed with the path.
+    ``csv.reader`` reads the header and the first data row, and the response
+    column is resolved from them before any row is parsed. The rest is read in
+    blocks of about ``_INGEST_CELLS`` cells, whose lines numpy's C reader
+    (``np.loadtxt``) parses. When it refuses a block, or might read it
+    otherwise than ``csv.reader`` and ``float`` would (see ``_load_lines``),
+    ``csv.reader`` reads that block's rows from its first line, through any
+    lines a quoted field runs on to, and ``_parse_block`` parses each cell
+    with ``float``; the next block goes to the C reader again. A block holds
+    the same rows on either path, so values, row and line numbers and
+    messages do not depend on which one ran. Each block is then checked
+    finite, put in response-last order and, under ``clip="scale"``, has its
+    rows over ``bound.B`` rescaled to norm exactly B (counted in the result).
+    Under ``clip="reject"`` such a row raises the ``DataMatrix`` refusal,
+    prefixed with the path. A delimiter that is the quote character or a line
+    break is refused before the file is opened.
     """
     if clip not in ("reject", "scale"):
         raise ParameterError(f"clip must be 'reject' or 'scale', got {clip!r}")
     if len(delimiter) != 1:
         raise ParameterError(f"delimiter must be one character, got {delimiter!r}")
+    if delimiter in '"\r\n':
+        raise ParameterError(f"delimiter cannot be the quote character or a line break, got {delimiter!r}")
     path = Path(path)
     blocks, start, rescaled = [], 0, 0
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle, delimiter=delimiter)
-            rows = filter(None, reader)  # a blank line parses as [] and is skipped
-            header = [c.strip() for c in next(rows, [])] if has_header else None
-            first = next(rows, None)
-            if first is None:  # a header is never [], as blank lines are skipped
-                raise ParameterError(f"{path}: " + ("empty file" if header == [] else "no data rows"))
-            width = len(first)
+            records, line = _records(handle, delimiter, 1 + has_header, 0, path)
+            if len(records) < 1 + has_header:
+                raise ParameterError(f"{path}: " + ("empty file" if has_header and not records else "no data rows"))
+            header = [c.strip() for c in records[0]] if has_header else None
+            head = records[-1:]  # the first row, parsed with the block it opens
+            width = len(head[0])
             if header is not None and len(header) != width:
                 raise ParameterError(f"{path}: header has {len(header)} cells, expected {width}")
             resp = _resolve_response(response_column, header, width, path)
             order = [j for j in range(width) if j != resp] + [resp]
             step = max(1, _INGEST_CELLS // width)
-            rows = itertools.chain([first], rows)
-            while block := list(itertools.islice(rows, step)):
-                a = _parse_block(block, width, start, path)[:, order]
-                start += len(block)
-                del block  # the text goes before the next block's is read
+            while True:
+                lines, rows = _take_lines(handle, step - len(head))
+                values = _load_lines(lines, rows, width, delimiter)
+                if values is None:  # csv.reader reads the block from its first line on
+                    block, read = _records(itertools.chain(lines, handle), delimiter, step - len(head), line, path)
+                    values = _parse_block(head + block, width, start, path)
+                    line += read
+                else:
+                    line += len(lines)
+                    if head:
+                        values = np.concatenate([_parse_block(head, width, start, path), values])
+                head, lines, block = [], None, None  # the text goes before the next block's is read
+                if not len(values):
+                    break
+                if not np.all(np.isfinite(values)):
+                    i, j = np.argwhere(~np.isfinite(values))[0]
+                    raise ParameterError(f"{path}: non-finite value at row {start + i + 1}, column {j + 1}")
+                a = values[:, order]
+                start += len(a)
                 if clip == "scale":
                     norms = row_norms(a)
                     over = norms > bound.B * (1.0 + _NORM_SLACK)
@@ -172,12 +210,10 @@ def ingest(
                 blocks.append(a)
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise ParameterError(f"{path}: line {reader.line_num}: {exc}") from None
     a = np.concatenate(blocks)
-    del blocks  # not held while DataMatrix copies a
+    del blocks
     try:
-        data = DataMatrix(a, bound)
+        data = DataMatrix._adopt(a, bound)  # a is referenced nowhere else: no copy
     except (CertificationError, ParameterError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     if data.n < data.d + 2:
@@ -185,32 +221,75 @@ def ingest(
     return IngestResult(data, rescaled)
 
 
-def _parse_block(block: "list[list[str]]", width: int, start: int, path: Path) -> np.ndarray:
-    """The rows of ``block`` as floats; ``start`` rows of the file come before it.
-
-    numpy's str-to-float cast parses each cell with Python's ``float``. When
-    the cast fails or the block is ragged, the cells are parsed one at a
-    time to name the first bad one, counting rows from 1 across the file.
-    """
+def _records(lines, delimiter: str, count: int, line: int, path: Path) -> "tuple[list[list[str]], int]":
+    """The next ``count`` non-blank CSV records of ``lines`` (fewer at the end
+    of the file) and the number of lines they took; ``line`` lines of the file
+    come before ``lines``, so a ``csv.Error`` names its line in the file."""
+    reader = csv.reader(lines, delimiter=delimiter)
     try:
-        values = np.array(block, dtype=float)
+        return list(itertools.islice(filter(None, reader), count)), reader.line_num
+    except csv.Error as exc:
+        raise ParameterError(f"{path}: line {line + reader.line_num}: {exc}") from None
+
+
+def _take_lines(handle, count: int) -> "tuple[list[str], int]":
+    """The next lines of ``handle`` holding ``count`` non-blank ones (fewer at
+    the end of the file), and how many they hold. A blank line is one that
+    ``csv.reader`` reads as ``[]``, and the last line taken is not blank
+    (unless the file ends), so ``csv.reader`` reading ``count`` rows from the
+    first line reads every line taken, and blocks start at the same rows on
+    either path."""
+    lines, rows = [], 0
+    while rows < count and (more := list(itertools.islice(handle, count - rows))):
+        lines += more
+        rows += len(more) - more.count("\n") - more.count("\r\n") - more.count("\r")
+    return lines, rows
+
+
+def _load_lines(lines: "list[str]", rows: int, width: int, delimiter: str) -> "np.ndarray | None":
+    """The ``rows`` non-blank ``lines`` parsed by numpy's C reader, or None
+    where ``csv.reader`` and ``float`` might read them otherwise.
+
+    The C reader splits cells and quotes as ``csv.reader`` does and parses
+    them with the same string-to-double routine as ``float``. It is not used
+    (None) when it refuses a cell (``float`` also takes ``1_000`` and
+    non-ASCII digits); when it does not give ``rows`` rows of ``width`` cells
+    (a quoted field spanning lines, a ragged row); when a line could hold a
+    field longer than ``csv.field_size_limit()``; when the block holds an odd
+    number of quote characters (a quoted field runs on past the block); or
+    when it holds one of the ASCII separators ``\\x1c``-``\\x1f``, which the C
+    reader strips from around a number as whitespace and ``float`` refuses.
+    """
+    if not rows:
+        return np.empty((0, width))
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    text = "".join(lines)
+    if text.count('"') % 2 or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=delimiter, comments=None, quotechar='"', ndmin=2)
     except ValueError:
-        values = None
-    if values is None or values.shape != (len(block), width):
-        values = np.empty((len(block), width))
-        for i, row in enumerate(block, start + 1):
-            if len(row) != width:
-                raise ParameterError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-            for j, cell in enumerate(row):
-                try:
-                    values[i - start - 1, j] = float(cell)
-                except ValueError:
-                    raise ParameterError(
-                        f"{path}: non-numeric cell at row {i}, column {j + 1}: {cell!r}"
-                    ) from None
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise ParameterError(f"{path}: non-finite value at row {start + i + 1}, column {j + 1}")
+        return None
+    return values if values.shape == (rows, width) else None
+
+
+def _parse_block(block: "list[list[str]]", width: int, start: int, path: Path) -> np.ndarray:
+    """The CSV records of ``block`` as floats, each cell parsed with Python's
+    ``float``; ``start`` rows of the file come before the block. A ragged row
+    or a cell ``float`` refuses is named, counting rows from 1 across the file.
+    """
+    values = np.empty((len(block), width))
+    for i, row in enumerate(block, start + 1):
+        if len(row) != width:
+            raise ParameterError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                values[i - start - 1, j] = float(cell)
+            except ValueError:
+                raise ParameterError(
+                    f"{path}: non-numeric cell at row {i}, column {j + 1}: {cell!r}"
+                ) from None
     return values
 
 

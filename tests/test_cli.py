@@ -172,6 +172,15 @@ class TestSketchCommand:
         assert capsys.readouterr().err.startswith("error: delimiter must be one character")
         assert not out.exists()
 
+    @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
+    def test_unusable_delimiter_exits_2(self, tmp_path, csv_path, capsys, delimiter):
+        out = tmp_path / "x.dps"
+        assert run_sketch(csv_path, str(out), method="cs2", extra=("--delimiter", delimiter)) == 2
+        assert capsys.readouterr().err == (
+            f"error: delimiter cannot be the quote character or a line break, got {delimiter!r}\n"
+        )
+        assert not out.exists()
+
     def test_l1_multilevel_release(self, tmp_path, csv_path, capsys):
         out = str(tmp_path / "ml.dps")
         code = main([
