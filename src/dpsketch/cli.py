@@ -10,6 +10,7 @@ but never written into release files: publishing the seed voids privacy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -82,10 +83,7 @@ def _cmd_sketch(args) -> int:
     meta: dict = {}
     if method == "jl":
         sketch, jl_meta = private_jl_sketch(data, JlConfig(args.rows, pp, bound, args.seed))
-        meta = {
-            "branch": jl_meta.branch, "w_squared": jl_meta.w_squared, "c": jl_meta.c,
-            "utility_warning": jl_meta.utility_warning,
-        }
+        meta = dataclasses.asdict(jl_meta)
         print(f"branch: {jl_meta.branch}  (w^2 = {jl_meta.w_squared:.6g}, c = {jl_meta.c:.6g})")
         if jl_meta.utility_warning:
             print(f"warning: utility factor 1 + c^2 = {1 + jl_meta.c**2:.3g} is large")
@@ -199,15 +197,20 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "sketch":
             return _cmd_sketch(args)
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_verify(args)
-    except (DpSketchError, OSError) as exc:
+    except (DpSketchError, OSError, MemoryError) as exc:
+        # MemoryError: numpy refused an allocation, say for a --rows budget no
+        # address space holds. The file is written after the release, so none is left.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,13 +3,14 @@
 Two releases live here. The single-level illustration sketch reuses the
 CountSketch pipeline with all signs +1. The multi-level weighted sketch
 stacks ``h_m + 1`` levels: level 0 is a CountMin-style pass over every row
-(duplicated into ``s`` blocks of ``N' = N/s`` buckets), levels ``1..h_m-1``
-subsample rows with geometrically decaying probabilities ``1/b^h``, and the
-final level is a uniform subsample at rate ``1/b^h_m``. Bucket weights are
-``b^h`` (level 0: ``1/s``) and are data oblivious, so releasing them is
-free. Both releases sum ``S [A; eta]`` (``eta`` Gaussian noise rows) block
-by block through ``countsketch.noised_bucket_release``, never forming the
-stack, and patch every bucket to contain at least one noise row.
+(duplicated into ``s`` blocks of ``N' = N/s`` buckets), and every row enters
+each level ``h = 1..h_m`` independently with probability ``1/b^h``; levels
+``1..h_m-1`` have ``N`` buckets and the final, uniform level ``N_u``. A row
+therefore touches at most ``s + h_m`` buckets. Bucket weights are ``b^h``
+(level 0: ``1/s``) and are data oblivious, so releasing them is free. Both
+releases sum ``S [A; eta]`` (``eta`` Gaussian noise rows) block by block
+through ``countsketch.noised_bucket_release``, never forming the stack, and
+patch every bucket to contain at least one noise row.
 
 The multi-level release calibrates its noise to sensitivity ``2 B h_m``:
 ``sigma = 2 B h_m / eps * sqrt(2 ln(1.25/delta))``.
@@ -78,9 +79,9 @@ class L1SketchConfig:
 
     ``N`` buckets per level at levels ``0..h_m-1`` (``N`` divisible by the
     level-0 sparsity ``s``), ``N_u`` buckets at the uniform level (defaults
-    to ``N``). ``level_assignment`` chooses between independent Bernoulli
-    inclusion per level (default) and a single categorical level draw per
-    row. The noise is calibrated to sensitivity ``2 B h_m``, see module docs.
+    to ``N``). Each row enters level ``h >= 1`` independently with
+    probability ``1/b^h``. The noise is calibrated to sensitivity
+    ``2 B h_m``, see module docs.
     """
 
     pp: PrivacyParams
@@ -90,7 +91,6 @@ class L1SketchConfig:
     b: float = 2.0
     s: int = 1
     N_u: "int | None" = None
-    level_assignment: str = "bernoulli"
 
     def __post_init__(self):
         if not 1 < self.b < math.inf:
@@ -101,8 +101,6 @@ class L1SketchConfig:
             raise ParameterError("N must be a positive multiple of s")
         if self.N_u is not None and self.N_u < 1:
             raise ParameterError("N_u must be positive")
-        if self.level_assignment not in ("bernoulli", "categorical"):
-            raise ParameterError("level_assignment must be 'bernoulli' or 'categorical'")
 
     @property
     def uniform_buckets(self) -> int:
@@ -140,7 +138,7 @@ class WeightedSketch:
         return self.rows.shape[0]
 
 
-def _level_assignment(rng: np.random.Generator, m: int, cfg: L1SketchConfig, h_m: int):
+def _level_buckets(rng: np.random.Generator, m: int, cfg: L1SketchConfig, h_m: int):
     """Bucket and source-row indices of every level for the ``m`` rows of ``[A; eta]``.
 
     The pieces are concatenated in draw order: level 0's ``s`` blocks, the
@@ -152,15 +150,8 @@ def _level_assignment(rng: np.random.Generator, m: int, cfg: L1SketchConfig, h_m
     n_prime = N // s
     buckets = [block * n_prime + rng.integers(0, n_prime, size=m) for block in range(s)]
     idx = [np.arange(m)] * s
-    categorical = cfg.level_assignment == "categorical"
-    if categorical:
-        u = rng.random(m)
-        edges = np.concatenate([[0.0], np.cumsum([b**-h for h in range(1, h_m)])])
     for h in range(1, h_m + 1):
-        if categorical and h < h_m:
-            rows = np.flatnonzero((u >= edges[h - 1]) & (u < edges[h]))
-        else:  # Bernoulli(1/b^h) inclusion, at the uniform level h_m in both modes
-            rows = np.flatnonzero(rng.random(m) < b**-h)
+        rows = np.flatnonzero(rng.random(m) < b**-h)
         width = N if h < h_m else cfg.uniform_buckets
         buckets.append(h * N + rng.integers(0, width, size=rows.size))
         idx.append(rows)
@@ -183,13 +174,11 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
 
     h_m = level_count(n, cfg.b)
     N, N_u, s, b = cfg.N, cfg.uniform_buckets, cfg.s, cfg.b
-    if cfg.level_assignment == "categorical" and sum(b**-h for h in range(1, h_m)) > 1.0:
-        raise ParameterError("categorical level assignment needs sum_h 1/b^h <= 1; increase b")
     r = N * h_m + N_u
     sigma = gaussian_sigma(2.0 * cfg.bound.B * h_m, cfg.pp)
 
     def assign(assign_seed, m):
-        return *_level_assignment(np.random.default_rng(assign_seed), m, cfg, h_m), None
+        return *_level_buckets(np.random.default_rng(assign_seed), m, cfg, h_m), None
 
     rows, noise, (buckets, idx, _) = noised_bucket_release(a, r, sigma, cfg.seed, assign)
 

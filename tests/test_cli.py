@@ -308,6 +308,32 @@ class TestSketchCommand:
         assert "column 'a' appears 2 times in header" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "method,rows", [("cs2", 2**48), ("l1", 2**48), ("l1-illus", 2**48), ("jl", 2**55)],
+    )
+    def test_unallocatable_row_budget_exits_2(self, tmp_path, csv_path, capsys, method, rows):
+        # the first array the release draws (298 PiB of noise rows, or a 1 EiB
+        # Gaussian for jl) exceeds any 64-bit address space, so numpy refuses
+        # it at once without touching memory
+        out = tmp_path / "huge.dps"
+        assert run_sketch(csv_path, str(out), method=method, extra=("--rows", str(rows))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    import dpsketch.cli as cli
+
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    for seed in ("1", "2"):
+        assert main(["verify", "--suite", "lemma1", "--trials", "100", "--seed", seed]) == 0
+    assert capsys.readouterr().out.count("checks passed") == 2
+
 
 class TestSolveCommand:
     def test_solve_l2(self, tmp_path, csv_path, capsys):

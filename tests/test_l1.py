@@ -105,10 +105,6 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="finite"):
             L1SketchConfig(pp=PP, bound=B1, seed=0, N=10, b=b)
 
-    def test_assignment_mode_names(self):
-        with pytest.raises(ParameterError):
-            L1SketchConfig(pp=PP, bound=B1, seed=0, N=10, level_assignment="both")
-
 
 class TestMultiLevelSketch:
     def test_bookkeeping(self):
@@ -140,11 +136,14 @@ class TestMultiLevelSketch:
         assert np.allclose(rows[16:], 0.0)  # nothing sampled at rate 1/b
 
     def test_membership_audit(self):
+        # every data row sits in s level-0 buckets and at most one bucket per
+        # level h >= 1, over the (s, b) grid of the neighbour audit
         data = synthetic_regression(400, 2, seed=10)
-        for s in (1, 3):
-            cfg = L1SketchConfig(pp=PP, bound=B1, seed=6, N=9 if s == 3 else 10, s=s, b=2.0)
-            ws = private_l1_sketch(data, cfg)
-            assert ws.max_data_memberships <= s + ws.h_m
+        for s in (1, 2, 4, 16):
+            for b in (2.0, 4.0, 1000.0):
+                cfg = L1SketchConfig(pp=PP, bound=B1, seed=6, N=5 * s, s=s, b=b)
+                ws = private_l1_sketch(data, cfg)
+                assert s <= ws.max_data_memberships <= s + ws.h_m
 
     def test_expected_level_occupancy(self):
         # inclusion at level h is Bernoulli(1/b^h) per row: n / b^2 = 625 expected
@@ -166,21 +165,6 @@ class TestMultiLevelSketch:
             # high levels rarely receive sampled noise rows; patching fills them
             assert ws.noise_coverage.min() >= 1
             assert ws.noise_coverage.shape == (ws.r,)
-
-    def test_categorical_mode(self):
-        data = synthetic_regression(300, 2, seed=14)
-        cfg = L1SketchConfig(pp=PP, bound=B1, seed=15, N=10, b=2.0, level_assignment="categorical")
-        ws = private_l1_sketch(data, cfg)
-        assert ws.rows.shape[0] == ws.r
-        # categorical assigns each row to at most one middle level
-        assert ws.max_data_memberships <= cfg.s + 2
-
-    def test_categorical_rejects_small_b(self):
-        # sum of 1/b^h over the middle levels exceeds 1 for b close to 1
-        data = synthetic_regression(5000, 2, seed=16)
-        cfg = L1SketchConfig(pp=PP, bound=B1, seed=17, N=10, b=1.3, level_assignment="categorical")
-        with pytest.raises(ParameterError):
-            private_l1_sketch(data, cfg)
 
     def test_certification(self):
         a = np.array([[3.0, 4.0], [0.0, 0.1], [0.1, 0.0]])
@@ -212,18 +196,14 @@ class TestBucketSums:
 
         return reference
 
-    @pytest.mark.parametrize(
-        "n,s,assignment",
-        [(1, 1, "bernoulli"), (2, 4, "bernoulli"), (3, 2, "categorical"),
-         (50, 2, "bernoulli"), (50, 4, "categorical"), (2000, 1, "bernoulli")],
-    )
-    def test_bincount_equals_add_at(self, monkeypatch, n, s, assignment):
+    @pytest.mark.parametrize("n,s", [(1, 1), (2, 4), (3, 2), (50, 2), (50, 4), (2000, 1)])
+    def test_bincount_equals_add_at(self, monkeypatch, n, s):
         # the release's bucket_sum against np.add.at over an explicit [A; eta]
         import dpsketch.countsketch as cs_module
 
         data = synthetic_regression(n, 3, seed=n)
         for seed in range(3):
-            cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8, s=s, b=4.0, level_assignment=assignment)
+            cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8, s=s, b=4.0)
             got = private_l1_sketch(data, cfg)
             calls = []
             with monkeypatch.context() as patch:

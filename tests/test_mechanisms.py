@@ -168,15 +168,11 @@ class TestNeighbourAudit:
 
         self.audit(31 + signed, release, lambda data, bound, params: countsketch_sensitivity(bound))
 
-    @pytest.mark.parametrize("assignment", ["bernoulli", "categorical"])
-    def test_multilevel_release(self, assignment):
+    def test_multilevel_release(self):
         def config(bound, seed, params):
             s = int([1, 2, 4, 16][params[1] % 4])
             b = float([2.0, 4.0, 1000.0][params[2] % 3])
-            return L1SketchConfig(
-                pp=PP, bound=bound, seed=seed, N=s * int(params[3] % 8 + 1), b=b, s=s,
-                level_assignment=assignment,
-            )
+            return L1SketchConfig(pp=PP, bound=bound, seed=seed, N=s * int(params[3] % 8 + 1), b=b, s=s)
 
         def release(data, bound, seed, params):
             return private_l1_sketch(data, config(bound, seed, params)).rows
@@ -185,7 +181,7 @@ class TestNeighbourAudit:
             cfg = config(bound, 0, params)
             return l1_sketch_sensitivity(bound, level_count(data.n, cfg.b), cfg.s)
 
-        self.audit(33 if assignment == "bernoulli" else 34, release, sensitivity)
+        self.audit(33, release, sensitivity)
 
 
 def test_package_root_exports_only_calibrated_releases():
