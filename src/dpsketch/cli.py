@@ -19,8 +19,9 @@ from .countsketch import private_countsketch_l2
 from .dataset import ingest
 from .errors import DpSketchError
 from .jl import JlConfig, private_jl_sketch
-from .l1 import L1SketchConfig, illustration_sketch_private, level_count, private_l1_sketch
-from .mechanisms import PrivacyParams, RowBound, countsketch_sensitivity, gaussian_sigma
+from .l1 import L1SketchConfig, level_count, private_l1_sketch
+from .l1 import illustration_sketch_private  # noqa: F401  (hook site of perfbench/tracer.py)
+from .mechanisms import PrivacyParams, RowBound
 from .sketchfile import METHODS, SketchFile, read_sketch, write_sketch
 from .solvers import SketchProblem, solve_l1_weighted, solve_l2_sketch
 from .suites import SUITES
@@ -80,37 +81,32 @@ def _cmd_sketch(args) -> int:
 
     method = _METHOD_OF_FLAG[args.method]
     weights = None
-    meta: dict = {}
     if method == "jl":
         sketch, jl_meta = private_jl_sketch(data, JlConfig(args.rows, pp, bound, args.seed))
         meta = dataclasses.asdict(jl_meta)
         print(f"branch: {jl_meta.branch}  (w^2 = {jl_meta.w_squared:.6g}, c = {jl_meta.c:.6g})")
         if jl_meta.utility_warning:
             print(f"warning: utility factor 1 + c^2 = {1 + jl_meta.c**2:.3g} is large")
-    elif method == "countsketch-l2":
-        sketch, plan = private_countsketch_l2(data, args.rows, pp, bound, args.seed)
-        meta = {"sigma": plan.sigma, "noise_rows": plan.p, "patched": plan.patched}
-        print(f"noise sigma: {plan.sigma:.6g}  noise rows: {plan.p} (+{plan.patched} patched)")
-    elif method == "l1-illustration":
-        sketch = illustration_sketch_private(data, args.rows, pp, bound, args.seed)
-        sigma = gaussian_sigma(countsketch_sensitivity(bound), pp)
-        meta = {"sigma": sigma}
-        print(f"noise sigma: {sigma:.6g}")
-    else:  # l1-multilevel
-        h_m = level_count(data.n, args.b)
-        n_level = _split_l1_budget(args.rows, h_m, args.s, args.nu)
-        cfg = L1SketchConfig(
-            pp=pp, bound=bound, seed=args.seed, N=n_level, b=args.b, s=args.s, N_u=args.nu,
-        )
-        ws = private_l1_sketch(data, cfg)
-        sketch, weights = ws.rows, ws.weights
-        meta = {
-            "sigma": ws.sigma, "h_m": ws.h_m, "b": ws.b, "s": ws.s,
-            "N": ws.N, "N_u": ws.N_u, "sigma_scaling": "hm",
-        }
-        occupancy = ", ".join(f"{h}:{c}" for h, c in enumerate(ws.data_level_counts))
-        print(f"levels h_m = {ws.h_m}, data rows per level {{{occupancy}}}")
-        print(f"noise sigma: {ws.sigma:.6g}  noise rows: {ws.noise_rows} (+{ws.patched} patched)")
+    else:
+        if method == "l1-multilevel":
+            h_m = level_count(data.n, args.b)
+            n_level = _split_l1_budget(args.rows, h_m, args.s, args.nu)
+            cfg = L1SketchConfig(
+                pp=pp, bound=bound, seed=args.seed, N=n_level, b=args.b, s=args.s, N_u=args.nu,
+            )
+            ws = private_l1_sketch(data, cfg)
+            sketch, weights = ws.rows, ws.weights
+            sigma, noise_rows, patched = ws.sigma, ws.noise_rows, ws.patched
+            meta = {"h_m": ws.h_m, "b": ws.b, "s": ws.s, "N": ws.N, "N_u": ws.N_u, "sigma_scaling": "hm"}
+            occupancy = ", ".join(f"{h}:{c}" for h, c in enumerate(ws.data_level_counts))
+            print(f"levels h_m = {ws.h_m}, data rows per level {{{occupancy}}}")
+        else:
+            signed = method == "countsketch-l2"
+            sketch, plan = private_countsketch_l2(data, args.rows, pp, bound, args.seed, signed=signed)
+            sigma, noise_rows, patched = plan.sigma, plan.p, plan.patched
+            meta = {}
+        meta.update(sigma=sigma, noise_rows=noise_rows, patched=patched)
+        print(f"noise sigma: {sigma:.6g}  noise rows: {noise_rows} (+{patched} patched)")
 
     release = SketchFile(
         method=method, matrix=sketch, epsilon=pp.epsilon, delta=pp.delta, B=bound.B,

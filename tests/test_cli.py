@@ -38,7 +38,7 @@ PINNED_STDOUT = {
         "wrote 16 x 4 countsketch-l2 sketch to {out}\n"
     ),
     "l1-illus": (
-        "noise sigma: 5.07454\n"
+        "noise sigma: 5.07454  noise rows: 109 (+0 patched)\n"
         "l1 regularization bound at ||beta_aug|| = 1: 225.114\n"
         "wrote 16 x 4 l1-illustration sketch to {out}\n"
     ),
@@ -66,6 +66,8 @@ class TestSketchCommand:
         else:
             assert sf.r == 16 and sf.weights is None
         assert "wrote" in capsys.readouterr().out
+        if method != "jl":
+            assert {"sigma", "noise_rows", "patched"} <= set(sf.meta)
         assert main(["solve", "--norm", spec.norm, "--in", out]) == 0
 
     @pytest.mark.parametrize("flag,value", [("--epsilon", "inf"), ("--bound", "inf"), ("--epsilon", "nan")])
