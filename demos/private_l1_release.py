@@ -35,7 +35,7 @@ print("data rows per level:", dict(enumerate(ws.data_level_counts.tolist())))
 print("weights by level   :", {h: float(ws.weights[ws.level_of == h][0]) for h in range(ws.h_m + 1)})
 print(f"a data row touches at most s + h_m = {ws.s + ws.h_m} buckets "
       f"(observed max {ws.max_data_memberships})")
-print(f"noise: sigma = {ws.sigma:.2f} (sensitivity 2B h_m), "
+print(f"noise: sigma = {ws.sigma:.2f} (sensitivity 2B sqrt(s + h_m)), "
       f"{ws.noise_rows} rows + {ws.patched} patches\n")
 
 print("=== solving the weighted LAD problem on the release ===")

@@ -97,7 +97,7 @@ def _cmd_sketch(args) -> int:
             ws = private_l1_sketch(data, cfg)
             sketch, weights = ws.rows, ws.weights
             sigma, noise_rows, patched = ws.sigma, ws.noise_rows, ws.patched
-            meta = {"h_m": ws.h_m, "b": ws.b, "s": ws.s, "N": ws.N, "N_u": ws.N_u, "sigma_scaling": "hm"}
+            meta = {"h_m": ws.h_m, "b": ws.b, "s": ws.s, "N": ws.N, "N_u": ws.N_u, "footprint": ws.s + ws.h_m}
             occupancy = ", ".join(f"{h}:{c}" for h, c in enumerate(ws.data_level_counts))
             print(f"levels h_m = {ws.h_m}, data rows per level {{{occupancy}}}")
         else:

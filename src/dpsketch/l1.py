@@ -12,8 +12,9 @@ releases sum ``S [A; eta]`` (``eta`` Gaussian noise rows) block by block
 through ``countsketch.noised_bucket_release``, never forming the stack, and
 patch every bucket to contain at least one noise row.
 
-The multi-level release calibrates its noise to sensitivity ``2 B h_m``:
-``sigma = 2 B h_m / eps * sqrt(2 ln(1.25/delta))``.
+The multi-level release calibrates its noise to the footprint's
+sensitivity ``2 B sqrt(s + h_m)`` (``mechanisms.l1_sketch_sensitivity``):
+``sigma = 2 B sqrt(s + h_m) / eps * sqrt(2 ln(1.25/delta))``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .countsketch import noised_bucket_release, private_countsketch_l2
 from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (hook site of perfbench/tracer.py)
 from .errors import ParameterError
-from .mechanisms import PrivacyParams, RowBound, gaussian_sigma
+from .mechanisms import PrivacyParams, RowBound, gaussian_sigma, l1_sketch_sensitivity
 
 # level_count multiplies once per level; refuse a b so close to 1 that
 # log_b n exceeds this before looping.
@@ -81,7 +82,7 @@ class L1SketchConfig:
     level-0 sparsity ``s``), ``N_u`` buckets at the uniform level (defaults
     to ``N``). Each row enters level ``h >= 1`` independently with
     probability ``1/b^h``. The noise is calibrated to sensitivity
-    ``2 B h_m``, see module docs.
+    ``2 B sqrt(s + h_m)``, see module docs.
     """
 
     pp: PrivacyParams
@@ -175,7 +176,7 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
     h_m = level_count(n, cfg.b)
     N, N_u, s, b = cfg.N, cfg.uniform_buckets, cfg.s, cfg.b
     r = N * h_m + N_u
-    sigma = gaussian_sigma(2.0 * cfg.bound.B * h_m, cfg.pp)
+    sigma = gaussian_sigma(l1_sketch_sensitivity(cfg.bound, h_m, s), cfg.pp)
 
     def assign(assign_seed, m):
         return *_level_buckets(np.random.default_rng(assign_seed), m, cfg, h_m), None

@@ -78,8 +78,7 @@ def l1_sketch_sensitivity(bound: RowBound, h_m: int, s: int = 1) -> float:
     """l2 sensitivity ``2B * sqrt(s + h_m)`` of the multi-level l1 sketch.
 
     A changed row perturbs at most ``s`` buckets at level 0 plus one bucket
-    at each of the ``h_m`` sampled levels. No release is calibrated with it
-    yet: the multi-level release uses ``2B h_m``.
+    at each of the ``h_m`` sampled levels, each by at most ``2B``.
     """
     if h_m < 1:
         raise ParameterError("h_m must be at least 1")

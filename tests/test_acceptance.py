@@ -19,7 +19,11 @@ SIGMA_CS = dps.gaussian_sigma(dps.countsketch_sensitivity(B1), PP)
 
 
 def sigma_sqrt_hm(h_m):
-    """Gaussian sigma at the paper's 2B sqrt(h_m) multi-level sensitivity constant."""
+    """Gaussian sigma at the paper's 2B sqrt(h_m) multi-level sensitivity constant.
+
+    It feeds the formula and l1 tail-bound checks below only. No release
+    draws at it: the multi-level release calibrates at 2B sqrt(s + h_m).
+    """
     return dps.gaussian_sigma(2.0 * B1.B * math.sqrt(h_m), PP)
 
 

@@ -44,8 +44,8 @@ PINNED_STDOUT = {
     ),
     "l1": (
         "levels h_m = 6, data rows per level {{0:60, 1:37, 2:15, 3:9, 4:3, 5:3, 6:2}}\n"
-        "noise sigma: 30.4473  noise rows: 450 (+5 patched)\n"
-        "l1 regularization bound at ||beta_aug|| = 1: 6863.41\n"
+        "noise sigma: 14.353  noise rows: 450 (+5 patched)\n"
+        "l1 regularization bound at ||beta_aug|| = 1: 3235.44\n"
         "wrote 56 x 4 l1-multilevel sketch to {out}\n"
     ),
 }
@@ -197,6 +197,16 @@ class TestSketchCommand:
         assert sf.meta["h_m"] == 6  # ceil(log2 60)
         stdout = capsys.readouterr().out
         assert "levels h_m = 6" in stdout
+
+    def test_l1_calibrated_at_footprint(self, tmp_path, csv_path, capsys):
+        # b = 1000 puts the 60 rows on h_m = 1 sampled level, so a changed row
+        # moves s + h_m = 17 buckets: sigma is sized to 2B sqrt(17), not 2B h_m
+        out = str(tmp_path / "fp.dps")
+        assert run_sketch(csv_path, out, method="l1", extra=("--rows", "1600", "--s", "16", "--b", "1000")) == 0
+        meta = read_sketch(out).meta
+        assert (meta["h_m"], meta["footprint"]) == (1, 17)
+        assert f"{meta['sigma']:.6g}" == "20.9229"
+        assert "noise sigma: 20.9229  noise rows: " in capsys.readouterr().out
 
     def test_l1_uniform_bucket_override(self, tmp_path, csv_path):
         out = str(tmp_path / "nu.dps")

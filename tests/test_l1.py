@@ -119,8 +119,8 @@ class TestMultiLevelSketch:
         expected = np.where(ws.level_of == 0, 0.5, 2.0 ** ws.level_of.astype(float))
         assert np.array_equal(ws.weights, expected)
         assert (ws.level_of[:20] == 0).all() and (ws.level_of[-8:] == h_m).all()
-        # Algorithm-style calibration: sigma = 2 B h_m / eps sqrt(2 ln(1.25/delta))
-        assert ws.sigma == pytest.approx(gaussian_sigma(2.0 * h_m, PP), rel=1e-12)
+        # calibrated at the footprint: a changed row moves s + h_m buckets by <= 2B
+        assert ws.sigma == pytest.approx(gaussian_sigma(2.0 * math.sqrt(2 + h_m), PP), rel=1e-12)
 
     def test_zero_noise_degenerate_countmin(self):
         # huge b collapses the sketch to level 0 plus an (empty) uniform level;

@@ -11,7 +11,7 @@ import dpsketch
 from dpsketch.countsketch import private_countsketch_l2
 from dpsketch.dataset import DataMatrix
 from dpsketch.errors import ParameterError
-from dpsketch.l1 import L1SketchConfig, illustration_sketch_private, level_count, private_l1_sketch
+from dpsketch.l1 import L1SketchConfig, level_count, private_l1_sketch
 from dpsketch.mechanisms import (
     PrivacyParams,
     RowBound,
@@ -122,9 +122,9 @@ class TestSensitivities:
 class TestNeighbourAudit:
     """Neighbouring datasets (one row replaced, both within B) released with the
     same seed share the plan and the noise, so the releases differ by exactly
-    what the changed row moves, and the displacement must stay within the
-    structural sensitivity. Each release runs at its own calibrated sigma;
-    this checks the releases' structure, not whether that sigma suffices."""
+    what the changed row moves. The displacement must stay within the
+    structural sensitivity, and the sigma each release drew must be at least
+    the Gaussian mechanism's sigma for that displacement."""
 
     CASES = 60
 
@@ -145,15 +145,20 @@ class TestNeighbourAudit:
         return DataMatrix(a, bound), DataMatrix(a_prime, bound), bound
 
     def audit(self, seed, release, sensitivity):
+        """``release(data, bound, seed, params)`` returns the released rows and their sigma."""
         rng = np.random.default_rng(seed)
         worst = 0.0
         for case in range(self.CASES):
             data, data_prime, bound = self.neighbours(rng)
             params = rng.integers(1 << 32, size=4)
-            moved = release(data, bound, case, params) - release(data_prime, bound, case, params)
-            limit = sensitivity(data, bound, params)
-            ratio = float(np.linalg.norm(moved)) / limit
+            rows, sigma = release(data, bound, case, params)
+            rows_prime, sigma_prime = release(data_prime, bound, case, params)
+            assert sigma_prime == sigma
+            moved = float(np.linalg.norm(rows - rows_prime))
+            ratio = moved / sensitivity(data, bound, params)
             assert ratio <= 1.0 + 1e-9, f"case {case}: displacement {ratio:.6f} of the bound"
+            needed = gaussian_sigma(moved, PP)
+            assert needed <= sigma * (1 + 1e-12), f"case {case}: needs sigma {needed:.6g}, drew {sigma:.6g}"
             worst = max(worst, ratio)
         # an audit whose displacements stay far below the bound shows nothing
         assert worst >= 0.5
@@ -161,10 +166,8 @@ class TestNeighbourAudit:
     @pytest.mark.parametrize("signed", [True, False], ids=["cs2", "l1-illus"])
     def test_countsketch_releases(self, signed):
         def release(data, bound, seed, params):
-            r = int(params[0] % 64) + 1
-            if signed:
-                return private_countsketch_l2(data, r, PP, bound, seed)[0]
-            return illustration_sketch_private(data, r, PP, bound, seed)
+            sketch, plan = private_countsketch_l2(data, int(params[0] % 64) + 1, PP, bound, seed, signed=signed)
+            return sketch, plan.sigma
 
         self.audit(31 + signed, release, lambda data, bound, params: countsketch_sensitivity(bound))
 
@@ -175,7 +178,8 @@ class TestNeighbourAudit:
             return L1SketchConfig(pp=PP, bound=bound, seed=seed, N=s * int(params[3] % 8 + 1), b=b, s=s)
 
         def release(data, bound, seed, params):
-            return private_l1_sketch(data, config(bound, seed, params)).rows
+            ws = private_l1_sketch(data, config(bound, seed, params))
+            return ws.rows, ws.sigma
 
         def sensitivity(data, bound, params):
             cfg = config(bound, 0, params)

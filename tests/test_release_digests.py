@@ -10,7 +10,11 @@ record it in CHANGES.md and re-pin it here in the same change.
 The ``l1-multilevel`` values were re-recorded once when the release kept a
 single level law and its hasher stopped looping over a second one. They were
 computed with the library as it stood before that law was removed, so the
-releases they hash did not move.
+releases they hash did not move. They were re-recorded again, with the CLI
+``l1`` file, when the release moved its calibration from ``2B h_m`` to its
+footprint ``2B sqrt(s + h_m)``. Only sigma moved: the bucket draws and the
+standard normal draws are the same, so the noise rows scale by the ratio of
+the two sigmas.
 
 The ``l1`` and ``l1-illus`` file digests were re-recorded when every hashed
 header came to carry the noise-row and patch counts of its release. The
@@ -90,17 +94,17 @@ LIBRARY_DIGESTS = {
     ("l1-illustration", 3): "bc07c6ee282dab7d41f48a815f2e2dc6912fa069e7454cfb1ae146b315eb851a",
     ("l1-illustration", 50): "d5b0677d8f6a2ed0d6eae51f98d3b30f26685a0a16abc0821e50b022cd88c746",
     ("l1-illustration", 2000): "1c3c72f62d1dbc020899822a7a1fcc2e1b1ef720052f1658e1f5b768fb1352f9",
-    ("l1-multilevel", 1): "bd9e0bdf7e4e1bacc334aa7bc97fd67d1637b941e2e3b3d371d6360069589303",
-    ("l1-multilevel", 2): "d575eee984bc0062c5746f9c70c5b5453bf1b5b4991b10c468b89af9be4a1bb6",
-    ("l1-multilevel", 3): "f67cd9feb50a78921540a6574aac7644ba0d188b0399151b3feb0d4f03670eff",
-    ("l1-multilevel", 50): "2c4bdd7b560e4286059a172c65ec91eec8a056f5cb890f8dd95b391a816b560c",
-    ("l1-multilevel", 2000): "cf6e706618e05eee72f5c14a77d6e5348093f196f20ede549d5b69e52ddf55db",
+    ("l1-multilevel", 1): "f31e83c27207a8ff1d98a3e40d1a0ddb49feab51ddb26a73f5f626a04fc1c1d7",
+    ("l1-multilevel", 2): "44bc3d1ab65a1d6108f9a12430405c2c88a383a19ba3879470bb91854d4ac1af",
+    ("l1-multilevel", 3): "21cb100e4eba1f568b0cf549a8dfd56bff6482baa7c6153c0c2253845ba55b67",
+    ("l1-multilevel", 50): "6a4e60a4e5c2fcee0b31c0c1d8a5e5badf07a6d707db5b11ead85215072be87e",
+    ("l1-multilevel", 2000): "39f2181a3cf66128ccc19046e6d3f3448ed38b180808a4fcaaca882dcd69c841",
 }
 
 CLI_DIGESTS = {
     "jl": "afb2a790f1c883b4267fbb8d00cbb000dbbdcde40ad1a43a8aee5537d8121bca",
     "cs2": "7675ab87b51128b90201d4b17f71807773a8362169b695d04c5a54632723c4a0",
-    "l1": "b970a931e5ae7844dadafc80cf0fd284cb7d5085cc6391d24025e89127d2a13d",
+    "l1": "e03f6c3ba73cc15181e3da9b2732841a4e55c1d5578c1eaea1130603e98d2472",
     "l1-illus": "f93f56bc695c92268672a8818b1312b0b9f02672011aa2ad83ee7970708ba5ca",
 }
 
