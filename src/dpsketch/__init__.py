@@ -5,6 +5,8 @@ multi-level weighted l1 sketch), solve the regression on the sketch, and
 verify every noise-calibration formula and tail bound by Monte Carlo.
 """
 
+import types as _types
+
 from .bounds import (
     BoundReport,
     GaussianNoiseSpec,
@@ -77,6 +79,10 @@ from .solvers import (
 )
 from .suites import SUITES
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing a submodule binds its name here too; export only the API.
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+]
 
 __version__ = "0.1.0"

@@ -188,6 +188,12 @@ class TestNeighbourAudit:
         self.audit(33, release, sensitivity)
 
 
+def test_package_root_exports_no_modules():
+    # importing a submodule binds its name in the package; a star import must not
+    assert [name for name in dpsketch.__all__ if inspect.ismodule(getattr(dpsketch, name))] == []
+    assert {"private_jl_sketch", "SketchFile", "SUITES"} <= set(dpsketch.__all__)
+
+
 def test_package_root_exports_only_calibrated_releases():
     # the non-private sketchers stay in their modules, and no release exported
     # at the root takes a parameter (or a config field) that sets its noise
