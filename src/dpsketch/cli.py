@@ -112,7 +112,9 @@ def _cmd_sketch(args) -> int:
         method=method, matrix=sketch, epsilon=pp.epsilon, delta=pp.delta, B=bound.B,
         meta=meta, weights=weights,
     )
-    if "sigma" in meta and release.r >= 2:
+    # The bounds hold for unit row weights; a weighted release (l1-multilevel,
+    # row weights b^h) gets none, as its weighted noise can exceed them.
+    if "sigma" in meta and release.r >= 2 and not METHODS[method].weighted:
         norm = METHODS[method].norm
         coeff_bound = ridge_coeff_bound_l2 if norm == "l2" else l1_coeff_bound
         advisory = coeff_bound(meta["sigma"], release.r, [1.0])

@@ -45,7 +45,6 @@ PINNED_STDOUT = {
     "l1": (
         "levels h_m = 6, data rows per level {{0:60, 1:37, 2:15, 3:9, 4:3, 5:3, 6:2}}\n"
         "noise sigma: 14.353  noise rows: 450 (+5 patched)\n"
-        "l1 regularization bound at ||beta_aug|| = 1: 3235.44\n"
         "wrote 56 x 4 l1-multilevel sketch to {out}\n"
     ),
 }
@@ -255,8 +254,8 @@ class TestSketchCommand:
             f"branch: no-augment  (w^2 = 153.293, c = 0)\nwrote 8 x 5 jl sketch to {out}\n"
         )
 
-    @pytest.mark.parametrize("flag,expected", sorted(PINNED_STDOUT.items()))
-    def test_pinned_stdout(self, tmp_path, capsys, flag, expected):
+    @pytest.mark.parametrize("flag", sorted(PINNED_STDOUT))
+    def test_pinned_stdout(self, tmp_path, capsys, flag):
         # the 60-row data and arguments of test_release_digests.cli_digest
         a = np.random.default_rng(1060).standard_normal((60, 4))
         a /= max(1.0, np.linalg.norm(a, axis=1).max())
@@ -269,7 +268,16 @@ class TestSketchCommand:
             "--seed", "7", "--in", str(path), "--out", out, *extra,
         ])
         assert code == 0
-        assert capsys.readouterr().out == expected.format(out=out)
+        assert capsys.readouterr().out == PINNED_STDOUT[flag].format(out=out)
+
+    @pytest.mark.parametrize("method", ["countsketch-l2", "l1-illustration", "l1-multilevel"])
+    def test_bound_line_only_for_unweighted_releases(self, tmp_path, csv_path, capsys, method):
+        # the bounds assume unit row weights; the multi-level release's noise,
+        # weighted by b^h, exceeded the l1 bound in every zero-data draw
+        out = str(tmp_path / "bound.dps")
+        assert run_sketch(csv_path, out, method=METHODS[method].flag, extra=("--rows", "60")) == 0
+        printed = "regularization bound at ||beta_aug|| = 1: " in capsys.readouterr().out
+        assert printed == (not METHODS[method].weighted)
 
     def test_zero_sparsity_refused(self, tmp_path, csv_path, capsys):
         out = tmp_path / "s0.dps"

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dpsketch.solvers import (
     solve_l1_weighted,
     solve_l2_sketch,
     _descent,
+    _start_basis,
     _tie_breaker,
 )
 
@@ -160,6 +163,141 @@ class TestSolveL1:
         m = np.column_stack([x, x[:, 0], rng.standard_normal(30)])
         with pytest.raises(SingularSystemError):
             solve_l1_weighted(SketchProblem(m))
+
+
+def reference_descent(design, target, w, basis):
+    """The descent before residuals and duals were carried from pivot to
+    pivot: each vertex recomputes ``X beta``, ``X^T (w * sign)`` and sorts
+    every crossing in full."""
+    basis = np.array(basis)
+    while True:
+        try:
+            inverse = np.linalg.inv(design[basis])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError("LAD basis is singular; design is rank deficient") from exc
+        residual = design @ (inverse @ target[basis]) - target
+        residual[basis] = 0.0
+        sign = np.sign(residual)
+        dual = -inverse.T @ (design.T @ (w * sign))
+        excess = np.abs(dual) - w[basis]
+        j = int(np.argmax(excess))
+        optimal = not excess[j] > solvers._DUAL_SLACK * w[basis][j]
+        yield solvers._Vertex(basis.copy(), inverse, residual, sign, optimal)
+        if optimal:
+            return
+        a = design @ (np.sign(dual[j]) * inverse[:, j])
+        rows = np.flatnonzero(residual * a < 0)
+        crossings = -residual[rows] / a[rows]
+        order = np.argsort(crossings)
+        rise = np.cumsum(2.0 * w[rows[order]] * np.abs(a[rows[order]]))
+        descent = abs(dual[j]) - w[basis[j]]
+        stop = min(int(np.searchsorted(rise, descent)), rise.size - 1)
+        basis[j] = rows[order[stop]]
+
+
+def descent_panel():
+    """Seeded LAD problems: every n and d, unweighted and weighted, plus
+    duplicated rows and exact fits."""
+    cases = []
+    for n in (30, 200, 1216, 5000, 20000):
+        for d in (2, 5, 10):
+            for kind in ("plain", "weighted"):
+                cases.append(pytest.param(n, d, kind, id=f"{kind}-{n}x{d}"))
+        for kind in ("duplicated", "duplicated-weighted", "exact-fit"):
+            cases.append(pytest.param(n, 5, kind, id=f"{kind}-{n}x5"))
+    return cases
+
+
+def panel_problem(n, d, kind):
+    rng = np.random.default_rng([n, d, len(kind)])
+    x = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, (n, 1))
+    y = x @ rng.standard_normal(d)
+    if kind != "exact-fit":
+        y += rng.laplace(size=n)
+    m = np.column_stack([x, y])
+    if kind.startswith("duplicated"):
+        m = m[rng.integers(0, max(d + 1, n // 4), n)]
+    weights = rng.uniform(0.5, 2.0, n) if kind.endswith("weighted") else None
+    return SketchProblem(m, weights)
+
+
+class TestIncrementalDescent:
+    """``_descent`` carries residual and duals from pivot to pivot and sorts
+    only the crossings nearest zero; ``reference_descent`` recomputes and
+    sorts everything. Both must take the same pivots to the same bytes."""
+
+    @pytest.mark.parametrize("head", [None, 1], ids=["head-default", "head-1"])
+    @pytest.mark.parametrize("n, d, kind", descent_panel())
+    def test_matches_reference(self, monkeypatch, n, d, kind, head):
+        if head is not None:  # grow the partial selections from a single row
+            monkeypatch.setattr(solvers, "_HEAD", head)
+        prob = panel_problem(n, d, kind)
+        m, w = prob.M, prob.effective_weights()
+        design = np.ascontiguousarray(prob.design)
+        target = prob.target + _tie_breaker(n, solvers._TIE_BREAK * np.abs(m).max())
+        start = _start_basis(design, design @ solvers.augmented_least_squares(m) - target)
+        vertices = list(_descent(design, target, w, start))
+        reference = list(reference_descent(design, target, w, start))
+        assert [v.basis.tolist() for v in vertices] == [v.basis.tolist() for v in reference]
+        assert [v.optimal for v in vertices] == [False] * (len(vertices) - 1) + [True]
+        last = vertices[-1]
+        residual = design @ (last.inverse @ target[last.basis]) - target
+        residual[last.basis] = 0.0
+        assert np.array_equal(last.residual, residual)
+        assert np.array_equal(last.sign, np.sign(residual))
+
+        sol = solve_l1_weighted(prob)
+        monkeypatch.setattr(solvers, "_descent", reference_descent)
+        monkeypatch.setattr(solvers, "_HEAD", n)  # the full stable order of |residual|
+        ref = solve_l1_weighted(prob)
+        assert sol.beta.tobytes() == ref.beta.tobytes()
+        assert (sol.sketch_loss, sol.iterations, sol.converged) == (
+            ref.sketch_loss, ref.iterations, ref.converged,
+        )
+        assert sol.converged
+
+    @staticmethod
+    def start_within_a_second(design, residual):
+        """``_start_basis`` on a daemon thread: its basis, the error it raised,
+        or a failure if it has not returned within a second."""
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(_start_basis(design, residual))
+            except SingularSystemError as exc:
+                outcome.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive(), "_start_basis did not return within a second"
+        return outcome[0]
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "rising"])
+    def test_start_basis_past_copies(self, tied):
+        # the 20000 rows of smallest |residual| are copies of one row, far
+        # more than any head before the full order holds
+        rng = np.random.default_rng(22)
+        copies, rest, d = 20000, 50, 5
+        design = np.vstack([np.tile(rng.standard_normal(d), (copies, 1)), rng.standard_normal((rest, d))])
+        residual = np.concatenate([
+            np.zeros(copies) if tied else np.linspace(0.0, 1e-3, copies),
+            rng.uniform(1.0, 2.0, rest),
+        ])
+        basis = self.start_within_a_second(design, residual)
+        assert isinstance(basis, np.ndarray) and basis.size == d
+        assert np.linalg.matrix_rank(design[basis]) == d
+        assert np.sum(basis < copies) == 1
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "rising"])
+    def test_start_basis_rank_deficient(self, tied):
+        rng = np.random.default_rng(23)
+        r, d = 20000, 5
+        design = rng.standard_normal((r, d - 1)) @ rng.standard_normal((d - 1, d))
+        design[: r // 2] = design[0]
+        residual = np.zeros(r) if tied else rng.uniform(0.0, 1.0, r)
+        assert isinstance(self.start_within_a_second(design, residual), SingularSystemError)
 
 
 def integer_fixture():
