@@ -9,13 +9,19 @@ formed. Least absolute deviations is solved exactly by vertex descent
 started from that least-squares fit, and each result carries a dual
 certificate of optimality. Each pivot reads the design once: residuals and
 duals are carried from vertex to vertex, and a vertex counts as optimal only
-after its dual is recomputed from scratch. An enumeration oracle over all
-d-row vertices serves as the reference on tiny instances.
+after its dual is recomputed from scratch. On tall problems the descent
+first runs on a core of the rows nearest the least-squares fit, after
+Portnoy & Koenker (1997): every other row keeps its sign at that fit and
+adds one fixed term to the dual. The descent over all rows then starts from
+the core's last basis, so the certificate is still taken on every row. An
+enumeration oracle over all d-row vertices serves as the reference on tiny
+instances.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +36,11 @@ from .linalg import as_matrix, augmented_least_squares, qr_least_squares
 # duplicated rows cycle. A basic dual within 1 + _DUAL_SLACK of its bound
 # counts as feasible, which bounds the loss by 1 + _DUAL_SLACK times the
 # optimum. The certificate treats a residual below _ZERO_RESIDUAL of its
-# row's scale |x_i| |beta| + |y_i| as zero, whatever its sign. Pivot counts
+# row's scale ||x_i|| ||beta|| + |y_i| as zero, whatever its sign. The scale
+# takes norms because a component of beta that is zero in exact arithmetic
+# carries a rounding error of the size of all of beta: with |x_i| |beta|
+# taken entrywise, integer rows that meet only such components had a scale
+# no larger than that error, and a zero residual read as a sign. Pivot counts
 # grow with d (about 3.3 d on random designs up to d = 100), so the cap is
 # per column: 500 pivots at d = 10.
 _TIE_BREAK = 1e-9
@@ -52,6 +62,10 @@ _START_BATCH = 64
 _HEAD = 256
 _HEAD_GROWTH = 8
 _HEAD_SHARE = 4
+# Core: the descent first runs on the _CORE * (d n)^(2/3) rows nearest the
+# least-squares fit, when they are at most 1/_CORE_SHARE of the rows.
+_CORE = 0.75
+_CORE_SHARE = 4
 
 # Vertex enumeration is combinatorial; refuse anything beyond this.
 _ORACLE_MAX_ROWS = 25
@@ -155,12 +169,14 @@ def _inverse(design, basis) -> np.ndarray:
         raise SingularSystemError("LAD basis is singular; design is rank deficient") from exc
 
 
-def _fresh(design, target, w, basis, inverse):
-    """Residual, sign and ``X^T (w * sign)`` at ``basis``, computed from scratch."""
+def _fresh(design, target, w, basis, inverse, glob):
+    """Residual, sign and ``X^T (w * sign)``, plus ``glob`` if given, at
+    ``basis``, computed from scratch."""
     residual = design @ (inverse @ target[basis]) - target
     residual[basis] = 0.0
     sign = np.sign(residual)
-    return residual, sign, design.T @ (w * sign)
+    g = design.T @ (w * sign)
+    return residual, sign, g if glob is None else g + glob
 
 
 def _ascending(values, k: int, kind: str) -> np.ndarray:
@@ -174,7 +190,7 @@ def _ascending(values, k: int, kind: str) -> np.ndarray:
     return head[np.argsort(values[head], kind=kind)]
 
 
-def _descent(design, target, w, basis):
+def _descent(design, target, w, basis, glob=None):
     """Yield the vertices of the descent from ``basis``, ending at an optimal one.
 
     At each vertex the dual ``t`` solves ``X_B^T t = -X_N^T (w * sign)``: it
@@ -199,10 +215,15 @@ def _descent(design, target, w, basis):
     ``g`` are recomputed from scratch at that basis and the bounds tested
     again: only a vertex that passes this fresh check is yielded as
     optimal, and it carries the recomputed residual and sign.
+
+    ``glob``, when given, is the fixed part ``X_G^T (w_G * sign_G)`` of
+    ``g`` from rows outside ``design`` whose signs are held. A step whose
+    slope does not turn among the crossings of ``design`` would cross those
+    rows, so the descent ends there, at a vertex that is not optimal.
     """
     basis = np.array(basis)
     inverse = _inverse(design, basis)
-    residual, sign, g = _fresh(design, target, w, basis, inverse)
+    residual, sign, g = _fresh(design, target, w, basis, inverse, glob)
     carried = False
     while True:
         dual = -inverse.T @ g
@@ -210,7 +231,7 @@ def _descent(design, target, w, basis):
         j = int(np.argmax(excess))
         optimal = not excess[j] > _DUAL_SLACK * w[basis][j]
         if optimal and carried:
-            residual, sign, g = _fresh(design, target, w, basis, inverse)
+            residual, sign, g = _fresh(design, target, w, basis, inverse, glob)
             carried = False
             continue
         yield _Vertex(basis.copy(), inverse, residual, sign, optimal)
@@ -228,6 +249,8 @@ def _descent(design, target, w, basis):
             if stop < rise.size or rise.size == rows.size:
                 break
             order = _ascending(crossings, _HEAD_GROWTH * order.size, "quicksort")
+        if stop == rise.size and glob is not None:
+            return
         entering = crossed[min(stop, rise.size - 1)]
         tau = -residual[entering] / a[entering]
         residual = residual + tau * a
@@ -252,7 +275,7 @@ def _start_basis(design, residual) -> np.ndarray:
     whenever the next batch runs past it, up to the full stable order.
     """
     r, d = design.shape
-    column_scale = np.linalg.norm(design, axis=0)
+    column_scale = np.sqrt(np.einsum("ij,ij->j", design, design))
     magnitude = np.abs(residual)
     order = _ascending(magnitude, _HEAD, "stable")
     basis, q, pos = [], np.zeros((0, d)), 0
@@ -283,11 +306,33 @@ def _tie_breaker(rows: int, scale: float) -> np.ndarray:
     return scale * np.random.default_rng(_TIE_BREAK_SEED).uniform(-1.0, 1.0, rows)
 
 
-def _walk(design, target, w, basis, cap: int):
+def _walk(design, target, w, basis, cap: int, glob=None):
     """The pivots taken and the last vertex of the descent, stopping after ``cap`` pivots."""
-    for pivots, vertex in enumerate(itertools.islice(_descent(design, target, w, basis), cap + 1)):
+    for pivots, vertex in enumerate(itertools.islice(_descent(design, target, w, basis, glob), cap + 1)):
         pass
     return pivots, vertex
+
+
+def _core_walk(design, target, w, residual, basis, cap: int):
+    """The pivots taken and the last basis of the descent on the core, from ``basis``.
+
+    The core is the ``_CORE * (d n)^(2/3)`` rows of smallest ``|residual|``,
+    plus ``basis``; every other row keeps its sign in ``residual`` and adds
+    one fixed term to the dual. When the core would hold over
+    1/``_CORE_SHARE`` of the rows there is no core: no pivots, and ``basis``.
+    """
+    n, d = design.shape
+    size = math.ceil(_CORE * (d * n) ** (2 / 3))
+    if _CORE_SHARE * size > n:
+        return 0, basis
+    magnitude = np.abs(residual)
+    outside = magnitude > np.partition(magnitude, size - 1)[size - 1]
+    outside[basis] = False
+    core = np.flatnonzero(~outside)
+    glob = design.T @ np.where(outside, w * np.sign(residual), 0.0)
+    start = np.searchsorted(core, basis)
+    pivots, vertex = _walk(design[core], target[core], w[core], start, cap, glob)
+    return pivots, core[vertex.basis]
 
 
 def _on_target(design, target, vertex: _Vertex):
@@ -295,7 +340,7 @@ def _on_target(design, target, vertex: _Vertex):
     residual above ``_ZERO_RESIDUAL`` of its row's scale has the sign in ``vertex``."""
     beta = vertex.inverse @ target[vertex.basis]
     residual = design @ beta - target
-    scale = np.abs(design) @ np.abs(beta) + np.abs(target)
+    scale = np.sqrt(np.einsum("ij,ij->i", design, design)) * np.linalg.norm(beta) + np.abs(target)
     moved = np.abs(residual) > _ZERO_RESIDUAL * scale
     return beta, residual, bool(np.all(np.sign(residual[moved]) == vertex.sign[moved]))
 
@@ -312,6 +357,18 @@ def solve_l1_weighted(problem: SketchProblem) -> RegressionSolution:
     vertex, and a vertex is reported optimal only after its residual, signs
     and dual are recomputed from scratch and still break no bound.
 
+    On tall problems the descent first runs on a core (``_core_walk``): the
+    ``_CORE * (d n)^(2/3)`` rows with the smallest least-squares residuals,
+    which hold the start basis, when they are at most a quarter of the rows.
+    Every other row is globbed: it keeps its sign at the least-squares fit,
+    adds the fixed term ``X_G^T (w_G * sign_G)`` to the dual and is never a
+    crossing. A step whose slope does not turn among the core's crossings
+    leaves the core. The descent over all rows then starts from the core's
+    last basis, and its first vertex recomputes residuals, signs and dual on
+    every row. A globbed row whose sign was wrong, or a step that left the
+    core, only adds pivots there: the result stays exact, and its
+    certificate is taken on every row.
+
     Pivots run on the target plus ``_tie_breaker`` (at most
     ``_TIE_BREAK * max|M|``), so that degenerate data (duplicated rows,
     exact fits) cannot cycle. The final basis is then solved on the
@@ -322,16 +379,18 @@ def solve_l1_weighted(problem: SketchProblem) -> RegressionSolution:
     optimum, up to the residuals counted as zero. Where two residuals lie
     closer than the perturbation, a sign can flip; the descent then goes
     on from that basis on the original target, whose signs are its own.
-    ``converged`` reports the certificate and ``iterations`` the pivots, at
-    most ``_PIVOTS_PER_COLUMN * d`` in all.
+    ``converged`` reports the certificate and ``iterations`` the pivots,
+    core and all-rows together, at most ``_PIVOTS_PER_COLUMN * d`` in all.
     """
     m, target, w = problem.M, problem.target, problem.effective_weights()
     design = np.ascontiguousarray(problem.design)
     beta = augmented_least_squares(m)
-    perturbed = target + _tie_breaker(m.shape[0], _TIE_BREAK * float(np.abs(m).max()))
-    basis = _start_basis(design, design @ beta - perturbed)
+    perturbed = target + _tie_breaker(m.shape[0], _TIE_BREAK * float(max(m.max(), -m.min())))
+    residual = design @ beta - perturbed
     cap = _PIVOTS_PER_COLUMN * design.shape[1]
-    pivots, vertex = _walk(design, perturbed, w, basis, cap)
+    pivots, basis = _core_walk(design, perturbed, w, residual, _start_basis(design, residual), cap)
+    more, vertex = _walk(design, perturbed, w, basis, cap - pivots)
+    pivots += more
     beta, residual, signs_kept = _on_target(design, target, vertex)
     if vertex.optimal and not signs_kept:
         more, vertex = _walk(design, target, w, vertex.basis, cap - pivots)

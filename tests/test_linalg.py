@@ -17,7 +17,7 @@ from dpsketch.linalg import (
     svd,
     tall_skinny_r,
 )
-from dpsketch.solvers import exact_l1_solution, exact_l2_solution
+from dpsketch.solvers import exact_l2_solution
 
 
 def charpoly_singular_values_2x2(m):
@@ -231,17 +231,6 @@ class TestAugmentedLeastSquares:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ParameterError):
             augmented_least_squares(np.ones((2, 4)))
-
-    def test_fixed_instance_irls(self):
-        # the benchmark's exact-LAD reference instance: 20k x 10, data seed 0.
-        # The loss must not exceed 127.55906586248625, which IRLS reached in
-        # 214 iterations; vertex descent certifies the optimum in 33 pivots.
-        data = synthetic_regression(20_000, 10, seed=0, bound=1.0)
-        sol = exact_l1_solution(data)
-        assert sol.converged
-        assert sol.sketch_loss <= 127.55906586248625
-        assert sol.iterations == 33
-        assert sol.sketch_loss == pytest.approx(127.55906586224802, rel=1e-12, abs=0)
 
 
 class TestSampling:

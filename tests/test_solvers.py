@@ -11,6 +11,7 @@ from dpsketch.solvers import (
     RegressionSolution,
     SketchProblem,
     approximation_ratio,
+    exact_l1_solution,
     exact_l2_solution,
     l1_objective,
     lad_vertex_oracle,
@@ -157,6 +158,17 @@ class TestSolveL1:
         assert scaled.sketch_loss == pytest.approx(base.sketch_loss, rel=1e-9)
         assert scaled.beta * scale == pytest.approx(base.beta, rel=1e-6)
 
+    def test_fixed_instance_certified(self):
+        # the exact LAD reference on a 20k x 10 instance (data seed 0), the
+        # benchmark's: certified in 33 pivots at its pinned loss, below the
+        # 127.55906586248625 an approximate IRLS solve once reached on it
+        data = synthetic_regression(20_000, 10, seed=0, bound=1.0)
+        sol = exact_l1_solution(data)
+        assert sol.converged
+        assert sol.sketch_loss <= 127.55906586248625
+        assert sol.iterations == 33
+        assert sol.sketch_loss == pytest.approx(127.55906586224802, rel=1e-12, abs=0)
+
     def test_rank_deficient(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((30, 2))
@@ -165,10 +177,11 @@ class TestSolveL1:
             solve_l1_weighted(SketchProblem(m))
 
 
-def reference_descent(design, target, w, basis):
+def reference_descent(design, target, w, basis, glob=None):
     """The descent before residuals and duals were carried from pivot to
     pivot: each vertex recomputes ``X beta``, ``X^T (w * sign)`` and sorts
-    every crossing in full."""
+    every crossing in full. ``glob`` is added to ``X^T (w * sign)``, and a
+    step whose slope does not turn ends the descent, as in ``_descent``."""
     basis = np.array(basis)
     while True:
         try:
@@ -178,7 +191,7 @@ def reference_descent(design, target, w, basis):
         residual = design @ (inverse @ target[basis]) - target
         residual[basis] = 0.0
         sign = np.sign(residual)
-        dual = -inverse.T @ (design.T @ (w * sign))
+        dual = -inverse.T @ (design.T @ (w * sign) + (0.0 if glob is None else glob))
         excess = np.abs(dual) - w[basis]
         j = int(np.argmax(excess))
         optimal = not excess[j] > solvers._DUAL_SLACK * w[basis][j]
@@ -191,8 +204,10 @@ def reference_descent(design, target, w, basis):
         order = np.argsort(crossings)
         rise = np.cumsum(2.0 * w[rows[order]] * np.abs(a[rows[order]]))
         descent = abs(dual[j]) - w[basis[j]]
-        stop = min(int(np.searchsorted(rise, descent)), rise.size - 1)
-        basis[j] = rows[order[stop]]
+        stop = int(np.searchsorted(rise, descent))
+        if stop == rise.size and glob is not None:
+            return
+        basis[j] = rows[order[min(stop, rise.size - 1)]]
 
 
 def descent_panel():
@@ -300,6 +315,109 @@ class TestIncrementalDescent:
         assert isinstance(self.start_within_a_second(design, residual), SingularSystemError)
 
 
+def cauchy_problem(n, d):
+    """A Laplace design with Cauchy noise: the least-squares fit is far from
+    the LAD optimum, so many rows far from it have the wrong sign."""
+    rng = np.random.default_rng([n, d, 7])
+    x = rng.laplace(size=(n, d))
+    return SketchProblem(np.column_stack([x, x @ rng.standard_normal(d) + rng.standard_cauchy(n)]))
+
+
+def core_panel():
+    return descent_panel() + [
+        pytest.param(n, d, "cauchy", id=f"cauchy-{n}x{d}") for n in (5000, 20000) for d in (2, 5, 10)
+    ]
+
+
+class TestCore:
+    """On tall problems the descent first runs on the rows nearest the
+    least-squares fit, every other row's sign held in one fixed dual term,
+    and the descent over all rows then certifies (or goes on from) its last
+    basis. The all-rows solve is the same solver with the core switched off."""
+
+    @staticmethod
+    def solve(monkeypatch, prob, core=True):
+        """The solution and each descent it ran: whether on the core, and per
+        vertex the perturbed targets of its basis (distinct, so they name the
+        rows) and whether it is optimal."""
+        runs = []
+        descent = solvers._descent
+
+        def recording(design, target, w, basis, glob=None):
+            runs.append((glob is not None, []))
+            for vertex in descent(design, target, w, basis, glob):
+                runs[-1][1].append((target[vertex.basis].tolist(), vertex.optimal))
+                yield vertex
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_descent", recording)
+            if not core:  # a core over a quarter of the rows is no core
+                patch.setattr(solvers, "_CORE", float(prob.M.shape[0]))
+            return solve_l1_weighted(prob), runs
+
+    @staticmethod
+    def assert_same_loss(prob, sol, ref):
+        # the certificate holds to 1 + _DUAL_SLACK, up to the residuals it counts as zero
+        x, y, w = prob.design, prob.target, prob.effective_weights()
+        scale = np.linalg.norm(x, axis=1) * np.linalg.norm(ref.beta) + np.abs(y)
+        zero = solvers._ZERO_RESIDUAL * (w @ scale)
+        for a, b in ((sol, ref), (ref, sol)):
+            assert a.sketch_loss <= (1 + solvers._DUAL_SLACK) * b.sketch_loss + zero
+
+    @pytest.mark.parametrize("n, d, kind", core_panel())
+    def test_matches_all_rows(self, monkeypatch, n, d, kind):
+        prob = cauchy_problem(n, d) if kind == "cauchy" else panel_problem(n, d, kind)
+        sol, runs = self.solve(monkeypatch, prob)
+        ref, ref_runs = self.solve(monkeypatch, prob, core=False)
+        assert sol.converged and ref.converged
+        self.assert_same_loss(prob, sol, ref)
+        assert not any(on_core for on_core, _ in ref_runs)
+        assert sol.iterations == sum(len(vertices) - 1 for _, vertices in runs)
+        on_core, vertices = runs[0]
+        if not on_core:
+            assert runs == ref_runs
+        elif vertices == ref_runs[0][1]:
+            # the core took every all-rows pivot; the descent over all rows
+            # confirms its last vertex at once
+            assert len(runs[1][1]) == 1
+        elif len(vertices) == 1 and not vertices[0][1]:
+            # the first step left the core: the all-rows descent, from the start
+            assert runs[1:] == ref_runs
+        else:  # the all-rows descent crossed a globbed row: other pivots
+            return
+        assert sol.beta.tobytes() == ref.beta.tobytes()
+        assert (sol.sketch_loss, sol.iterations) == (ref.sketch_loss, ref.iterations)
+
+    def test_fixed_instance(self, monkeypatch):
+        # every pivot of the 20k x 10 reference is taken on the core
+        prob = SketchProblem(synthetic_regression(20_000, 10, seed=0, bound=1.0).A)
+        sol, runs = self.solve(monkeypatch, prob)
+        ref, _ = self.solve(monkeypatch, prob, core=False)
+        assert [(on_core, len(vertices) - 1) for on_core, vertices in runs] == [(True, 33), (False, 0)]
+        assert sol.converged and sol.beta.tobytes() == ref.beta.tobytes()
+        assert (sol.sketch_loss, sol.iterations) == (ref.sketch_loss, ref.iterations)
+
+    def test_step_leaves_core(self, monkeypatch):
+        # a core of a few rows: the first step's slope does not turn among
+        # its crossings, and the descent over all rows goes on from there
+        prob = panel_problem(20000, 5, "plain")
+        ref, _ = self.solve(monkeypatch, prob, core=False)
+        monkeypatch.setattr(solvers, "_CORE", 1e-3)
+        sol, runs = self.solve(monkeypatch, prob)
+        (on_core, core_path), (_, full_path) = runs[:2]
+        assert on_core and len(core_path) - 1 < solvers._PIVOTS_PER_COLUMN * 5
+        assert not core_path[-1][1] and full_path[0][0] == core_path[-1][0]
+        assert sol.converged and sol.iterations == sum(len(vertices) - 1 for _, vertices in runs)
+        self.assert_same_loss(prob, sol, ref)
+
+    def test_core_pivots_count_against_cap(self, monkeypatch):
+        # 22 pivots on the core at 20000 x 5; a cap of 5 stops there
+        monkeypatch.setattr(solvers, "_PIVOTS_PER_COLUMN", 1)
+        sol, runs = self.solve(monkeypatch, panel_problem(20000, 5, "plain"))
+        assert [(on_core, len(vertices) - 1) for on_core, vertices in runs] == [(True, 5), (False, 0)]
+        assert sol.iterations == 5 and not sol.converged
+
+
 def integer_fixture():
     rng = np.random.default_rng(14)
     x = rng.integers(-2, 3, (22, 3)).astype(float)
@@ -339,6 +457,20 @@ class TestDegenerate:
         assert sol.converged
         assert sol.sketch_loss == pytest.approx(oracle.sketch_loss, rel=1e-12, abs=1e-12)
         assert sol.sketch_loss == pytest.approx(l1_objective(prob, sol.beta), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed, optimum", [(54, 1031.0), (94, 260.0), (156, 2423.0)])
+    def test_integer_valued(self, seed, optimum):
+        # many rows fit exactly, and beta has components that are zero but for
+        # rounding: a zero residual must not read as a flipped sign (these
+        # ended at the pivot cap, uncertified; optima from an LP solve)
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(200, 3001)), int(rng.integers(2, 8))
+        x = rng.standard_normal((n, d)) * 2
+        y = x @ rng.standard_normal(d) + rng.standard_normal(n)
+        sol = solve_l1_weighted(problem_from_xy(np.round(x), np.round(y)))
+        assert sol.converged
+        assert sol.iterations < solvers._PIVOTS_PER_COLUMN * d
+        assert sol.sketch_loss == pytest.approx(optimum, rel=1e-12)
 
     def test_exact_fit_recovers_beta(self):
         sol = solve_l1_weighted(SketchProblem(exact_fit_fixture()))
