@@ -24,7 +24,7 @@ print(f"w^2 = {w_sq:.2f}; the noisy test asks whether sigma_min(A)^2 clears it\n
 # X, the stacked matrix [X | y] has a *small* minimum singular value, so the
 # test will fail and the release will spectrally augment.
 data = dps.synthetic_regression(n=2000, d=3, seed=50, noise=0.05, beta_scale=1.0)
-smin = dps.min_singular_value(data.A)
+smin = np.linalg.svd(data.A, compute_uv=False)[-1]
 print(f"sigma_min(A) = {smin:.4f}  (sigma_min^2 = {smin**2:.4f}, threshold ~ {w_sq:.1f})")
 
 sketch, meta = dps.private_jl_sketch(data, dps.JlConfig(r, pp, bound, seed=7))
@@ -57,5 +57,5 @@ rows = rng.standard_normal((2000, 4))
 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
 conditioned = dps.DataMatrix(rows, bound)
 _, meta2 = dps.private_jl_sketch(conditioned, dps.JlConfig(16, pp, bound, seed=3))
-print(f"unit-sphere rows: sigma_min^2 = {dps.min_singular_value(rows)**2:.1f} "
+print(f"unit-sphere rows: sigma_min^2 = {np.linalg.svd(rows, compute_uv=False)[-1]**2:.1f} "
       f"-> branch = {meta2.branch}")

@@ -53,7 +53,6 @@ from .l1 import (
 )
 from .linalg import (
     SvdResult,
-    min_singular_value,
     qr_least_squares,
     sample_gaussian_matrix,
     sample_laplace,

@@ -17,7 +17,7 @@ import sys
 from .bounds import _MIN_TRIALS, l1_coeff_bound, ridge_coeff_bound_l2
 from .countsketch import private_countsketch_l2
 from .dataset import ingest
-from .errors import DpSketchError
+from .errors import DpSketchError, ParameterError
 from .jl import JlConfig, private_jl_sketch
 from .l1 import L1SketchConfig, level_count, private_l1_sketch
 from .l1 import illustration_sketch_private  # noqa: F401  (hook site of perfbench/tracer.py)
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_seed(seed: int) -> None:
     if seed < 0:
-        raise DpSketchError(f"--seed must be at least 0, got {seed}")
+        raise ParameterError(f"--seed must be at least 0, got {seed}")
 
 
 def _cmd_sketch(args) -> int:
@@ -127,16 +127,14 @@ def _cmd_sketch(args) -> int:
 def _split_l1_budget(rows: int, h_m: int, s: int, n_u: "int | None") -> int:
     """Choose N (a multiple of s) so N*h_m + N_u fits the requested row budget."""
     if s < 1:
-        raise DpSketchError(f"level-0 sparsity --s must be at least 1, got {s}")
+        raise ParameterError(f"level-0 sparsity --s must be at least 1, got {s}")
     if n_u is None:
         n_level = rows // (h_m + 1)
     else:
         n_level = (rows - n_u) // h_m
     n_level -= n_level % s
     if n_level < s:
-        raise DpSketchError(
-            f"row budget {rows} too small for h_m = {h_m} levels with s = {s}"
-        )
+        raise ParameterError(f"row budget {rows} too small for h_m = {h_m} levels with s = {s}")
     return n_level
 
 
@@ -144,9 +142,7 @@ def _cmd_solve(args) -> int:
     release = read_sketch(args.input)
     norm = METHODS[release.method].norm
     if args.norm not in (None, norm):
-        raise DpSketchError(
-            f"method {release.method!r} must be solved with --norm {norm}, not {args.norm}"
-        )
+        raise ParameterError(f"method {release.method!r} must be solved with --norm {norm}, not {args.norm}")
     problem = SketchProblem(release.matrix, weights=release.weights)
     if norm == "l2":
         sol = solve_l2_sketch(problem)
@@ -178,7 +174,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     _check_seed(args.seed)
     if args.trials is not None and args.trials < _MIN_TRIALS:
-        raise DpSketchError(f"--trials must be at least {_MIN_TRIALS}, got {args.trials}")
+        raise ParameterError(f"--trials must be at least {_MIN_TRIALS}, got {args.trials}")
     suite = SUITES[args.suite]
     reports = suite(args.trials, args.seed) if args.trials is not None else suite(seed=args.seed)
     failed = 0

@@ -31,8 +31,8 @@ class DataMatrix:
     as a read-only copy, so writes to the caller's array cannot void the
     certificate and releases need not scan ``A`` again. The copy is the only
     n x (d+1) allocation: ``row_norms`` squares a block of rows at a time.
-    ``ingest`` hands over the array it has just built, which is kept without
-    a copy (``_adopt``).
+    ``ingest`` and ``synthetic_regression`` hand over the array they have
+    just built, which is kept without a copy (``_adopt``).
     """
 
     A: np.ndarray
@@ -128,7 +128,7 @@ def synthetic_regression(
     y = x @ beta0 + noise * rng.standard_normal(n)
     a = np.column_stack([x, y])
     a *= bound / max_row_norm(a)
-    return DataMatrix(a, RowBound(bound))
+    return DataMatrix._adopt(a, RowBound(bound))  # a is referenced nowhere else: no copy
 
 
 @dataclass(frozen=True)

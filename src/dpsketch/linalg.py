@@ -55,15 +55,6 @@ def svd(m) -> SvdResult:
     return SvdResult(u, s, vt.T)
 
 
-def min_singular_value(m) -> float:
-    """Smallest singular value of ``m`` (zero for rank-deficient input).
-
-    Taken from the SVD of the R factor of ``m``, which has the same singular
-    values, so no n-row ``U`` is formed.
-    """
-    return float(svd(tall_skinny_r(as_matrix(m))).singular_values[-1])
-
-
 def qr_least_squares(m, rhs) -> np.ndarray:
     """Solve ``argmin_v ||M v - rhs||_2`` by blocked Householder QR.
 

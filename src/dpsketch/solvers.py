@@ -7,10 +7,9 @@ weighted). Least squares goes through ``linalg.augmented_least_squares``:
 one blocked Householder QR of the (weighted) ``[X | y]``, with ``Q`` never
 formed. Least absolute deviations is solved exactly by vertex descent
 started from that least-squares fit, and each result carries a dual
-certificate of optimality. Each pivot reads the design once: residuals and
-duals are carried from vertex to vertex, and a vertex counts as optimal only
-after its dual is recomputed from scratch. On tall problems the descent
-first runs on a core of the rows nearest the least-squares fit, after
+certificate of optimality: the dual of its last vertex, which like every
+vertex's is computed from scratch. On tall problems the descent first runs
+on a core of the rows nearest the least-squares fit, after
 Portnoy & Koenker (1997): every other row keeps its sign at that fit and
 adds one fixed term to the dual. The descent over all rows then starts from
 the core's last basis, so the certificate is still taken on every row. An
@@ -154,11 +153,9 @@ class _Vertex(NamedTuple):
 
     basis: np.ndarray
     inverse: np.ndarray  # X_B^{-1}
-    # X beta - y, exactly zero on the basis. Carried from the last vertex, so
-    # it holds to rounding; an optimal vertex's is computed from scratch.
-    residual: np.ndarray
+    residual: np.ndarray  # X beta - y, exactly zero on the basis
     sign: np.ndarray  # sign(residual)
-    optimal: bool  # no dual bound |t_j| <= w_j is broken, checked from scratch
+    optimal: bool  # no dual bound |t_j| <= w_j is broken
 
 
 def _inverse(design, basis) -> np.ndarray:
@@ -199,8 +196,8 @@ def _descent(design, target, w, basis, glob=None):
     rate ``w_j - |t_j|``. The vertex is optimal when no bound ``|t_j| <= w_j``
     is broken; otherwise the basic row that breaks it the most leaves.
 
-    The entering row is the weighted median along that edge. The residuals
-    move as ``residual + tau * a``. The loss slope starts at
+    The entering row is the weighted median along that edge, on which the
+    residuals move as ``residual + tau * a``. The loss slope starts at
     ``w_j - |t_j| < 0`` and rises by ``2 w_i |a_i|`` as ``tau`` crosses row
     ``i``'s zero ``-residual_i / a_i``; the step ends at the first zero
     where the slope stops being negative. When no nonbasic residual is
@@ -208,13 +205,9 @@ def _descent(design, target, w, basis, glob=None):
     zero are sorted: a head of ``_HEAD`` of them, grown ``_HEAD_GROWTH``-fold
     until the slope turns within it or it holds them all.
 
-    Each pivot reads the design once, for the edge direction ``a``. The
-    residual is carried as ``residual + tau * a``, and ``g = X^T (w * sign)``
-    by adding ``X_i^T w_i (sign_i' - sign_i)`` over the rows whose sign
-    changed. Where the carried ``g`` breaks no bound, residual, sign and
-    ``g`` are recomputed from scratch at that basis and the bounds tested
-    again: only a vertex that passes this fresh check is yielded as
-    optimal, and it carries the recomputed residual and sign.
+    Every vertex computes its residual, sign and ``g = X^T (w * sign)``
+    from scratch (``_fresh``), so a pivot reads the design three times: for
+    the residual, for ``g`` and for the edge direction ``a``.
 
     ``glob``, when given, is the fixed part ``X_G^T (w_G * sign_G)`` of
     ``g`` from rows outside ``design`` whose signs are held. A step whose
@@ -222,18 +215,13 @@ def _descent(design, target, w, basis, glob=None):
     rows, so the descent ends there, at a vertex that is not optimal.
     """
     basis = np.array(basis)
-    inverse = _inverse(design, basis)
-    residual, sign, g = _fresh(design, target, w, basis, inverse, glob)
-    carried = False
     while True:
+        inverse = _inverse(design, basis)
+        residual, sign, g = _fresh(design, target, w, basis, inverse, glob)
         dual = -inverse.T @ g
         excess = np.abs(dual) - w[basis]
         j = int(np.argmax(excess))
         optimal = not excess[j] > _DUAL_SLACK * w[basis][j]
-        if optimal and carried:
-            residual, sign, g = _fresh(design, target, w, basis, inverse, glob)
-            carried = False
-            continue
         yield _Vertex(basis.copy(), inverse, residual, sign, optimal)
         if optimal:
             return
@@ -251,17 +239,7 @@ def _descent(design, target, w, basis, glob=None):
             order = _ascending(crossings, _HEAD_GROWTH * order.size, "quicksort")
         if stop == rise.size and glob is not None:
             return
-        entering = crossed[min(stop, rise.size - 1)]
-        tau = -residual[entering] / a[entering]
-        residual = residual + tau * a
-        basis[j] = entering
-        inverse = _inverse(design, basis)
-        residual[basis] = 0.0
-        moved = np.sign(residual)
-        changed = np.flatnonzero(moved != sign)
-        g = g + design[changed].T @ (w[changed] * (moved[changed] - sign[changed]))
-        sign = moved
-        carried = True
+        basis[j] = crossed[min(stop, rise.size - 1)]
 
 
 def _start_basis(design, residual) -> np.ndarray:
@@ -352,10 +330,9 @@ def solve_l1_weighted(problem: SketchProblem) -> RegressionSolution:
     after Barrodale & Roberts (1973). It starts from the d independent rows
     with the smallest least-squares residuals. Each pivot drops the basic
     row whose dual bound ``|t_j| <= w_j`` is broken the most and takes in
-    the weighted-median row along that edge. A pivot reads the design once,
-    for the edge direction; residuals and duals are carried from the last
-    vertex, and a vertex is reported optimal only after its residual, signs
-    and dual are recomputed from scratch and still break no bound.
+    the weighted-median row along that edge. Every vertex computes its
+    residuals, signs and dual from scratch. The design is read where it
+    lies, as a view of ``problem.M``, and never copied.
 
     On tall problems the descent first runs on a core (``_core_walk``): the
     ``_CORE * (d n)^(2/3)`` rows with the smallest least-squares residuals,
@@ -364,7 +341,7 @@ def solve_l1_weighted(problem: SketchProblem) -> RegressionSolution:
     adds the fixed term ``X_G^T (w_G * sign_G)`` to the dual and is never a
     crossing. A step whose slope does not turn among the core's crossings
     leaves the core. The descent over all rows then starts from the core's
-    last basis, and its first vertex recomputes residuals, signs and dual on
+    last basis, and its first vertex computes residuals, signs and dual on
     every row. A globbed row whose sign was wrong, or a step that left the
     core, only adds pivots there: the result stays exact, and its
     certificate is taken on every row.
@@ -382,8 +359,7 @@ def solve_l1_weighted(problem: SketchProblem) -> RegressionSolution:
     ``converged`` reports the certificate and ``iterations`` the pivots,
     core and all-rows together, at most ``_PIVOTS_PER_COLUMN * d`` in all.
     """
-    m, target, w = problem.M, problem.target, problem.effective_weights()
-    design = np.ascontiguousarray(problem.design)
+    m, design, target, w = problem.M, problem.design, problem.target, problem.effective_weights()
     beta = augmented_least_squares(m)
     perturbed = target + _tie_breaker(m.shape[0], _TIE_BREAK * float(max(m.max(), -m.min())))
     residual = design @ beta - perturbed

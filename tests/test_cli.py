@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpsketch.cli import main
+from dpsketch.errors import ParameterError
 from dpsketch.sketchfile import METHODS, read_sketch
 from dpsketch.suites import SUITES
 
@@ -327,6 +328,41 @@ class TestSketchCommand:
         assert run_sketch(str(path), str(out), extra=("--header", "--response", "a")) == 2
         assert "column 'a' appears 2 times in header" in capsys.readouterr().err
         assert not out.exists()
+
+    FIVE_ROWS = "0.1,0.2,0.3\n0.2,0.1,0.1\n0.1,0.1,0.2\n0.3,0.1,0.1\n0.2,0.2,0.1\n"
+
+    @pytest.mark.parametrize(
+        "text,method,extra,message",
+        [
+            pytest.param("", "cs2", ("--header",), "{path}: empty file", id="empty-header"),
+            pytest.param("", "cs2", (), "{path}: no data rows", id="empty"),
+            pytest.param("a,b,c\n", "cs2", ("--header",), "{path}: no data rows", id="header-only"),
+            pytest.param(FIVE_ROWS, "cs2", ("--response", "9"),
+                         "{path}: response column index 9 out of range", id="response-9"),
+            pytest.param(FIVE_ROWS, "cs2", ("--response", "-4"),
+                         "{path}: response column index -4 out of range", id="response--4"),
+            pytest.param(FIVE_ROWS, "l1", ("--rows", "3"),
+                         "row budget 3 too small for h_m = 3 levels with s = 1", id="l1-budget"),
+        ],
+    )
+    def test_refused_input_exits_2(self, tmp_path, capsys, text, method, extra, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        out = tmp_path / "x.dps"
+        assert run_sketch(str(path), str(out), method=method, extra=extra) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message.format(path=path)}\n")
+        assert not out.exists()
+
+    def test_cli_parameter_refusals_are_parameter_errors(self):
+        import dpsketch.cli as cli
+
+        with pytest.raises(ParameterError, match="--seed must be at least 0, got -1"):
+            cli._check_seed(-1)
+        with pytest.raises(ParameterError, match="--s must be at least 1, got 0"):
+            cli._split_l1_budget(60, 3, 0, None)
+        with pytest.raises(ParameterError, match="row budget 3 too small"):
+            cli._split_l1_budget(3, 3, 1, None)
 
     @pytest.mark.parametrize(
         "method,rows", [("cs2", 2**48), ("l1", 2**48), ("l1-illus", 2**48), ("jl", 2**55)],

@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dpsketch import linalg
 from dpsketch.dataset import synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
 from dpsketch.linalg import (
     augmented_least_squares,
-    min_singular_value,
     qr_least_squares,
     sample_gaussian_matrix,
     sample_laplace,
@@ -79,38 +76,6 @@ class TestSvd:
             assert np.max(np.abs(got - planted) / planted) <= rel_tol
 
 
-class TestMinSingularValue:
-    def test_identity(self):
-        assert min_singular_value(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rank_deficient(self):
-        assert min_singular_value([[1.0, 1.0], [1.0, 1.0]]) <= 1e-10
-
-    def test_matches_oracle(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        _, s2 = charpoly_singular_values_2x2(m)
-        assert min_singular_value(m) == pytest.approx(s2, rel=1e-9)
-
-    @given(st.floats(min_value=-1e3, max_value=1e3).filter(lambda c: abs(c) > 1e-6))
-    @settings(max_examples=50, deadline=None)
-    def test_scaling(self, c):
-        m = np.array([[2.0, 1.0], [0.5, 3.0], [1.0, -1.0]])
-        assert min_singular_value(c * m) == pytest.approx(
-            abs(c) * min_singular_value(m), rel=1e-8
-        )
-
-    @pytest.mark.parametrize("n", [50, 4097, 20003])
-    def test_matches_lapack_svd_on_tall_input(self, n):
-        rng = np.random.default_rng(n)
-        m = rng.standard_normal((n, 7)) * np.geomspace(1.0, 1e-3, 7)
-        expected = np.linalg.svd(m, compute_uv=False)[-1]
-        assert min_singular_value(m) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ParameterError):
-            min_singular_value([[1.0, 0.0], [0.0, np.inf], [1.0, 1.0]])
-
-
 class TestTallSkinnyR:
     @staticmethod
     def one_batched_call(ab):
@@ -132,6 +97,15 @@ class TestTallSkinnyR:
         got = tall_skinny_r(ab)
         assert got.shape == (k, k)
         assert got.tobytes() == self.one_batched_call(ab).tobytes()
+
+    @pytest.mark.parametrize("n", [50, 4097, 20003])
+    def test_min_singular_value_matches_lapack_on_tall_input(self, n):
+        # ill-scaled columns, below and above the blocked threshold: the R
+        # factor keeps the smallest singular value of the input itself
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, 7)) * np.geomspace(1.0, 1e-3, 7)
+        expected = np.linalg.svd(m, compute_uv=False)[-1]
+        assert svd(tall_skinny_r(m)).singular_values[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_exact_l2_is_bit_identical_to_qr_least_squares(self):
         data = synthetic_regression(20_000, 10, seed=4)

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,18 @@ class TestSolveL1:
         assert sol.iterations == 33
         assert sol.sketch_loss == pytest.approx(127.55906586224802, rel=1e-12, abs=0)
 
+    def test_peak_memory_holds_no_copy_of_input(self):
+        # the design is read as a view of A (4.4 MB): a contiguous copy of it
+        # alone would take 0.91x A, which leaves the solve no room below A
+        data = synthetic_regression(50_000, 10, seed=5, noise=0.5)
+        tracemalloc.start()
+        try:
+            exact_l1_solution(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.A.nbytes
+
     def test_rank_deficient(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((30, 2))
@@ -178,10 +191,10 @@ class TestSolveL1:
 
 
 def reference_descent(design, target, w, basis, glob=None):
-    """The descent before residuals and duals were carried from pivot to
-    pivot: each vertex recomputes ``X beta``, ``X^T (w * sign)`` and sorts
-    every crossing in full. ``glob`` is added to ``X^T (w * sign)``, and a
-    step whose slope does not turn ends the descent, as in ``_descent``."""
+    """The descent with no partial selection: each vertex computes ``X beta``
+    and ``X^T (w * sign)`` and sorts every crossing in full. ``glob`` is
+    added to ``X^T (w * sign)``, and a step whose slope does not turn ends
+    the descent, as in ``_descent``."""
     basis = np.array(basis)
     while True:
         try:
@@ -237,9 +250,10 @@ def panel_problem(n, d, kind):
 
 
 class TestIncrementalDescent:
-    """``_descent`` carries residual and duals from pivot to pivot and sorts
-    only the crossings nearest zero; ``reference_descent`` recomputes and
-    sorts everything. Both must take the same pivots to the same bytes."""
+    """``_descent`` sorts only the crossings nearest zero, and ``_start_basis``
+    only the smallest ``|residual|``; ``reference_descent`` sorts every
+    crossing, and the solve through it ranks every row. Both must take the
+    same pivots to the same bytes."""
 
     @pytest.mark.parametrize("head", [None, 1], ids=["head-default", "head-1"])
     @pytest.mark.parametrize("n, d, kind", descent_panel())
