@@ -25,6 +25,13 @@ its R factor) and BLAS; the hashed releases use only numpy's generator and
 ``np.bincount``. At the 60 rows pinned here the QR is one unblocked LAPACK
 call, the same factorization LAPACK's SVD of a tall matrix starts with, so
 moving the spectrum onto the R factor left this digest unchanged.
+
+The ``CERTIFIED_DIGESTS`` hash releases from a ``DataMatrix`` of 5000 rows,
+so they cover the matrix as certification stores it, and a jl release whose
+R factor comes from the blocked tall-skinny QR (one of its two sketch sizes
+passes the noisy rank test, the other augments). They also hash the matrices
+``synthetic_regression`` builds at that size, which are scaled by their
+largest row norm and so follow every bit of ``row_norms``.
 """
 
 import hashlib
@@ -34,6 +41,8 @@ import pytest
 
 from dpsketch.cli import main
 from dpsketch.countsketch import private_countsketch_l2
+from dpsketch.dataset import DataMatrix, synthetic_regression
+from dpsketch.jl import JlConfig, private_jl_sketch
 from dpsketch.l1 import L1SketchConfig, illustration_sketch_private, private_l1_sketch
 from dpsketch.mechanisms import PrivacyParams, RowBound
 
@@ -52,8 +61,8 @@ def _feed(h, *arrays, dtype="<f8"):
         h.update(np.ascontiguousarray(x, dtype=dtype).tobytes())
 
 
-def cs2_digest(n: int) -> str:
-    a, h = _data(n), hashlib.sha256()
+def cs2_digest(a) -> str:
+    h = hashlib.sha256()
     for r in (1, 8, 64):
         for seed in range(3):
             sketch, plan = private_countsketch_l2(a, r, PP, B1, seed)
@@ -62,16 +71,16 @@ def cs2_digest(n: int) -> str:
     return h.hexdigest()
 
 
-def illus_digest(n: int) -> str:
-    a, h = _data(n), hashlib.sha256()
+def illus_digest(a) -> str:
+    h = hashlib.sha256()
     for r in (1, 8, 64):
         for seed in range(3):
             _feed(h, illustration_sketch_private(a, r, PP, B1, seed))
     return h.hexdigest()
 
 
-def l1_digest(n: int) -> str:
-    a, h = _data(n), hashlib.sha256()
+def l1_digest(a) -> str:
+    h = hashlib.sha256()
     for s in (1, 2, 4):
         for seed, n_u in ((0, None), (1, 3)):
             ws = private_l1_sketch(a, L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8, b=2.0, s=s, N_u=n_u))
@@ -80,6 +89,23 @@ def l1_digest(n: int) -> str:
                 h, ws.level_of, ws.data_level_counts, ws.noise_coverage,
                 [ws.h_m, ws.noise_rows, ws.patched, ws.max_data_memberships], dtype="<i8",
             )
+    return h.hexdigest()
+
+
+def jl_digest(a) -> str:
+    h = hashlib.sha256()
+    for r in (16, 64):
+        for seed in range(3):
+            sketch, meta = private_jl_sketch(a, JlConfig(r=r, pp=PP, bound=B1, seed=seed))
+            _feed(h, sketch, [meta.w_squared, meta.c])
+            h.update(meta.branch.encode())
+    return h.hexdigest()
+
+
+def synthetic_digest(n: int) -> str:
+    h = hashlib.sha256()
+    for seed in range(20):
+        _feed(h, synthetic_regression(n, 1 + seed % 10, seed=seed).A)
     return h.hexdigest()
 
 
@@ -143,12 +169,34 @@ def test_cli_clip_scale_bytes(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLIP_SCALE_DIGEST
 
 
-DIGEST_OF = {"countsketch-l2": cs2_digest, "l1-illustration": illus_digest, "l1-multilevel": l1_digest}
+# Releases from a certified ``DataMatrix`` of ``CERTIFIED_ROWS`` rows, past
+# ``linalg._QR_BLOCKED_MIN_ROWS``, so the jl spectrum comes from the blocked
+# tall-skinny QR; and the matrices ``synthetic_regression`` builds at that size.
+CERTIFIED_ROWS = 5000
+CERTIFIED_DIGESTS = {
+    "countsketch-l2": "93148e9cf70fe2148204224dca056ea8ded45a5730fd6cf31285feb68beb2b0a",
+    "jl": "fe8d533938dec2a77e0f70b4b3e804b41ead46d73412b2e7955194d60d48b5c5",
+    "l1-multilevel": "a4e95ed6a0997c3acf51f07dc392802c87aa0a78fb3b7992f7dfe9f85cd0f493",
+    "synthetic": "c59323a3d095e82e08de39b1436dff9eb8412b6e8d9b40deb97fd4d1a539eecd",
+}
+
+DIGEST_OF = {
+    "countsketch-l2": cs2_digest, "l1-illustration": illus_digest, "l1-multilevel": l1_digest, "jl": jl_digest,
+}
 
 
 @pytest.mark.parametrize("method,n", sorted(LIBRARY_DIGESTS))
 def test_library_release_bytes(method, n):
-    assert DIGEST_OF[method](n) == LIBRARY_DIGESTS[method, n]
+    assert DIGEST_OF[method](_data(n)) == LIBRARY_DIGESTS[method, n]
+
+
+@pytest.mark.parametrize("method", sorted(CERTIFIED_DIGESTS))
+def test_certified_release_bytes(method):
+    if method == "synthetic":
+        digest = synthetic_digest(CERTIFIED_ROWS)
+    else:
+        digest = DIGEST_OF[method](DataMatrix(_data(CERTIFIED_ROWS), B1))
+    assert digest == CERTIFIED_DIGESTS[method]
 
 
 @pytest.mark.parametrize("flag", sorted(CLI_DIGESTS))
