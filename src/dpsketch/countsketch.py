@@ -81,18 +81,21 @@ def bucket_sum(blocks, buckets: np.ndarray, r: int, idx=None, signs=None) -> np.
     """``out[buckets[i]] += signs[i] * M[idx[i]]``, ``M`` the row stack of ``blocks``.
 
     ``idx`` defaults to every row of ``M`` in order and ``signs`` to +1. One
-    column of ``M`` is built at a time, so ``M`` itself is never formed.
+    column of ``M`` is built at a time, into one buffer, so ``M`` itself is
+    never formed; a column of a column-major block is read contiguously.
     ``np.bincount`` adds each bucket in order of ``i``, as ``np.add.at``
     does, so the sums equal that reference bit for bit.
     """
     out = np.empty((r, blocks[0].shape[1]))
+    col = np.empty(sum(len(block) for block in blocks))
     for k in range(out.shape[1]):
-        col = np.concatenate([block[:, k] for block in blocks])
+        w = np.concatenate([block[:, k] for block in blocks], out=col)
         if idx is not None:
-            col = col[idx]
+            w = w[idx]
         if signs is not None:
-            col = signs * col
-        out[:, k] = np.bincount(buckets, weights=col, minlength=r)
+            np.multiply(w, signs, out=w)
+        out[:, k] = np.bincount(buckets, weights=w, minlength=r)
+        del w  # a gathered column is freed before the next is taken
     return out
 
 

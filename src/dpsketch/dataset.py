@@ -33,18 +33,25 @@ class DataMatrix:
     n x (d+1) allocation: ``row_norms`` squares a block of rows at a time.
     ``ingest`` and ``synthetic_regression`` hand over the array they have
     just built, which is kept without a copy (``_adopt``).
+
+    ``A`` is stored column-major (Fortran order). The bucket sums of the
+    hashed releases, ``X @ beta``, ``y`` and the residuals of the solvers go
+    over ``A`` a column at a time, and in this layout each reads contiguous
+    memory. The jl release's tall-skinny QR copies ``A`` a group of rows at
+    a time in either layout.
     """
 
     A: np.ndarray
     bound: RowBound
 
     def __post_init__(self):
-        self._certify(np.array(as_matrix(self.A)))
+        self._certify(np.array(as_matrix(self.A), order="F"))
 
     @classmethod
     def _adopt(cls, a: np.ndarray, bound: RowBound) -> "DataMatrix":
-        """A DataMatrix over ``a`` itself, not a copy of it: for an array the
-        caller has just built and holds no other reference to."""
+        """A DataMatrix over ``a`` itself, not a copy of it: for a
+        column-major array the caller has just built and holds no other
+        reference to."""
         data = object.__new__(cls)
         object.__setattr__(data, "bound", bound)
         data._certify(as_matrix(a))
@@ -82,13 +89,17 @@ class DataMatrix:
 
 def row_norms(a: np.ndarray) -> np.ndarray:
     """The l2 norm of each row of ``a``, squared and summed ``_INGEST_CELLS``
-    cells at a time; rows whose squares overflow are measured by ``hypot``."""
+    cells at a time; rows whose squares overflow are measured by ``hypot``.
+
+    The squares of a block are laid out row-major whatever the layout of
+    ``a``, so each row is summed in the same order, and its norm has the same
+    bits, for a row-major and a column-major ``a``."""
     a = np.asarray(a, dtype=float)
     step = max(1, _INGEST_CELLS // max(1, a.shape[1]))
     norms = np.empty(len(a))
     with np.errstate(over="ignore"):
         for i in range(0, len(a), step):
-            norms[i : i + step] = np.sqrt((a[i : i + step] ** 2).sum(axis=1))
+            norms[i : i + step] = np.sqrt(np.square(a[i : i + step], order="C").sum(axis=1))
         big = np.isinf(norms)
         norms[big] = np.hypot.reduce(a[big], axis=1, initial=0.0)
     return norms
@@ -126,7 +137,9 @@ def synthetic_regression(
     x = rng.standard_normal((n, d))
     beta0 = beta_scale * rng.standard_normal(d)
     y = x @ beta0 + noise * rng.standard_normal(n)
-    a = np.column_stack([x, y])
+    a = np.empty((n, d + 1), order="F")
+    a[:, :-1], a[:, -1] = x, y
+    del x, y
     a *= bound / max_row_norm(a)
     return DataMatrix._adopt(a, RowBound(bound))  # a is referenced nowhere else: no copy
 
@@ -210,7 +223,7 @@ def ingest(
                 blocks.append(a)
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    a = np.concatenate(blocks)
+    a = np.concatenate(blocks, out=np.empty((sum(map(len, blocks)), len(order)), order="F"))
     del blocks
     try:
         data = DataMatrix._adopt(a, bound)  # a is referenced nowhere else: no copy

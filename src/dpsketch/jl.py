@@ -112,15 +112,20 @@ def _augment_factor(smin: float, w: float) -> float:
     return math.sqrt(max(w**2 / smin**2 - 1.0, 0.0))
 
 
-def _gaussian_times_root(v: np.ndarray, s: np.ndarray, r: int, seed) -> np.ndarray:
-    """``G Q`` for ``Q = V diag(s) V^T`` and ``G`` an r-row matrix of N(0, 1) entries.
+def gram_root(a) -> np.ndarray:
+    """``Q = (A^T A)^{1/2} = V diag(s) V^T``, from the SVD of the R factor of ``A``."""
+    _, s, v = svd(tall_skinny_r(as_matrix(a)))
+    return (v * s) @ v.T
 
-    With ``V``, ``s`` the right singular vectors and singular values of
-    ``A`` (from the SVD of its R factor), ``Q = (A^T A)^{1/2}`` and
-    the rows of ``G Q`` are iid ``N(0, A^T A)``: the law of the rows of
-    ``S A`` for an r-by-n Gaussian ``S``, which is never formed.
+
+def gaussian_times_root(root: np.ndarray, r: int, seed) -> np.ndarray:
+    """``G Q`` for ``Q = root`` and ``G`` an r-row matrix of N(0, 1) entries.
+
+    With ``Q = (A^T A)^{1/2}`` the rows of ``G Q`` are iid ``N(0, A^T A)``:
+    the law of the rows of ``S A`` for an r-by-n Gaussian ``S``, which is
+    never formed. Draws for many seeds share one ``gram_root``.
     """
-    return sample_gaussian_matrix(r, v.shape[0], 1.0, seed) @ ((v * s) @ v.T)
+    return sample_gaussian_matrix(r, root.shape[0], 1.0, seed) @ root
 
 
 def jl_project(a, r: int, seed) -> np.ndarray:
@@ -129,8 +134,7 @@ def jl_project(a, r: int, seed) -> np.ndarray:
     Drawn as ``G (A^T A)^{1/2}`` from the SVD of the R factor of ``A``;
     neither ``S`` nor an n-row ``U`` is formed.
     """
-    _, s, v = svd(tall_skinny_r(as_matrix(a)))
-    return _gaussian_times_root(v, s, r, seed)
+    return gaussian_times_root(gram_root(a), r, seed)
 
 
 def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[np.ndarray, JlReleaseMeta]":
@@ -173,4 +177,4 @@ def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[
         branch="no-augment" if passed else "spectral-augment", w_squared=w_sq, c=c,
         utility_warning=(1.0 + c**2) > _UTILITY_WARN_FACTOR,
     )
-    return math.sqrt(1.0 + c**2) * _gaussian_times_root(v, s, cfg.r, proj_seed), meta
+    return math.sqrt(1.0 + c**2) * gaussian_times_root((v * s) @ v.T, cfg.r, proj_seed), meta

@@ -12,9 +12,7 @@ vertex's is computed from scratch. On tall problems the descent first runs
 on a core of the rows nearest the least-squares fit, after
 Portnoy & Koenker (1997): every other row keeps its sign at that fit and
 adds one fixed term to the dual. The descent over all rows then starts from
-the core's last basis, so the certificate is still taken on every row. An
-enumeration oracle over all d-row vertices serves as the reference on tiny
-instances.
+the core's last basis, so the certificate is still taken on every row.
 """
 
 from __future__ import annotations
@@ -65,10 +63,6 @@ _HEAD_SHARE = 4
 # least-squares fit, when they are at most 1/_CORE_SHARE of the rows.
 _CORE = 0.75
 _CORE_SHARE = 4
-
-# Vertex enumeration is combinatorial; refuse anything beyond this.
-_ORACLE_MAX_ROWS = 25
-_ORACLE_MAX_COLS = 3
 
 
 @dataclass(frozen=True)
@@ -376,37 +370,6 @@ def solve_l1_weighted(problem: SketchProblem) -> RegressionSolution:
     return _finish(
         beta, w @ np.abs(residual), "vertex-descent", converged=certified, iterations=pivots
     )
-
-
-def lad_vertex_oracle(problem: SketchProblem) -> RegressionSolution:
-    """Exact weighted LAD on tiny instances by enumerating d-row interpolations.
-
-    The optimum of a (weighted) LAD problem with a full-rank design
-    interpolates d rows, so trying every size-d subset is exact. Guarded to
-    r <= 25, d <= 3.
-    """
-    design, target = problem.design, problem.target
-    r, d = design.shape
-    if r > _ORACLE_MAX_ROWS or d > _ORACLE_MAX_COLS:
-        raise ParameterError(
-            f"vertex oracle refuses instances beyond {_ORACLE_MAX_ROWS} rows / {_ORACLE_MAX_COLS} cols"
-        )
-    best_obj = np.inf
-    best_beta = None
-    for subset in itertools.combinations(range(r), d):
-        sub = design[list(subset)]
-        try:
-            candidate = np.linalg.solve(sub, target[list(subset)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(candidate)):
-            continue
-        obj = l1_objective(problem, candidate)
-        if obj < best_obj:
-            best_obj, best_beta = obj, candidate
-    if best_beta is None:
-        raise SingularSystemError("no nonsingular row subset; design is rank deficient")
-    return _finish(best_beta, best_obj, "vertex-oracle")
 
 
 def exact_l2_solution(data: DataMatrix) -> RegressionSolution:

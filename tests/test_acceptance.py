@@ -11,7 +11,8 @@ import dpsketch as dps
 from dpsketch.countsketch import countsketch_apply
 from dpsketch.jl import jl_project
 from dpsketch.sketchfile import METHODS
-from dpsketch.solvers import lad_vertex_oracle
+
+from lad_oracle import lad_vertex_oracle
 
 PP = dps.PrivacyParams(1.0, 0.05)
 B1 = dps.RowBound(1.0)

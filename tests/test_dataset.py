@@ -84,6 +84,48 @@ class TestRowNorms:
         a = np.array([[1e200, 1e200, 3.0], [3.0, 4.0, 0.0], [-1e300, 0.0, 0.0]])
         assert row_norms(a).tolist() == [np.hypot(1e200, 1e200), 5.0, 1e300]
 
+    @pytest.mark.parametrize("width", [2, 11, 33])
+    def test_same_bits_on_both_layouts(self, width):
+        # numpy sums a row of a row-major block pairwise and a column-major
+        # block's rows one column at a time; at width 11 about one row in six
+        # of these got another last bit before the squares were laid out
+        # row-major
+        a = np.random.default_rng(width).standard_normal((100_000, width))
+        a[::997] *= 1e160  # squares overflow: these rows go through hypot
+        norms = row_norms(a)
+        assert np.all(np.isfinite(norms))
+        assert row_norms(np.asfortranarray(a)).tobytes() == norms.tobytes()
+
+
+class TestLayout:
+    """``A`` is kept column-major and read-only, however it was built."""
+
+    @staticmethod
+    def assert_certified_layout(data):
+        assert data.A.flags.f_contiguous
+        assert not data.A.flags.writeable
+
+    def test_from_caller_array(self):
+        a = np.random.default_rng(3).standard_normal((500, 4))
+        data = DataMatrix(a / np.linalg.norm(a, axis=1).max(), RowBound(1.0))
+        self.assert_certified_layout(data)
+        assert a.flags.c_contiguous  # the caller's array is untouched
+
+    def test_from_ingest(self, tmp_path):
+        a = np.random.default_rng(4).standard_normal((3000, 5))  # several blocks
+        path = tmp_path / "data.csv"
+        np.savetxt(path, a / np.linalg.norm(a, axis=1).max(), delimiter=",")
+        self.assert_certified_layout(ingest(str(path), RowBound(1.0)).data)
+
+    def test_from_synthetic_regression(self):
+        self.assert_certified_layout(synthetic_regression(500, 4, seed=3))
+
+    def test_adopt_keeps_the_array_it_is_given(self):
+        a = np.asfortranarray(synthetic_regression(50, 3, seed=3).A)
+        data = DataMatrix._adopt(a, RowBound(1.0))
+        assert data.A is a
+        assert not a.flags.writeable
+
 
 class TestCertifyOnce:
     """``DataMatrix`` is the one certification point; releases trust it."""

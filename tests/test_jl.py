@@ -9,6 +9,8 @@ from dpsketch.errors import CertificationError, ParameterError, SingularSystemEr
 from dpsketch.jl import (
     JlConfig,
     _full_rank_spectrum,
+    gaussian_times_root,
+    gram_root,
     jl_project,
     noisy_rank_test,
     private_jl_sketch,
@@ -196,6 +198,15 @@ class TestGramRootRelease:
         np.testing.assert_allclose(
             jl_project(a, 20, seed), _gaussian_times_gram_root(a, 20, seed), rtol=1e-12, atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [500, 5000])
+    def test_shared_root_draws_are_jl_project_bit_for_bit(self, n):
+        # the verify suites take the root once and draw every trial from it
+        a = synthetic_regression(n, 4, seed=2).A
+        root = gram_root(a)
+        for i in range(3):
+            seed = np.random.SeedSequence([3, i])
+            assert gaussian_times_root(root, 20, seed).tobytes() == jl_project(a, 20, seed).tobytes()
 
     @pytest.mark.parametrize("case", ["no-augment", "spectral-augment"])
     def test_second_moment(self, case):
