@@ -102,8 +102,11 @@ def verify_tail_bound(
 
     ``statistic`` is ``"l1"`` or ``"l2"``. For a noise matrix ``eta`` of
     ``rows`` i.i.d. ``N(0, sigma^2 I)`` rows, ``eta @ beta_aug`` is
-    ``N(0, sigma^2 ||beta_aug||^2 I)``, so each trial draws that vector
-    directly and evaluates its chosen norm; ``eta`` itself is never drawn.
+    ``N(0, sigma^2 ||beta_aug||^2 I)``; ``eta`` itself is never drawn. Its
+    l2 norm is ``sigma ||beta_aug|| sqrt(chi2_rows)`` in law, so an l2 trial
+    draws one chi-square variate with ``rows`` degrees of freedom. An l1
+    trial draws the ``rows`` entries of the vector and sums their absolute
+    values: that sum has no closed-form law.
     """
     if statistic not in ("l1", "l2"):
         raise ParameterError("statistic must be 'l1' or 'l2'")
@@ -117,8 +120,10 @@ def verify_tail_bound(
     done = 0
     while done < trials:
         batch = min(_BATCH, trials - done)
-        v = scale * rng.standard_normal((batch, spec.rows))
-        stats = np.abs(v).sum(axis=1) if statistic == "l1" else np.linalg.norm(v, axis=1)
+        if statistic == "l1":
+            stats = np.abs(scale * rng.standard_normal((batch, spec.rows))).sum(axis=1)
+        else:
+            stats = scale * np.sqrt(rng.chisquare(spec.rows, size=batch))
         exceed += int((stats >= bound_value).sum())
         done += batch
     return BoundReport(

@@ -45,7 +45,7 @@ class DataMatrix:
     bound: RowBound
 
     def __post_init__(self):
-        self._certify(np.array(as_matrix(self.A), order="F"))
+        self._certify(as_matrix(np.array(self.A, dtype=float, order="F")))
 
     @classmethod
     def _adopt(cls, a: np.ndarray, bound: RowBound) -> "DataMatrix":

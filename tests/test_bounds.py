@@ -20,7 +20,7 @@ from dpsketch.mechanisms import (
     gaussian_sigma,
     l1_sketch_sensitivity,
 )
-from dpsketch.suites import suite_lemma1
+from dpsketch.suites import _DIRECTION, suite_lemma1
 
 PP = PrivacyParams(1.0, 0.05)
 B1 = RowBound(1.0)
@@ -169,3 +169,22 @@ class TestVerifier:
         reference = float((np.linalg.norm(eta @ beta, axis=1) >= t).mean())
         assert abs(rate - quantile) <= 0.02
         assert abs(rate - reference) <= 0.02
+
+    @pytest.mark.parametrize("rows", [45, 109, 267, 523])
+    def test_l2_law_at_thm1_rows(self, rows):
+        # The l2 statistic is drawn as scale * sqrt(chi2_rows); the reference
+        # draws the rows-long N(0, scale^2) vector and takes its norm. Bounds sit
+        # at the reference's 0.1, 0.5 and 0.9 sample quantiles. Both rates
+        # estimate the same tail probability p <= 0.9 from 10k draws each, so
+        # their difference has sd sqrt(2 p (1 - p) / 10k) <= 0.0071; the slack
+        # 0.03 is over four of those.
+        sigma, trials = sigma_cs(), 10_000
+        scale = sigma * float(np.linalg.norm(_DIRECTION))
+        reference = np.linalg.norm(
+            scale * np.random.default_rng(rows).standard_normal((trials, rows)), axis=1
+        )
+        spec = GaussianNoiseSpec(rows=rows, sigma=sigma, beta_aug=_DIRECTION)
+        for quantile in (0.1, 0.5, 0.9):
+            t = float(np.quantile(reference, quantile))
+            rate = verify_tail_bound(spec, "l2", t, 0.25, trials, seed=rows + 1).exceedance_rate
+            assert abs(rate - float((reference >= t).mean())) <= 0.03

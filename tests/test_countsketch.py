@@ -12,6 +12,7 @@ from dpsketch.countsketch import (
 from dpsketch.dataset import synthetic_regression
 from dpsketch.errors import CertificationError, ParameterError
 from dpsketch.mechanisms import PrivacyParams, RowBound
+from dpsketch.suites import _embedding_ratios
 
 PP = PrivacyParams(1.0, 0.05)
 
@@ -191,3 +192,18 @@ class TestEmbeddingMini:
             ratios = np.linalg.norm(countsketch_apply(plan, a) @ vs, axis=0) / base
             inside += int(((ratios >= 0.5) & (ratios <= 1.5)).sum())
         assert inside >= 0.85 * 20 * 50
+
+
+class TestCsEmbeddingRatios:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gram_form_matches_column_norms(self, seed):
+        # the suite's data and plans: ||SA v|| from the Gram of SA agrees with
+        # the norms of the columns of SA @ vs
+        n, r = 5000, 2500
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, 6))
+        vs = rng.standard_normal((6, 100))
+        base = np.linalg.norm(a @ vs, axis=0)
+        sa = countsketch_apply(draw_countsketch_plan(n, r, np.random.SeedSequence([seed, 0])), a)
+        reference = np.linalg.norm(sa @ vs, axis=0) / base
+        np.testing.assert_allclose(_embedding_ratios(sa, vs, base), reference, rtol=1e-12, atol=0)

@@ -67,6 +67,21 @@ class TestDataMatrix:
             tracemalloc.stop()
         assert peak < 1.5 * a.nbytes
 
+    def test_float32_construction_peak_is_one_copy(self):
+        # a float32 input is converted straight into the column-major float64
+        # copy, not into a row-major float64 array copied again
+        a = np.random.default_rng(7).standard_normal((200_000, 11)).astype(np.float32)
+        a /= np.linalg.norm(a, axis=1).max() * np.float32(1.001)
+        tracemalloc.start()
+        try:
+            dm = DataMatrix(a, RowBound(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dm.A.dtype == np.float64 and dm.A.flags.f_contiguous
+        assert np.array_equal(dm.A, a)
+        assert peak < 1.5 * a.size * 8
+
     def test_synthetic_is_certified(self):
         dm = synthetic_regression(100, 3, seed=1, bound=2.5)
         assert max_row_norm(dm.A) <= 2.5 * (1 + 1e-9)
