@@ -77,24 +77,30 @@ def draw_countsketch_plan(n_inputs: int, r: int, seed, signed: bool = True) -> C
     return CountSketchPlan(r=r, bucket_of=buckets, sign_of=signs)
 
 
-def bucket_sum(blocks, buckets: np.ndarray, r: int, idx=None, signs=None) -> np.ndarray:
+def bucket_sum(blocks, buckets: np.ndarray, r: int, idx=None, signs=None, dense=()) -> np.ndarray:
     """``out[buckets[i]] += signs[i] * M[idx[i]]``, ``M`` the row stack of ``blocks``.
 
-    ``idx`` defaults to every row of ``M`` in order and ``signs`` to +1. One
-    column of ``M`` is built at a time, into one buffer, so ``M`` itself is
-    never formed; a column of a column-major block is read contiguously.
-    ``np.bincount`` adds each bucket in order of ``i``, as ``np.add.at``
-    does, so the sums equal that reference bit for bit.
+    ``idx`` defaults to every row of ``M`` in order and ``signs`` to +1. Each
+    array in ``dense`` puts every row of ``M`` in a bucket once, unsigned and
+    in row order (``out[level[t]] += M[t]``), so it is summed straight from
+    the column without a gather. One column of ``M`` is built at a time, into
+    one buffer, so ``M`` itself is never formed; a column of a column-major
+    block is read contiguously. ``np.bincount`` adds each bucket in row
+    order, as ``np.add.at`` does, and each part is added onto zeros. Where
+    the parts write disjoint bucket ranges, as in every release here, the
+    sums equal ``np.add.at`` over the ``dense`` arrays and then ``buckets``
+    bit for bit.
     """
-    out = np.empty((r, blocks[0].shape[1]))
+    out = np.zeros((r, blocks[0].shape[1]))
     col = np.empty(sum(len(block) for block in blocks))
     for k in range(out.shape[1]):
-        w = np.concatenate([block[:, k] for block in blocks], out=col)
-        if idx is not None:
-            w = w[idx]
+        np.concatenate([block[:, k] for block in blocks], out=col)
+        for level in dense:
+            out[:, k] += np.bincount(level, weights=col, minlength=r)
+        w = col if idx is None else col[idx]
         if signs is not None:
             np.multiply(w, signs, out=w)
-        out[:, k] = np.bincount(buckets, weights=w, minlength=r)
+        out[:, k] += np.bincount(buckets, weights=w, minlength=r)
         del w  # a gathered column is freed before the next is taken
     return out
 
@@ -119,19 +125,24 @@ def noise_row_count(r: int) -> int:
 def noised_bucket_release(a: np.ndarray, r: int, sigma: float, seed, assign):
     """Sum ``[A; eta]`` into ``r`` buckets, ``eta`` ``noise_row_count(r)`` N(0, sigma^2 I) rows.
 
-    ``assign(seed, m)`` maps the ``m = n + p`` rows to ``bucket_sum``'s
-    ``(buckets, idx, signs)``. Buckets that absorbed no noise row get one
-    dedicated extra noise row each. Returns the sketch, its ``NoisePlan``
-    and the assignment, which must not be published.
+    ``assign(seed, n, p)`` places the ``n`` data rows and ``p`` noise rows. It
+    returns a tuple that starts with ``bucket_sum``'s ``(buckets, idx,
+    signs, dense)``; entries after those are the caller's. Buckets that
+    absorbed no noise row get one dedicated extra noise row each. Returns the
+    sketch, its ``NoisePlan`` and the assignment, which must not be
+    published.
     """
     n, d1 = a.shape
     p = noise_row_count(r)
     noise_seed, assign_seed, patch_seed = np.random.SeedSequence(seed).spawn(3)
     eta = sigma * np.random.default_rng(noise_seed).standard_normal((p, d1))
-    buckets, idx, signs = assignment = assign(assign_seed, n + p)
-    sketch = bucket_sum((a, eta), buckets, r, idx, signs)
+    assignment = assign(assign_seed, n, p)
+    buckets, idx, signs, dense = assignment[:4]
+    sketch = bucket_sum((a, eta), buckets, r, idx, signs, dense)
 
     coverage = np.bincount(buckets[n:] if idx is None else buckets[idx >= n], minlength=r)
+    for block in dense:
+        coverage += np.bincount(block[n:], minlength=r)
     uncovered = np.flatnonzero(coverage == 0)
     if uncovered.size:
         # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
@@ -160,8 +171,8 @@ def private_countsketch_l2(
     a = certified_rows(data, bound)
     sigma = gaussian_sigma(countsketch_sensitivity(bound), pp)
 
-    def assign(plan_seed, m):
-        plan = draw_countsketch_plan(m, r, plan_seed, signed=signed)
-        return plan.bucket_of, None, plan.sign_of
+    def assign(plan_seed, n, p):
+        plan = draw_countsketch_plan(n + p, r, plan_seed, signed=signed)
+        return plan.bucket_of, None, plan.sign_of, ()
 
     return noised_bucket_release(a, r, sigma, seed, assign)[:2]

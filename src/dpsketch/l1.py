@@ -6,11 +6,15 @@ stacks ``h_m + 1`` levels: level 0 is a CountMin-style pass over every row
 (duplicated into ``s`` blocks of ``N' = N/s`` buckets), and every row enters
 each level ``h = 1..h_m`` independently with probability ``1/b^h``; levels
 ``1..h_m-1`` have ``N`` buckets and the final, uniform level ``N_u``. A row
-therefore touches at most ``s + h_m`` buckets. Bucket weights are ``b^h``
-(level 0: ``1/s``) and are data oblivious, so releasing them is free. Both
-releases sum ``S [A; eta]`` (``eta`` Gaussian noise rows) block by block
-through ``countsketch.noised_bucket_release``, never forming the stack, and
-patch every bucket to contain at least one noise row.
+therefore touches at most ``s + h_m`` buckets, and about ``s + 1/(b-1)`` on
+average. A sampled level is drawn at the size of its membership (a binomial
+count, then a uniform subset of the rows), and level 0 is summed straight
+from each column of ``[A; eta]``, so the release costs what its memberships
+cost, not ``h_m`` passes over every row. Bucket weights are ``b^h`` (level
+0: ``1/s``) and are data oblivious, so releasing them is free. Both releases
+sum ``S [A; eta]`` (``eta`` Gaussian noise rows) block by block through
+``countsketch.noised_bucket_release``, never forming the stack, and patch
+every bucket to contain at least one noise row.
 
 The multi-level release calibrates its noise to the footprint's
 sensitivity ``2 B sqrt(s + h_m)`` (``mechanisms.l1_sketch_sensitivity``):
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,24 +144,53 @@ class WeightedSketch:
         return self.rows.shape[0]
 
 
-def _level_buckets(rng: np.random.Generator, m: int, cfg: L1SketchConfig, h_m: int):
-    """Bucket and source-row indices of every level for the ``m`` rows of ``[A; eta]``.
+class _Levels(NamedTuple):
+    """Where ``_level_buckets`` puts the rows of ``[A; eta]``, and what that tells of the data rows."""
 
-    The pieces are concatenated in draw order: level 0's ``s`` blocks, the
-    sampled levels, the uniform level. Each piece writes its own bucket range
-    and lists its rows in ascending order, so one ``bincount`` adds every
-    bucket in the order separate per-piece sums would.
+    buckets: np.ndarray
+    idx: np.ndarray
+    signs: None
+    dense: "list[np.ndarray]"
+    data_level_counts: np.ndarray
+    max_data_memberships: int
+
+
+def _level_buckets(rng: np.random.Generator, n: int, p: int, cfg: L1SketchConfig, h_m: int) -> _Levels:
+    """Bucket every row of ``[A; eta]`` (``n`` data rows, then ``p`` noise rows) at every level.
+
+    Level 0 is ``dense``: its ``s`` blocks place all ``m = n + p`` rows, in
+    row order. Level ``h = 1..h_m`` draws its size ``k ~ Binomial(m, b^-h)``,
+    then a uniform ``k``-subset of the rows (listed in ascending order) and a
+    bucket for each. A binomial count and a uniform subset of that size give
+    every row its own Bernoulli(``b^-h``) membership, independently of the
+    other rows and levels. The sampled levels are concatenated in draw order
+    into ``buckets`` and ``idx``; each level writes its own bucket range, so
+    one ``bincount`` adds every bucket in the order separate per-level sums
+    would. The data rows' diagnostics are read from the sorted per-level row
+    lists, where a level's data rows are a prefix.
     """
     N, s, b = cfg.N, cfg.s, cfg.b
+    m = n + p
     n_prime = N // s
-    buckets = [block * n_prime + rng.integers(0, n_prime, size=m) for block in range(s)]
-    idx = [np.arange(m)] * s
+    dense = [block * n_prime + rng.integers(0, n_prime, size=m) for block in range(s)]
+    rows, buckets = [], []
     for h in range(1, h_m + 1):
-        rows = np.flatnonzero(rng.random(m) < b**-h)
+        k = rng.binomial(m, b**-h)
+        rows.append(np.sort(rng.choice(m, size=k, replace=False, shuffle=False)))
         width = N if h < h_m else cfg.uniform_buckets
-        buckets.append(h * N + rng.integers(0, width, size=rows.size))
-        idx.append(rows)
-    return np.concatenate(buckets), np.concatenate(idx)
+        buckets.append(h * N + rng.integers(0, width, size=k))
+
+    data_rows = [int(np.searchsorted(level, n)) for level in rows]
+    memberships = np.zeros(n, dtype=np.min_scalar_type(h_m))
+    for level, c in zip(rows, data_rows):
+        memberships[level[:c]] += 1  # rows within a level are distinct
+    buckets = np.concatenate(buckets)  # the per-level pieces are freed as each list is replaced
+    rows = np.concatenate(rows)
+    return _Levels(
+        buckets, rows, None, dense,
+        data_level_counts=np.array([n, *data_rows]),  # every data row sits in every level-0 block
+        max_data_memberships=s + int(memberships.max()),
+    )
 
 
 def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> WeightedSketch:
@@ -165,7 +199,9 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
     Every row of ``[A; eta]`` lands in ``s`` distinct level-0 buckets (one
     per block of ``N'`` buckets), in at most one bucket per sampled level
     ``1..h_m-1``, and in at most one uniform-level bucket, so a single row
-    touches at most ``s + h_m`` buckets. Buckets that absorbed no noise row
+    touches at most ``s + h_m`` buckets. Each sampled level draws only its
+    members (``_level_buckets``), so the work follows the about
+    ``(n + p)(s + 1/(b-1))`` memberships. Buckets that absorbed no noise row
     get one dedicated extra noise row. Rows come from ``certified_rows``
     (``CertificationError`` on a row over ``B``); a ``DataMatrix`` certified
     at ``B' <= B`` is not scanned again.
@@ -178,18 +214,15 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
     r = N * h_m + N_u
     sigma = gaussian_sigma(l1_sketch_sensitivity(cfg.bound, h_m, s), cfg.pp)
 
-    def assign(assign_seed, m):
-        return *_level_buckets(np.random.default_rng(assign_seed), m, cfg, h_m), None
+    def assign(assign_seed, n, p):
+        return _level_buckets(np.random.default_rng(assign_seed), n, p, cfg, h_m)
 
-    rows, noise, (buckets, idx, _) = noised_bucket_release(a, r, sigma, cfg.seed, assign)
+    rows, noise, levels = noised_bucket_release(a, r, sigma, cfg.seed, assign)
 
     level_of = np.concatenate(
         [np.repeat(np.arange(h_m), N), np.full(N_u, h_m)]
     ).astype(int)
     weights = np.where(level_of == 0, 1.0 / s, np.power(b, level_of.astype(float)))
-    is_data = idx < n
-    data_level_counts = np.bincount(level_of[buckets[is_data]], minlength=h_m + 1)
-    data_level_counts[0] = n  # each data row sits once in every level-0 block
 
     return WeightedSketch(
         rows=rows,
@@ -203,7 +236,7 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
         N_u=N_u,
         noise_rows=noise.p,
         patched=noise.patched,
-        data_level_counts=data_level_counts,
+        data_level_counts=levels.data_level_counts,
         noise_coverage=noise.coverage,
-        max_data_memberships=int(np.bincount(idx[is_data], minlength=n).max()),
+        max_data_memberships=levels.max_data_memberships,
     )

@@ -71,6 +71,26 @@ class TestApply:
             np.add.at(ref, every, stacked)
             assert np.array_equal(bucket_sum((a, eta), every, r), ref)
 
+    def test_dense_parts_equal_add_at_reference(self):
+        # the level-0 form: each dense array places every row of [A; eta] once,
+        # in row order and without a gather, in its own bucket range, and the
+        # entries listed through idx fill the range after them
+        rng = np.random.default_rng(43)
+        for n, p, s, width, r, k in [(1, 4, 1, 3, 5, 2), (40, 25, 3, 4, 20, 30), (300, 60, 2, 16, 40, 90), (2, 1, 4, 1, 6, 0)]:
+            a, eta = np.asfortranarray(rng.standard_normal((n, 3))), rng.standard_normal((p, 3))
+            stacked = np.vstack([a, eta])
+            m = n + p
+            dense = [j * width + rng.integers(0, width, size=m) for j in range(s)]
+            for idx in (np.sort(rng.choice(m, size=k, replace=False)), None):
+                rows = stacked if idx is None else stacked[idx]
+                buckets = rng.integers(s * width, r, size=len(rows))
+                for signs in (None, rng.choice([-1.0, 1.0], size=len(rows))):
+                    ref = np.zeros((r, 3))
+                    for level in dense:
+                        np.add.at(ref, level, stacked)
+                    np.add.at(ref, buckets, rows if signs is None else signs[:, None] * rows)
+                    assert np.array_equal(bucket_sum((a, eta), buckets, r, idx, signs, dense), ref)
+
     def test_plan_validation(self):
         with pytest.raises(ParameterError):
             CountSketchPlan(r=2, bucket_of=np.array([0, 2]), sign_of=np.ones(2))

@@ -181,16 +181,113 @@ class TestMultiLevelSketch:
         assert (one.weights == two.weights).all()
 
 
+def _memberships(assignment):
+    """(row, bucket) of every membership an l1 release's assignment lists, level 0 included.
+
+    ``buckets`` and ``idx`` list memberships one by one; each ``dense``
+    array, where the assignment has them, places every row once, in row order.
+    """
+    buckets, idx = assignment[0], assignment[1]
+    dense = list(assignment[3]) if len(assignment) > 3 else []
+    rows = [np.arange(len(level)) for level in dense] + [idx]
+    return np.concatenate(rows), np.concatenate(dense + [buckets])
+
+
+def _release_and_memberships(monkeypatch, data, cfg):
+    """``private_l1_sketch(data, cfg)`` and the (row, bucket) pairs of its assignment."""
+    import dpsketch.l1 as l1_module
+
+    release = l1_module.noised_bucket_release
+    seen = []
+
+    def spy(*args):
+        result = release(*args)
+        seen.append(result[2])
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(l1_module, "noised_bucket_release", spy)
+        ws = private_l1_sketch(data, cfg)
+    return (ws, *_memberships(seen[0]))
+
+
+class TestLevelLaw:
+    # Every row of [A; eta], data or noise, enters level h >= 1 independently
+    # with probability q_h = b^-h, so level h holds Binomial(m, q_h) rows.
+    # Seeded; every check allows slack = 4.5 standard errors of its statistic.
+    @pytest.mark.parametrize("b,s", [(2.0, 1), (2.0, 3), (1.5, 1), (1.5, 3)])
+    def test_membership_law(self, monkeypatch, b, s):
+        n, trials, slack = 1000, 300, 4.5
+        data = synthetic_regression(n, 2, seed=21)
+        counts, joined, data_hits, noise_hits = [], 0, 0, 0
+        for seed in range(trials):
+            cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=6, s=s, b=b, N_u=4)
+            ws, rows, buckets = _release_and_memberships(monkeypatch, data, cfg)
+            m = n + ws.noise_rows
+            level = ws.level_of[buckets]
+            member = np.zeros((ws.h_m + 1, m), dtype=bool)
+            member[level, rows] = True
+            assert member[1:].sum() == np.count_nonzero(level)  # at most once per sampled level
+            counts.append(member[1:].sum(axis=1))
+            joined += np.count_nonzero(member[1] & member[2])
+            data_hits += member[1:, :n].sum()
+            noise_hits += member[1:, n:].sum()
+        counts = np.array(counts)
+        q = b ** -np.arange(1.0, ws.h_m + 1)
+        mean, var = m * q, m * q * (1 - q)
+        # per-level counts: the mean at every level, the variance where the
+        # count is near normal (sd of a sample variance ~ var sqrt(2 / (T - 1)))
+        assert np.all(np.abs(counts.mean(axis=0) - mean) <= slack * np.sqrt(var / trials))
+        wide = var >= 20
+        assert wide.sum() >= 5
+        ratio = counts.var(axis=0, ddof=1)[wide] / var[wide]
+        assert np.all(np.abs(ratio - 1) <= slack * math.sqrt(2 / (trials - 1)))
+        # levels 1 and 2 are drawn independently: a row joins both at rate b^-3
+        pairs, q3 = trials * m, b**-3
+        assert abs(joined - pairs * q3) <= slack * math.sqrt(pairs * q3 * (1 - q3))
+        # data rows and noise rows enter the sampled levels at the same rate
+        per_row = float((q * (1 - q)).sum())
+        p = m - n
+        spread = math.sqrt(per_row / (trials * n) + per_row / (trials * p))
+        assert abs(data_hits / (trials * n) - noise_hits / (trials * p)) <= slack * spread
+
+
+class TestDiagnosticsRecount:
+    # the diagnostics a release reports equal a brute-force recount of the
+    # (row, bucket) memberships its assignment lists
+    @pytest.mark.parametrize("n,s,n_u", [(300, 1, None), (300, 2, 5), (300, 4, 3), (1, 1, None), (1, 2, 3)])
+    def test_recount(self, monkeypatch, n, s, n_u):
+        data = synthetic_regression(n, 2, seed=30 + n)
+        patched = 0
+        for seed in range(5):
+            cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=4 * s, s=s, b=2.0, N_u=n_u)
+            ws, rows, buckets = _release_and_memberships(monkeypatch, data, cfg)
+            is_data = rows < n
+            level = ws.level_of[buckets]
+            # a data row counts once per level, though it sits in s level-0 buckets
+            seen = np.unique(level[is_data] * n + rows[is_data])
+            assert np.array_equal(ws.data_level_counts, np.bincount(seen // n, minlength=ws.h_m + 1))
+            coverage = np.bincount(buckets[~is_data], minlength=ws.r)
+            assert ws.patched == np.count_nonzero(coverage == 0)
+            assert np.array_equal(ws.noise_coverage, np.maximum(coverage, 1))
+            assert ws.max_data_memberships == np.bincount(rows[is_data], minlength=n).max()
+            patched += ws.patched
+        if ws.h_m > 1:
+            assert patched > 0  # the deep levels drew no noise row somewhere: patches were recounted
+
+
 class TestBucketSums:
     @staticmethod
     def add_at_reference(calls):
-        def reference(blocks, buckets, r, idx=None, signs=None):
+        def reference(blocks, buckets, r, idx=None, signs=None, dense=()):
             calls.append(len(blocks))
             stacked = np.vstack(blocks)
             rows = stacked if idx is None else stacked[idx]
             if signs is not None:
                 rows = signs[:, None] * rows
             out = np.zeros((r, stacked.shape[1]))
+            for level in dense:
+                np.add.at(out, level, stacked)
             np.add.at(out, buckets, rows)
             return out
 
