@@ -20,6 +20,14 @@ The ``l1`` and ``l1-illus`` file digests were re-recorded when every hashed
 header came to carry the noise-row and patch counts of its release. The
 matrix and weights in those files did not move.
 
+The ``l1-multilevel`` values, library and certified, and the CLI ``l1``
+file were re-recorded once more when each sampled level came to be drawn at
+the size of its membership: a ``Binomial(m, b^-h)`` count, then a uniform
+subset of the ``m`` rows of that size, in place of one uniform draw per row
+and level. That changed the random stream, not the law: every row still
+enters level ``h`` independently with probability ``b^-h``
+(``tests/test_l1.py::TestLevelLaw``).
+
 The ``jl`` file goes through LAPACK (Householder QR of ``A``, then the SVD of
 its R factor) and BLAS; the hashed releases use only numpy's generator and
 ``np.bincount``. At the 60 rows pinned here the QR is one unblocked LAPACK
@@ -120,17 +128,17 @@ LIBRARY_DIGESTS = {
     ("l1-illustration", 3): "bc07c6ee282dab7d41f48a815f2e2dc6912fa069e7454cfb1ae146b315eb851a",
     ("l1-illustration", 50): "d5b0677d8f6a2ed0d6eae51f98d3b30f26685a0a16abc0821e50b022cd88c746",
     ("l1-illustration", 2000): "1c3c72f62d1dbc020899822a7a1fcc2e1b1ef720052f1658e1f5b768fb1352f9",
-    ("l1-multilevel", 1): "f31e83c27207a8ff1d98a3e40d1a0ddb49feab51ddb26a73f5f626a04fc1c1d7",
-    ("l1-multilevel", 2): "44bc3d1ab65a1d6108f9a12430405c2c88a383a19ba3879470bb91854d4ac1af",
-    ("l1-multilevel", 3): "21cb100e4eba1f568b0cf549a8dfd56bff6482baa7c6153c0c2253845ba55b67",
-    ("l1-multilevel", 50): "6a4e60a4e5c2fcee0b31c0c1d8a5e5badf07a6d707db5b11ead85215072be87e",
-    ("l1-multilevel", 2000): "39f2181a3cf66128ccc19046e6d3f3448ed38b180808a4fcaaca882dcd69c841",
+    ("l1-multilevel", 1): "eade7f3ed725621ce8cbe6fdb5039763754806adeaf20629f265cd065d5cab70",
+    ("l1-multilevel", 2): "0fd6bca8df86af3f982671860ed8c3013a8ca827c6bd3d5c55298facf7e3a9a7",
+    ("l1-multilevel", 3): "d293764c7f3afa56a8b440b86d67845afbd3c3982a66c7ccf4d5468ba5e35423",
+    ("l1-multilevel", 50): "ca378aa50176f9c51995842ffc1da55c8ebfbc3c2439e78c6cf8f2974cd4b1a6",
+    ("l1-multilevel", 2000): "128f4a78b611f9c0fbb5263e169ae9853674af2950480dabb19ec9880ad6f94c",
 }
 
 CLI_DIGESTS = {
     "jl": "afb2a790f1c883b4267fbb8d00cbb000dbbdcde40ad1a43a8aee5537d8121bca",
     "cs2": "7675ab87b51128b90201d4b17f71807773a8362169b695d04c5a54632723c4a0",
-    "l1": "e03f6c3ba73cc15181e3da9b2732841a4e55c1d5578c1eaea1130603e98d2472",
+    "l1": "2e124382e5f86135e6d444512349e7b35221c926d2a3197cccc06c71797fde7b",
     "l1-illus": "f93f56bc695c92268672a8818b1312b0b9f02672011aa2ad83ee7970708ba5ca",
 }
 
@@ -176,7 +184,7 @@ CERTIFIED_ROWS = 5000
 CERTIFIED_DIGESTS = {
     "countsketch-l2": "93148e9cf70fe2148204224dca056ea8ded45a5730fd6cf31285feb68beb2b0a",
     "jl": "fe8d533938dec2a77e0f70b4b3e804b41ead46d73412b2e7955194d60d48b5c5",
-    "l1-multilevel": "a4e95ed6a0997c3acf51f07dc392802c87aa0a78fb3b7992f7dfe9f85cd0f493",
+    "l1-multilevel": "39a964a1e097e68c7bb66e279322c24a71bc0e04ac9dafce2de3fcd38d877e59",
     "synthetic": "c59323a3d095e82e08de39b1436dff9eb8412b6e8d9b40deb97fd4d1a539eecd",
 }
 
