@@ -1,10 +1,13 @@
 """The multi-level weighted sketch for least absolute deviations.
 
 Builds the level structure (CountMin-style level 0, geometrically thinned
-middle levels, a uniform tail level), shows the oblivious weights b^h, and
-solves the weighted LAD problem on the release. Finishes by subtracting a
-same-seed release of all-zero data, which strips the privacy noise and
-isolates the sketching error: anyone holding the seed could do the same.
+middle levels, a uniform tail level) and compares each level's data rows
+with the n / b^h that a Bernoulli(1/b^h) membership per row gives on
+average (a level draws a binomial count of members, then which rows they
+are). Shows the oblivious weights b^h and solves the weighted LAD problem on
+the release. Finishes by subtracting a same-seed release of all-zero data,
+which strips the privacy noise and isolates the sketching error: anyone
+holding the seed could do the same.
 
 Run: python demos/private_l1_release.py
 """
@@ -32,6 +35,7 @@ ws = dps.private_l1_sketch(data, cfg)
 print(f"h_m = {ws.h_m} levels of {ws.N} buckets + {ws.N_u} uniform buckets "
       f"-> r = {ws.r} rows")
 print("data rows per level:", dict(enumerate(ws.data_level_counts.tolist())))
+print("expected, n / b^h  :", {h: round(n / cfg.b**h, 1) for h in range(ws.h_m + 1)})
 print("weights by level   :", {h: float(ws.weights[ws.level_of == h][0]) for h in range(ws.h_m + 1)})
 print(f"a data row touches at most s + h_m = {ws.s + ws.h_m} buckets "
       f"(observed max {ws.max_data_memberships})")
