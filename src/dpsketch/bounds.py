@@ -84,9 +84,12 @@ class GaussianNoiseSpec:
     def __post_init__(self):
         if self.rows < 1:
             raise ParameterError("need at least one noise row")
-        if self.sigma < 0:
-            raise ParameterError("sigma must be nonnegative")
-        object.__setattr__(self, "beta_aug", np.asarray(self.beta_aug, dtype=float).reshape(-1))
+        if not 0 <= self.sigma < math.inf:
+            raise ParameterError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        beta = np.asarray(self.beta_aug, dtype=float).reshape(-1)
+        if not np.isfinite(beta).all():
+            raise ParameterError("beta_aug must be finite")
+        object.__setattr__(self, "beta_aug", beta)
 
 
 def verify_tail_bound(
@@ -114,6 +117,8 @@ def verify_tail_bound(
         raise ParameterError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     if not (0 < threshold_prob < 1):
         raise ParameterError("threshold_prob must lie in (0, 1)")
+    if math.isnan(bound_value):
+        raise ParameterError("bound_value is NaN: no sample can exceed it")
     rng = np.random.default_rng(seed)
     scale = spec.sigma * float(np.linalg.norm(spec.beta_aug))
     exceed = 0

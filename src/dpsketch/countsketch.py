@@ -1,12 +1,14 @@
 """CountSketch plans, the bucket-sum kernel and the noised hashed releases.
 
 The private releases append a block ``eta`` of Gaussian noise rows to ``A``
-and hash the rows of ``[A; eta]`` into buckets, summed block by block so the
-stack is never formed. Each released bucket is a sum of data rows plus at
-least one noise row: ``p = ceil(r (ln r + 4))`` noise rows (coupon-collector
-sizing) cover all r buckets with probability at least ``1 - r e^-4``, and
-any bucket still uncovered is patched with a dedicated extra noise row.
-Extra Gaussian noise never weakens privacy, so coverage is unconditional.
+and hash the rows of ``[A; eta]`` into buckets. One kernel, ``bucket_sum``,
+serves the three hashed releases: it sums a list of bucket maps block by
+block, so the stack is never formed, and an unsigned release passes no sign
+array. Each released bucket is a sum of data rows plus at least one noise
+row: ``p = ceil(r (ln r + 4))`` noise rows (coupon-collector sizing) cover
+all r buckets with probability at least ``1 - r e^-4``, and any bucket
+still uncovered is patched with a dedicated extra noise row. Extra Gaussian
+noise never weakens privacy, so coverage is unconditional.
 """
 
 from __future__ import annotations
@@ -24,25 +26,26 @@ from .mechanisms import PrivacyParams, RowBound, countsketch_sensitivity, gaussi
 
 @dataclass(frozen=True)
 class CountSketchPlan:
-    """One nonzero per input row: a bucket index in [0, r) and a sign in {-1, +1}."""
+    """One nonzero per input row: a bucket in [0, r) and a sign in {-1, +1}, or no sign (``None``)."""
 
     r: int
     bucket_of: np.ndarray
-    sign_of: np.ndarray
+    sign_of: "np.ndarray | None"
 
     def __post_init__(self):
         buckets = np.asarray(self.bucket_of, dtype=np.intp)
-        signs = np.asarray(self.sign_of, dtype=float)
         if self.r < 1:
             raise ParameterError("sketch must have at least one row")
-        if buckets.shape != signs.shape or buckets.ndim != 1:
-            raise ParameterError("bucket and sign maps must be 1-d and equally long")
+        if buckets.ndim != 1:
+            raise ParameterError("bucket map must be 1-d")
         if buckets.size and (buckets.min() < 0 or buckets.max() >= self.r):
             raise ParameterError("bucket indices out of range")
-        if not np.all(np.abs(signs) == 1.0):
-            raise ParameterError("signs must be +1 or -1")
         object.__setattr__(self, "bucket_of", buckets)
-        object.__setattr__(self, "sign_of", signs)
+        if self.sign_of is not None:
+            signs = np.asarray(self.sign_of, dtype=float)
+            if signs.shape != buckets.shape or not np.all(np.abs(signs) == 1.0):
+                raise ParameterError("signs must be +1 or -1, one per input row")
+            object.__setattr__(self, "sign_of", signs)
 
     @property
     def n_inputs(self) -> int:
@@ -62,7 +65,7 @@ class NoisePlan:
 def draw_countsketch_plan(n_inputs: int, r: int, seed, signed: bool = True) -> CountSketchPlan:
     """Sample a plan: buckets uniform over [0, r), signs uniform over {-1, +1}.
 
-    With ``signed=False`` all signs are +1 (the l1 illustration sketch).
+    With ``signed=False`` the plan has no sign array (the l1 illustration sketch).
     """
     if n_inputs < 1:
         raise ParameterError("need at least one input row")
@@ -70,38 +73,32 @@ def draw_countsketch_plan(n_inputs: int, r: int, seed, signed: bool = True) -> C
         raise ParameterError("sketch must have at least one row")
     rng = np.random.default_rng(seed)
     buckets = rng.integers(0, r, size=n_inputs)
-    if signed:
-        signs = rng.choice(np.array([-1.0, 1.0]), size=n_inputs)
-    else:
-        signs = np.ones(n_inputs)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=n_inputs) if signed else None
     return CountSketchPlan(r=r, bucket_of=buckets, sign_of=signs)
 
 
-def bucket_sum(blocks, buckets: np.ndarray, r: int, idx=None, signs=None, dense=()) -> np.ndarray:
-    """``out[buckets[i]] += signs[i] * M[idx[i]]``, ``M`` the row stack of ``blocks``.
+def bucket_sum(blocks, r: int, maps, signs=None) -> np.ndarray:
+    """``out[buckets[t]] += signs[idx[t]] * M[idx[t]]`` for each map ``(idx, buckets)``.
 
-    ``idx`` defaults to every row of ``M`` in order and ``signs`` to +1. Each
-    array in ``dense`` puts every row of ``M`` in a bucket once, unsigned and
-    in row order (``out[level[t]] += M[t]``), so it is summed straight from
-    the column without a gather. One column of ``M`` is built at a time, into
-    one buffer, so ``M`` itself is never formed; a column of a column-major
-    block is read contiguously. ``np.bincount`` adds each bucket in row
-    order, as ``np.add.at`` does, and each part is added onto zeros. Where
-    the parts write disjoint bucket ranges, as in every release here, the
-    sums equal ``np.add.at`` over the ``dense`` arrays and then ``buckets``
+    ``M`` is the row stack of ``blocks``. ``idx=None`` means every row of
+    ``M`` in order, summed straight from the column without a gather.
+    ``signs`` holds one sign per row of ``M`` (None: all +1) and is applied
+    to each column before the maps are summed. One column of ``M`` is built
+    at a time, into one buffer, so ``M`` itself is never formed; a column of
+    a column-major block is read contiguously. ``np.bincount`` adds each
+    bucket in row order, as ``np.add.at`` does, and each map is added onto
+    zeros in list order. Where the maps write disjoint bucket ranges, as in
+    every release here, the sums equal ``np.add.at`` over the maps in turn
     bit for bit.
     """
     out = np.zeros((r, blocks[0].shape[1]))
     col = np.empty(sum(len(block) for block in blocks))
     for k in range(out.shape[1]):
         np.concatenate([block[:, k] for block in blocks], out=col)
-        for level in dense:
-            out[:, k] += np.bincount(level, weights=col, minlength=r)
-        w = col if idx is None else col[idx]
         if signs is not None:
-            np.multiply(w, signs, out=w)
-        out[:, k] += np.bincount(buckets, weights=w, minlength=r)
-        del w  # a gathered column is freed before the next is taken
+            np.multiply(col, signs, out=col)
+        for idx, buckets in maps:
+            out[:, k] += np.bincount(buckets, weights=col if idx is None else col[idx], minlength=r)
     return out
 
 
@@ -112,7 +109,7 @@ def countsketch_apply(plan: CountSketchPlan, m) -> np.ndarray:
         raise ParameterError(
             f"plan covers {plan.n_inputs} input rows but matrix has {a.shape[0]}"
         )
-    return bucket_sum((a,), plan.bucket_of, plan.r, signs=plan.sign_of)
+    return bucket_sum((a,), plan.r, [(None, plan.bucket_of)], plan.sign_of)
 
 
 def noise_row_count(r: int) -> int:
@@ -126,23 +123,21 @@ def noised_bucket_release(a: np.ndarray, r: int, sigma: float, seed, assign):
     """Sum ``[A; eta]`` into ``r`` buckets, ``eta`` ``noise_row_count(r)`` N(0, sigma^2 I) rows.
 
     ``assign(seed, n, p)`` places the ``n`` data rows and ``p`` noise rows. It
-    returns a tuple that starts with ``bucket_sum``'s ``(buckets, idx,
-    signs, dense)``; entries after those are the caller's. Buckets that
-    absorbed no noise row get one dedicated extra noise row each. Returns the
-    sketch, its ``NoisePlan`` and the assignment, which must not be
-    published.
+    returns a tuple that starts with ``bucket_sum``'s ``(maps, signs)``;
+    entries after those are the caller's. A bucket's coverage is the number
+    of noise rows the maps place in it; buckets that absorbed none get one
+    dedicated extra noise row each. Returns the sketch, its ``NoisePlan``
+    and the assignment, which must not be published.
     """
     n, d1 = a.shape
     p = noise_row_count(r)
     noise_seed, assign_seed, patch_seed = np.random.SeedSequence(seed).spawn(3)
     eta = sigma * np.random.default_rng(noise_seed).standard_normal((p, d1))
     assignment = assign(assign_seed, n, p)
-    buckets, idx, signs, dense = assignment[:4]
-    sketch = bucket_sum((a, eta), buckets, r, idx, signs, dense)
+    maps, signs = assignment[:2]
+    sketch = bucket_sum((a, eta), r, maps, signs)
 
-    coverage = np.bincount(buckets[n:] if idx is None else buckets[idx >= n], minlength=r)
-    for block in dense:
-        coverage += np.bincount(block[n:], minlength=r)
+    coverage = sum(np.bincount(b[n:] if idx is None else b[idx >= n], minlength=r) for idx, b in maps)
     uncovered = np.flatnonzero(coverage == 0)
     if uncovered.size:
         # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
@@ -173,6 +168,6 @@ def private_countsketch_l2(
 
     def assign(plan_seed, n, p):
         plan = draw_countsketch_plan(n + p, r, plan_seed, signed=signed)
-        return plan.bucket_of, None, plan.sign_of, ()
+        return [(None, plan.bucket_of)], plan.sign_of
 
     return noised_bucket_release(a, r, sigma, seed, assign)[:2]

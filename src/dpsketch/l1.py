@@ -1,20 +1,23 @@
 """Private sketches for l1 regression.
 
 Two releases live here. The single-level illustration sketch reuses the
-CountSketch pipeline with all signs +1. The multi-level weighted sketch
-stacks ``h_m + 1`` levels: level 0 is a CountMin-style pass over every row
-(duplicated into ``s`` blocks of ``N' = N/s`` buckets), and every row enters
-each level ``h = 1..h_m`` independently with probability ``1/b^h``; levels
-``1..h_m-1`` have ``N`` buckets and the final, uniform level ``N_u``. A row
-therefore touches at most ``s + h_m`` buckets, and about ``s + 1/(b-1)`` on
-average. A sampled level is drawn at the size of its membership (a binomial
-count, then a uniform subset of the rows), and level 0 is summed straight
-from each column of ``[A; eta]``, so the release costs what its memberships
-cost, not ``h_m`` passes over every row. Bucket weights are ``b^h`` (level
-0: ``1/s``) and are data oblivious, so releasing them is free. Both releases
-sum ``S [A; eta]`` (``eta`` Gaussian noise rows) block by block through
-``countsketch.noised_bucket_release``, never forming the stack, and patch
-every bucket to contain at least one noise row.
+CountSketch pipeline with an unsigned plan, one that has no sign array. The
+multi-level weighted sketch stacks ``h_m + 1`` levels: level 0 is a
+CountMin-style pass over every row (duplicated into ``s`` blocks of
+``N' = N/s`` buckets), and every row enters each level ``h = 1..h_m``
+independently with probability ``1/b^h``; levels ``1..h_m-1`` have ``N``
+buckets and the final, uniform level ``N_u``. A row therefore touches at
+most ``s + h_m`` buckets, and about ``s + 1/(b-1)`` on average. A sampled
+level is drawn at the size of its membership (a binomial count, then a
+uniform subset of the rows). The release hands ``countsketch.bucket_sum``
+``s + 1`` bucket maps: one per level-0 block, summed straight from each
+column of ``[A; eta]``, and one listing every sampled membership, so it
+costs what its memberships cost, not ``h_m`` passes over every row. Bucket
+weights are ``b^h`` (level 0: ``1/s``) and are data oblivious, so
+releasing them is free. Both releases sum ``S [A; eta]`` (``eta`` Gaussian
+noise rows) block by block through ``countsketch.noised_bucket_release``,
+never forming the stack, and patch every bucket to contain at least one
+noise row.
 
 The multi-level release calibrates its noise to the footprint's
 sensitivity ``2 B sqrt(s + h_m)`` (``mechanisms.l1_sketch_sensitivity``):
@@ -59,8 +62,8 @@ def l1_tail_bound(r: int, sigma: float) -> float:
     """Bound ``r * sigma`` on the l1 norm of r i.i.d. N(0, sigma^2) draws (holds w.p. >= 3/4)."""
     if r < 1:
         raise ParameterError("r must be at least 1")
-    if sigma < 0:
-        raise ParameterError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ParameterError(f"sigma must be nonnegative and finite, got {sigma}")
     return r * sigma
 
 
@@ -71,10 +74,10 @@ def illustration_sketch_private(
     bound: RowBound,
     seed,
 ) -> np.ndarray:
-    """Single-level private l1 sketch: CountSketch pipeline with all signs +1.
+    """Single-level private l1 sketch: the CountSketch pipeline, unsigned.
 
     Noise rows are calibrated to sensitivity 2B exactly as in the l2
-    release; only the signs differ.
+    release; the plan has no sign array, so every row enters its bucket as is.
     """
     return private_countsketch_l2(data, r, pp, bound, seed, signed=False)[0]
 
@@ -147,10 +150,8 @@ class WeightedSketch:
 class _Levels(NamedTuple):
     """Where ``_level_buckets`` puts the rows of ``[A; eta]``, and what that tells of the data rows."""
 
-    buckets: np.ndarray
-    idx: np.ndarray
+    maps: "list[tuple[np.ndarray | None, np.ndarray]]"
     signs: None
-    dense: "list[np.ndarray]"
     data_level_counts: np.ndarray
     max_data_memberships: int
 
@@ -158,21 +159,20 @@ class _Levels(NamedTuple):
 def _level_buckets(rng: np.random.Generator, n: int, p: int, cfg: L1SketchConfig, h_m: int) -> _Levels:
     """Bucket every row of ``[A; eta]`` (``n`` data rows, then ``p`` noise rows) at every level.
 
-    Level 0 is ``dense``: its ``s`` blocks place all ``m = n + p`` rows, in
-    row order. Level ``h = 1..h_m`` draws its size ``k ~ Binomial(m, b^-h)``,
-    then a uniform ``k``-subset of the rows (listed in ascending order) and a
-    bucket for each. A binomial count and a uniform subset of that size give
-    every row its own Bernoulli(``b^-h``) membership, independently of the
-    other rows and levels. The sampled levels are concatenated in draw order
-    into ``buckets`` and ``idx``; each level writes its own bucket range, so
-    one ``bincount`` adds every bucket in the order separate per-level sums
-    would. The data rows' diagnostics are read from the sorted per-level row
-    lists, where a level's data rows are a prefix.
+    Level 0 is ``s`` maps ``(None, block)``, each placing all ``m = n + p``
+    rows in row order. Level ``h = 1..h_m`` draws its size ``k ~ Binomial(m,
+    b^-h)``, then a uniform ``k``-subset of the rows (in ascending order) and
+    a bucket for each: every row gets its own Bernoulli(``b^-h``) membership,
+    independently of the other rows and levels. The sampled levels are
+    concatenated in draw order into one map ``(rows, buckets)``; each level
+    writes its own bucket range, so one ``bincount`` adds every bucket in the
+    order separate per-level sums would. The data rows' diagnostics are read
+    from the sorted per-level row lists, where a level's data rows are a prefix.
     """
     N, s, b = cfg.N, cfg.s, cfg.b
     m = n + p
     n_prime = N // s
-    dense = [block * n_prime + rng.integers(0, n_prime, size=m) for block in range(s)]
+    maps = [(None, block * n_prime + rng.integers(0, n_prime, size=m)) for block in range(s)]
     rows, buckets = [], []
     for h in range(1, h_m + 1):
         k = rng.binomial(m, b**-h)
@@ -187,7 +187,7 @@ def _level_buckets(rng: np.random.Generator, n: int, p: int, cfg: L1SketchConfig
     buckets = np.concatenate(buckets)  # the per-level pieces are freed as each list is replaced
     rows = np.concatenate(rows)
     return _Levels(
-        buckets, rows, None, dense,
+        [*maps, (rows, buckets)], None,
         data_level_counts=np.array([n, *data_rows]),  # every data row sits in every level-0 block
         max_data_memberships=s + int(memberships.max()),
     )

@@ -145,8 +145,8 @@ def sample_gaussian_matrix(rows: int, cols: int, sigma: float, seed) -> np.ndarr
     """rows-by-cols matrix of i.i.d. N(0, sigma^2) entries, seed-deterministic."""
     if rows < 1 or cols < 1:
         raise ParameterError("matrix dimensions must be positive")
-    if sigma < 0:
-        raise ParameterError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ParameterError(f"sigma must be nonnegative and finite, got {sigma}")
     rng = np.random.default_rng(seed)
     return sigma * rng.standard_normal((rows, cols))
 

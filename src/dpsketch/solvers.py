@@ -137,11 +137,6 @@ def solve_l2_sketch(problem: SketchProblem) -> RegressionSolution:
     return _finish(beta, w @ residual**2, "qr")
 
 
-def l1_objective(problem: SketchProblem, beta) -> float:
-    residual = problem.design @ np.asarray(beta, dtype=float) - problem.target
-    return float(problem.effective_weights() @ np.abs(residual))
-
-
 class _Vertex(NamedTuple):
     """A vertex of the descent: the point interpolating the ``basis`` rows."""
 

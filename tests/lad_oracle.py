@@ -6,11 +6,17 @@ import itertools
 import numpy as np
 
 from dpsketch.errors import ParameterError, SingularSystemError
-from dpsketch.solvers import RegressionSolution, SketchProblem, l1_objective
+from dpsketch.solvers import RegressionSolution, SketchProblem
 
 # Vertex enumeration is combinatorial; refuse anything beyond this.
 MAX_ROWS = 25
 MAX_COLS = 3
+
+
+def l1_objective(problem: SketchProblem, beta) -> float:
+    """Weighted l1 loss ``sum_i w_i |x_i beta - y_i|`` of ``beta`` on ``problem``."""
+    residual = problem.design @ np.asarray(beta, dtype=float) - problem.target
+    return float(problem.effective_weights() @ np.abs(residual))
 
 
 def lad_vertex_oracle(problem: SketchProblem) -> RegressionSolution:

@@ -119,6 +119,23 @@ class TestVerifier:
         assert report.exceedances == 0
         assert report.verdict == "pass"
 
+    def test_nan_bound_refused(self):
+        # every comparison with NaN is false, so a NaN bound would count no exceedance and pass
+        spec = GaussianNoiseSpec(rows=5, sigma=1.0, beta_aug=np.array([1.0, -1.0]))
+        for statistic in ("l1", "l2"):
+            with pytest.raises(ParameterError):
+                verify_tail_bound(spec, statistic, math.nan, 0.25, 200, seed=0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_spec_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ParameterError):
+            GaussianNoiseSpec(rows=10, sigma=sigma, beta_aug=np.ones(2))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_spec_beta_aug_must_be_finite(self, entry):
+        with pytest.raises(ParameterError):
+            GaussianNoiseSpec(rows=10, sigma=1.0, beta_aug=np.array([1.0, entry]))
+
     def test_zero_bound_fails(self):
         spec = GaussianNoiseSpec(rows=5, sigma=1.0, beta_aug=np.array([1.0, -1.0]))
         report = verify_tail_bound(spec, "l2", 0.0, 0.25, 200, seed=0)

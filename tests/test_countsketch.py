@@ -50,7 +50,7 @@ class TestApply:
                 plan = draw_countsketch_plan(n, r, rng.integers(2**32), signed=signed)
                 m = rng.standard_normal((n, d1))
                 ref = np.zeros((r, d1))
-                np.add.at(ref, plan.bucket_of, plan.sign_of[:, None] * m)
+                np.add.at(ref, plan.bucket_of, m if plan.sign_of is None else plan.sign_of[:, None] * m)
                 assert np.array_equal(countsketch_apply(plan, m), ref)
 
     def test_blocks_equal_explicit_stack(self):
@@ -61,15 +61,15 @@ class TestApply:
             a, eta = rng.standard_normal((n, 3)), rng.standard_normal((p, 3))
             idx = np.sort(rng.integers(0, n + p, size=k))
             buckets = rng.integers(0, r, size=k)
-            signs = rng.choice([-1.0, 1.0], size=k)
+            signs = rng.choice([-1.0, 1.0], size=n + p)
             stacked = np.vstack([a, eta])
             ref = np.zeros((r, 3))
-            np.add.at(ref, buckets, signs[:, None] * stacked[idx])
-            assert np.array_equal(bucket_sum((a, eta), buckets, r, idx, signs), ref)
+            np.add.at(ref, buckets, (signs[:, None] * stacked)[idx])
+            assert np.array_equal(bucket_sum((a, eta), r, [(idx, buckets)], signs), ref)
             every = rng.integers(0, r, size=n + p)
             ref = np.zeros((r, 3))
             np.add.at(ref, every, stacked)
-            assert np.array_equal(bucket_sum((a, eta), every, r), ref)
+            assert np.array_equal(bucket_sum((a, eta), r, [(None, every)]), ref)
 
     def test_dense_parts_equal_add_at_reference(self):
         # the level-0 form: each dense array places every row of [A; eta] once,
@@ -84,18 +84,31 @@ class TestApply:
             for idx in (np.sort(rng.choice(m, size=k, replace=False)), None):
                 rows = stacked if idx is None else stacked[idx]
                 buckets = rng.integers(s * width, r, size=len(rows))
-                for signs in (None, rng.choice([-1.0, 1.0], size=len(rows))):
+                for signs in (None, rng.choice([-1.0, 1.0], size=m)):
+                    signed = stacked if signs is None else signs[:, None] * stacked
                     ref = np.zeros((r, 3))
                     for level in dense:
-                        np.add.at(ref, level, stacked)
-                    np.add.at(ref, buckets, rows if signs is None else signs[:, None] * rows)
-                    assert np.array_equal(bucket_sum((a, eta), buckets, r, idx, signs, dense), ref)
+                        np.add.at(ref, level, signed)
+                    np.add.at(ref, buckets, signed if idx is None else signed[idx])
+                    maps = [(None, level) for level in dense] + [(idx, buckets)]
+                    assert np.array_equal(bucket_sum((a, eta), r, maps, signs), ref)
 
     def test_plan_validation(self):
         with pytest.raises(ParameterError):
             CountSketchPlan(r=2, bucket_of=np.array([0, 2]), sign_of=np.ones(2))
         with pytest.raises(ParameterError):
             CountSketchPlan(r=2, bucket_of=np.array([0, 1]), sign_of=np.array([1.0, 0.5]))
+
+    def test_unsigned_plan_validation(self):
+        # an unsigned plan (no sign array) is accepted and applied as is; its
+        # bucket map is still checked for range and shape
+        plan = CountSketchPlan(r=3, bucket_of=np.array([2, 0, 2]), sign_of=None)
+        assert plan.sign_of is None
+        out = countsketch_apply(plan, np.diag([1.0, 2.0, 3.0]))
+        assert np.array_equal(out, [[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        for buckets in (np.array([0, 2]), np.array([-1, 0]), np.zeros((2, 2), dtype=int)):
+            with pytest.raises(ParameterError):
+                CountSketchPlan(r=2, bucket_of=buckets, sign_of=None)
 
 
 class TestPlanDistribution:
@@ -107,7 +120,15 @@ class TestPlanDistribution:
 
     def test_unsigned_mode(self):
         plan = draw_countsketch_plan(50, 5, seed=1, signed=False)
-        assert (plan.sign_of == 1.0).all()
+        assert plan.sign_of is None
+
+    def test_unsigned_plan_has_the_signed_buckets(self):
+        # buckets are drawn before signs, so an unsigned plan is the signed
+        # plan of the same seed without its sign array
+        signed = draw_countsketch_plan(300, 7, seed=9)
+        unsigned = draw_countsketch_plan(300, 7, seed=9, signed=False)
+        assert unsigned.sign_of is None
+        assert np.array_equal(unsigned.bucket_of, signed.bucket_of)
 
 
 class TestNoiseRowCount:

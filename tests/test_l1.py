@@ -1,10 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpsketch.bounds import GaussianNoiseSpec, l1_coeff_bound, verify_tail_bound
+from dpsketch.countsketch import noise_row_count, private_countsketch_l2
 from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import CertificationError, ParameterError
 from dpsketch.l1 import (
@@ -47,6 +49,11 @@ class TestTailBoundValue:
         assert l1_tail_bound(10, 2.0) == 20.0
         assert l1_tail_bound(7, 0.0) == 0.0
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ParameterError):
+            l1_tail_bound(10, sigma)
+
     def test_monte_carlo_quarter(self):
         spec = GaussianNoiseSpec(rows=50, sigma=1.0, beta_aug=np.array([1.0]))
         report = verify_tail_bound(spec, "l1", l1_tail_bound(50, 1.0), 0.25, 10_000, seed=3)
@@ -54,6 +61,23 @@ class TestTailBoundValue:
 
 
 class TestIllustrationSketch:
+    def test_unsigned_release_holds_no_sign_array(self):
+        # the unsigned plan carries no sign array, so at the same seed the l1
+        # illustration release peaks at least about one float per row of
+        # [A; eta] below the signed cs2 release
+        data = synthetic_regression(200_000, 10, seed=7)
+        r = 1024
+        peaks = []
+        for release in (private_countsketch_l2, illustration_sketch_private):
+            tracemalloc.start()
+            try:
+                release(data, r, PP, B1, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rows = data.n + noise_row_count(r)
+        assert peaks[0] - peaks[1] >= 0.9 * rows * 8
+
     def test_shape(self):
         data = synthetic_regression(400, 3, seed=4)
         sketch = illustration_sketch_private(data, 12, PP, B1, seed=1)
@@ -184,13 +208,12 @@ class TestMultiLevelSketch:
 def _memberships(assignment):
     """(row, bucket) of every membership an l1 release's assignment lists, level 0 included.
 
-    ``buckets`` and ``idx`` list memberships one by one; each ``dense``
-    array, where the assignment has them, places every row once, in row order.
+    A map ``(idx, buckets)`` lists memberships one by one; ``idx=None``
+    places every row once, in row order.
     """
-    buckets, idx = assignment[0], assignment[1]
-    dense = list(assignment[3]) if len(assignment) > 3 else []
-    rows = [np.arange(len(level)) for level in dense] + [idx]
-    return np.concatenate(rows), np.concatenate(dense + [buckets])
+    maps = assignment[0]
+    rows = [np.arange(len(buckets)) if idx is None else idx for idx, buckets in maps]
+    return np.concatenate(rows), np.concatenate([buckets for _, buckets in maps])
 
 
 def _release_and_memberships(monkeypatch, data, cfg):
@@ -279,16 +302,14 @@ class TestDiagnosticsRecount:
 class TestBucketSums:
     @staticmethod
     def add_at_reference(calls):
-        def reference(blocks, buckets, r, idx=None, signs=None, dense=()):
+        def reference(blocks, r, maps, signs=None):
             calls.append(len(blocks))
             stacked = np.vstack(blocks)
-            rows = stacked if idx is None else stacked[idx]
             if signs is not None:
-                rows = signs[:, None] * rows
+                stacked = signs[:, None] * stacked
             out = np.zeros((r, stacked.shape[1]))
-            for level in dense:
-                np.add.at(out, level, stacked)
-            np.add.at(out, buckets, rows)
+            for idx, buckets in maps:
+                np.add.at(out, buckets, stacked if idx is None else stacked[idx])
             return out
 
         return reference

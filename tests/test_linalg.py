@@ -224,6 +224,12 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_gaussian_matrix(2, 2, -1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # a NaN sigma would return a matrix of NaNs
+        with pytest.raises(ParameterError):
+            sample_gaussian_matrix(2, 2, sigma, seed=0)
+
     def test_laplace_determinism(self):
         assert sample_laplace(1.0, seed=5) == sample_laplace(1.0, seed=5)
 

@@ -14,14 +14,13 @@ from dpsketch.solvers import (
     approximation_ratio,
     exact_l1_solution,
     exact_l2_solution,
-    l1_objective,
     solve_l1_weighted,
     solve_l2_sketch,
     _descent,
     _start_basis,
     _tie_breaker,
 )
-from lad_oracle import lad_vertex_oracle
+from lad_oracle import l1_objective, lad_vertex_oracle
 
 
 def fabricate_solution(beta):
