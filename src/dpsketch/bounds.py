@@ -51,7 +51,7 @@ def ridge_coeff_bound_l2(sigma: float, r: int, beta_aug) -> float:
     behind the bound.
     """
     _check(sigma, r)
-    beta = np.asarray(beta_aug, dtype=float).reshape(-1)
+    beta = _finite_beta(beta_aug)
     return 13.0 / math.sqrt(8.0) * sigma * math.sqrt(r * math.log(r)) * float(np.linalg.norm(beta))
 
 
@@ -61,7 +61,7 @@ def l1_coeff_bound(sigma: float, r: int, beta_aug) -> float:
     ``sigma`` is the noise level of the release, single- or multi-level.
     """
     _check(sigma, r)
-    beta = np.asarray(beta_aug, dtype=float).reshape(-1)
+    beta = _finite_beta(beta_aug)
     return sigma * r * math.log(r) * float(np.abs(beta).sum())
 
 
@@ -70,6 +70,14 @@ def _check(sigma: float, r: int) -> None:
         raise ParameterError(f"sigma must be nonnegative and finite, got {sigma}")
     if r < 2:
         raise ParameterError("bounds need r >= 2 so that ln r > 0")
+
+
+def _finite_beta(beta_aug) -> np.ndarray:
+    """``beta_aug`` as a flat float array; a NaN or infinite entry is refused."""
+    beta = np.asarray(beta_aug, dtype=float).reshape(-1)
+    if not np.isfinite(beta).all():
+        raise ParameterError("beta_aug must be finite")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -86,10 +94,7 @@ class GaussianNoiseSpec:
             raise ParameterError("need at least one noise row")
         if not 0 <= self.sigma < math.inf:
             raise ParameterError(f"sigma must be nonnegative and finite, got {self.sigma}")
-        beta = np.asarray(self.beta_aug, dtype=float).reshape(-1)
-        if not np.isfinite(beta).all():
-            raise ParameterError("beta_aug must be finite")
-        object.__setattr__(self, "beta_aug", beta)
+        object.__setattr__(self, "beta_aug", _finite_beta(self.beta_aug))
 
 
 def verify_tail_bound(

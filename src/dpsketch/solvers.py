@@ -387,7 +387,9 @@ def approximation_ratio(data: DataMatrix, sol: RegressionSolution, norm: str) ->
 
     For ``norm="l2"`` losses are squared l2 norms; for ``norm="l1"`` plain
     l1 norms. When the exact loss is (numerically) zero the ratio is
-    undefined and the absolute excess is reported instead.
+    undefined and the absolute excess is reported instead. The exact optimum
+    is solved on every call; a caller scoring many solutions on fixed data
+    solves it once and applies the same rule, ``_ratio_report``, to each.
     """
     if norm not in ("l1", "l2"):
         raise ParameterError("norm must be 'l1' or 'l2'")
@@ -398,6 +400,12 @@ def approximation_ratio(data: DataMatrix, sol: RegressionSolution, norm: str) ->
     else:
         loss_sol = float(np.abs(residual).sum())
         loss_star = exact_l1_solution(data).sketch_loss
+    return _ratio_report(loss_sol, loss_star)
+
+
+def _ratio_report(loss_sol: float, loss_star: float) -> RatioReport:
+    """``loss_sol / loss_star``; when the exact loss is (numerically) zero the
+    ratio is undefined and the absolute excess is reported instead."""
     if loss_star <= 1e-12 * max(1.0, loss_sol):
         return RatioReport(value=loss_sol - loss_star, kind="absolute-excess")
     return RatioReport(value=loss_sol / loss_star, kind="ratio")

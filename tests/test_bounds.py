@@ -77,6 +77,14 @@ class TestBoundFormulas:
         with pytest.raises(ParameterError):
             l1_sketch_sensitivity(B1, 0)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bound", [ridge_coeff_bound_l2, l1_coeff_bound])
+    def test_beta_aug_must_be_finite(self, bound, entry):
+        # A NaN bound no sample exceeds, an infinite one no sample reaches.
+        for beta in ([entry], [entry, 1.0], [1.0, entry]):
+            with pytest.raises(ParameterError):
+                bound(1.0, 8, beta)
+
     @given(
         st.floats(min_value=0.1, max_value=10.0),
         st.floats(min_value=0.1, max_value=10.0),

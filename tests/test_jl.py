@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+from dpsketch import suites
 from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import CertificationError, ParameterError, SingularSystemError
 from dpsketch.jl import (
@@ -19,6 +21,7 @@ from dpsketch.jl import (
 from dpsketch.linalg import sample_gaussian_matrix, svd
 from dpsketch.mechanisms import PrivacyParams, RowBound
 from dpsketch.solvers import SketchProblem, exact_l2_solution, solve_l2_sketch
+from dpsketch.suites import _bartlett_factor
 
 PP = PrivacyParams(1.0, 0.05)
 B1 = RowBound(1.0)
@@ -272,3 +275,66 @@ class TestSpectrum:
             jl_project([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]], 4, seed=0)
         with pytest.raises(ParameterError):
             jl_project(np.ones((0, 3)), 4, seed=0)
+
+
+class TestJlDistortionLaw:
+    """The jl-distortion suite draws ``G^T G`` as ``L L^T`` from the Bartlett
+    factor ``L`` in place of the r x k Gaussian ``G`` itself."""
+
+    @pytest.mark.parametrize("k, r", [(20, 1000), (5, 5)])
+    def test_wishart_moments(self, k, r):
+        # Wishart_k(r, I): E[W] = r I, Var W_ij = r (1 + [i = j]). Over 4000
+        # draws an entry's mean has standard error sqrt(Var / 4000); each must
+        # lie within 5 of them (210 distinct entries at k = 20, so a false
+        # alarm has probability ~1e-4). A sample variance has relative
+        # standard error <= sqrt((kurtosis - 1) / 4000) <= 0.034 (kurtosis
+        # 3 + 12/r of chi2(r) at r = 5); the slack is 0.15. At (5, 5) the last
+        # diagonal entry has 1 degree of freedom.
+        n_draws = 4000
+        rng = np.random.default_rng(2024)
+        w = np.empty((n_draws, k, k))
+        for t in range(n_draws):
+            factor = _bartlett_factor(k, r, rng)
+            assert np.array_equal(factor, np.tril(factor))
+            w[t] = factor @ factor.T
+        var = r * (1.0 + np.eye(k))
+        z = np.abs(w.mean(axis=0) - r * np.eye(k)) / np.sqrt(var / n_draws)
+        assert z.max() <= 5.0
+        assert np.max(np.abs(w.var(axis=0) / var - 1.0)) <= 0.15
+
+    def test_norm_quantiles_match_gaussian_draws(self):
+        # The suite's statistic ||L^T Q e_j||^2 / r against ||G Q e_j||^2 / r
+        # through gaussian_times_root, at r = 1000, 20 unit vectors in R^200.
+        # Each side has 1000 trials x 20 vectors; a p-quantile of N samples
+        # has standard error sqrt(p (1 - p) / N) / f(q_p), with f the density
+        # of the near-normal statistic (mean 1, sd sqrt(2 / r)). The two
+        # quantiles must agree within 5 standard errors of their difference.
+        r, dim, k, trials = 1000, 200, 20, 1000
+        vectors = np.random.default_rng(0).standard_normal((dim, k))
+        vectors /= np.linalg.norm(vectors, axis=0)
+        root = gram_root(vectors)
+        bartlett = np.concatenate([
+            np.linalg.norm(_bartlett_factor(k, r, np.random.default_rng([11, i])).T @ root, axis=0) ** 2 / r
+            for i in range(trials)
+        ])
+        direct = np.concatenate([
+            np.linalg.norm(gaussian_times_root(root, r, np.random.SeedSequence([12, i])), axis=0) ** 2 / r
+            for i in range(trials)
+        ])
+        probs = np.array([0.01, 0.10, 0.50, 0.90, 0.99])
+        sd = math.sqrt(2.0 / r)
+        z = np.array([NormalDist().inv_cdf(p) for p in probs])
+        density = np.exp(-z**2 / 2) / (math.sqrt(2 * math.pi) * sd)
+        n = trials * k
+        se_diff = np.sqrt(2 * probs * (1 - probs) / n) / density
+        gap = np.abs(np.quantile(bartlett, probs) - np.quantile(direct, probs))
+        assert np.all(gap <= 5.0 * se_diff), (gap, se_diff)
+
+    def test_suite_draws_no_r_by_k_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("jl-distortion drew an r x k Gaussian")
+
+        monkeypatch.setattr(suites, "gaussian_times_root", refuse)
+        monkeypatch.setattr(suites, "jl_project", refuse)
+        (report,) = suites.suite_jl_distortion(trials=100, seed=0)
+        assert (report.trials, report.exceedances) == (2000, 0)

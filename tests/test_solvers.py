@@ -7,6 +7,7 @@ import pytest
 from dpsketch import solvers
 from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
+from dpsketch.jl import gaussian_times_root, gram_root
 from dpsketch.mechanisms import RowBound
 from dpsketch.solvers import (
     RegressionSolution,
@@ -20,6 +21,7 @@ from dpsketch.solvers import (
     _start_basis,
     _tie_breaker,
 )
+from dpsketch.suites import suite_approx_ratio
 from lad_oracle import l1_objective, lad_vertex_oracle
 
 
@@ -555,10 +557,38 @@ class TestApproximationRatio:
     def test_zero_exact_loss_reports_excess(self):
         x = np.array([[0.1], [0.2], [0.3]])
         data = DataMatrix(np.column_stack([x, 2.0 * x[:, 0]]), RowBound(1.0))
-        sol = exact_l2_solution(data)
-        rep = approximation_ratio(data, fabricate_solution(sol.beta + 1.0), "l2")
+        exact = exact_l2_solution(data)
+        off = fabricate_solution(exact.beta + 1.0)
+        rep = approximation_ratio(data, off, "l2")
         assert rep.kind == "absolute-excess"
         assert rep.value > 0
+        # the rule suite_approx_ratio applies to its hoisted optimum
+        residual = data.X @ off.beta - data.y
+        assert solvers._ratio_report(float(residual @ residual), exact.sketch_loss) == rep
+
+    def test_hoisted_optimum_is_bit_for_bit(self):
+        # suite_approx_ratio solves the exact loss once and scores each trial
+        # with _ratio_report; the reports equal approximation_ratio's exactly
+        data = synthetic_regression(5000, 5, seed=0, noise=0.1, beta_scale=1.0)
+        root = gram_root(data.A)
+        loss_star = exact_l2_solution(data).sketch_loss
+        for i in range(3):
+            sol = solve_l2_sketch(SketchProblem(gaussian_times_root(root, 403, np.random.SeedSequence([0, i]))))
+            residual = data.X @ sol.beta - data.y
+            hoisted = solvers._ratio_report(float(residual @ residual), loss_star)
+            assert hoisted.kind == "ratio"
+            assert hoisted == approximation_ratio(data, sol, "l2")
+
+    def test_approx_ratio_suite_solves_the_optimum_once(self, monkeypatch):
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return exact_l2_solution(data)
+
+        monkeypatch.setattr(solvers, "exact_l2_solution", counted)
+        (report,) = suite_approx_ratio(trials=5, seed=0)
+        assert (len(calls), report.trials, report.exceedances) == (1, 5, 0)
 
     def test_l1_objective_helper(self):
         prob = problem_from_xy(np.ones((3, 1)), [1.0, 2.0, 9.0])
