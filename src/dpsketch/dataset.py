@@ -10,15 +10,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CertificationError, ParameterError
-from .linalg import as_matrix
+from .linalg import as_matrix, nonempty_matrix
 from .mechanisms import RowBound
 
 # Relative slack when checking row norms against B, so rows rescaled to
 # exactly B still certify despite rounding.
 _NORM_SLACK = 1e-9
 # Cells per block when parsing a CSV or squaring rows. A block's text (several
-# times the size of its floats) and its squares are held to a fixed size.
-_INGEST_CELLS = 1 << 14
+# times the size of its floats) and its squares are held to a fixed size; an
+# ingest peaks at A plus about 0.45 MB of them at 11 columns.
+_INGEST_CELLS = 1 << 13
+# Bytes per read when counting a CSV file's lines.
+_COUNT_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -29,10 +32,13 @@ class DataMatrix:
     point: every row's l2 norm is checked against ``bound.B`` at construction
     (a refusal names the first row over it, counting from 1) and ``A`` is kept
     as a read-only copy, so writes to the caller's array cannot void the
-    certificate and releases need not scan ``A`` again. The copy is the only
-    n x (d+1) allocation: ``row_norms`` squares a block of rows at a time.
-    ``ingest`` and ``synthetic_regression`` hand over the array they have
-    just built, which is kept without a copy (``_adopt``).
+    certificate and releases need not scan ``A`` again. Certification takes
+    no other n x (d+1) array, only the n row norms: ``row_norms`` squares a
+    block of rows at a time, and a NaN or infinite entry is found by the
+    non-finite norm it gives its row (the bool matrix of ``np.isfinite`` is
+    built only to confirm a refusal). ``ingest`` and
+    ``synthetic_regression`` hand over the array they have just built, which
+    is kept without a copy (``_adopt``).
 
     ``A`` is stored column-major (Fortran order). The bucket sums of the
     hashed releases, ``X @ beta``, ``y`` and the residuals of the solvers go
@@ -45,7 +51,7 @@ class DataMatrix:
     bound: RowBound
 
     def __post_init__(self):
-        self._certify(as_matrix(np.array(self.A, dtype=float, order="F")))
+        self._certify(nonempty_matrix(np.array(self.A, dtype=float, order="F")))
 
     @classmethod
     def _adopt(cls, a: np.ndarray, bound: RowBound) -> "DataMatrix":
@@ -54,16 +60,19 @@ class DataMatrix:
         reference to."""
         data = object.__new__(cls)
         object.__setattr__(data, "bound", bound)
-        data._certify(as_matrix(a))
+        data._certify(nonempty_matrix(a))
         return data
 
     def _certify(self, a: np.ndarray) -> None:
+        top = max_row_norm(a)  # NaN or inf if an entry is: np.max propagates NaN
+        if not np.isfinite(top):  # a non-finite entry, or finite ones too large even for hypot
+            as_matrix(a)  # refuses the first with ParameterError
         if a.shape[1] < 2:
             raise ParameterError("need at least one feature column plus the response")
         a.flags.writeable = False
         object.__setattr__(self, "A", a)
         limit = self.bound.B * (1.0 + _NORM_SLACK)
-        if max_row_norm(a) > limit:
+        if top > limit:
             norms = row_norms(a)
             bad = int(np.argmax(norms > limit))
             raise CertificationError(
@@ -171,6 +180,17 @@ def ingest(
     Under ``clip="reject"`` such a row raises the ``DataMatrix`` refusal,
     prefixed with the path. A delimiter that is the quote character or a line
     break is refused before the file is opened.
+
+    The blocks are written straight into one column-major ``A``, which
+    ``DataMatrix`` keeps without a copy. For a regular file, ``A`` is sized
+    by a first pass that counts the lines (``_count_lines``), less the
+    header: every record takes at least one line. The peak is then ``A``
+    plus one block's text and values, or certification's row norms (about
+    1.1x ``A`` at 200k x 11). Where there are more records than the count (a
+    pipe, or a file that grew after it), ``A`` grows by doubling; where there
+    are fewer (blank lines, quoted cells spanning lines), it is shrunk to
+    them. Both resize it in place (``_resize_rows``), so it is never held
+    twice. Either way ``A`` is column-major and read-only.
     """
     if clip not in ("reject", "scale"):
         raise ParameterError(f"clip must be 'reject' or 'scale', got {clip!r}")
@@ -179,7 +199,7 @@ def ingest(
     if delimiter in '"\r\n':
         raise ParameterError(f"delimiter cannot be the quote character or a line break, got {delimiter!r}")
     path = Path(path)
-    blocks, start, rescaled = [], 0, 0
+    start, rescaled = 0, 0
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             records, line = _records(handle, delimiter, 1 + has_header, 0, path)
@@ -193,6 +213,8 @@ def ingest(
             resp = _resolve_response(response_column, header, width, path)
             order = [j for j in range(width) if j != resp] + [resp]
             step = max(1, _INGEST_CELLS // width)
+            capacity = _count_lines(path) - has_header if path.is_file() else step  # else a pipe
+            a = np.empty((max(2, capacity), width), order="F")  # 2 rows: see _resize_rows
             while True:
                 lines, rows = _take_lines(handle, step - len(head))
                 values = _load_lines(lines, rows, width, delimiter)
@@ -210,21 +232,26 @@ def ingest(
                 if not np.all(np.isfinite(values)):
                     i, j = np.argwhere(~np.isfinite(values))[0]
                     raise ParameterError(f"{path}: non-finite value at row {start + i + 1}, column {j + 1}")
-                a = values[:, order]
-                start += len(a)
+                if start + len(values) > len(a):  # more records than counted: a pipe, or a file that grew
+                    _resize_rows(a, start, max(2 * len(a), start + len(values)))
+                part = a[start : start + len(values)]
+                for j, column in enumerate(order):
+                    part[:, j] = values[:, column]
+                start += len(values)
+                values = None  # nor is the parsed block held while the next is read
                 if clip == "scale":
-                    norms = row_norms(a)
+                    norms = row_norms(part)
                     over = norms > bound.B * (1.0 + _NORM_SLACK)
                     huge = over & (norms > np.sqrt(np.finfo(float).max))  # squares overflow
-                    a[huge] /= np.abs(a[huge]).max(axis=1)[:, None]  # so B / norm is not 0
-                    norms[huge] = row_norms(a[huge])
+                    part[huge] /= np.abs(part[huge]).max(axis=1)[:, None]  # so B / norm is not 0
+                    norms[huge] = row_norms(part[huge])
                     rescaled += int(over.sum())
-                    a[over] *= (bound.B / norms[over])[:, None]
-                blocks.append(a)
+                    part[over] *= (bound.B / norms[over])[:, None]
+                del part  # a is resized only while no view of it exists
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    a = np.concatenate(blocks, out=np.empty((sum(map(len, blocks)), len(order)), order="F"))
-    del blocks
+    if start < len(a):  # fewer records than lines: blank lines, or quoted cells spanning lines
+        _resize_rows(a, start, start)
     try:
         data = DataMatrix._adopt(a, bound)  # a is referenced nowhere else: no copy
     except (CertificationError, ParameterError) as exc:
@@ -232,6 +259,50 @@ def ingest(
     if data.n < data.d + 2:
         raise ParameterError(f"{path}: need at least d+2 = {data.d + 2} rows, got {data.n}")
     return IngestResult(data, rescaled)
+
+
+def _resize_rows(a: np.ndarray, filled: int, rows: int) -> None:
+    """Resize the column-major ``a`` in place to ``rows`` rows, keeping its
+    first ``filled``. Its buffer is reallocated (``ndarray.resize``, which
+    for a large array seldom copies), so it is never held twice, and each
+    column's rows are moved to where the new shape puts them: down before a
+    shrink, up after a growth, in an order that overwrites no column not yet
+    moved. ``a`` must own its data, no view of it may exist, and it must
+    have 2 rows or more: numpy keeps column-major strides on a resize only
+    for an array that is not also row-major, as one of a single row is."""
+    old, width = a.shape
+    if rows < old:
+        flat = a.reshape(-1, order="F")
+        for j in range(1, width):
+            flat[j * rows : j * rows + filled] = flat[j * old : j * old + filled]
+        del flat
+    a.resize((rows, width), refcheck=False)
+    if rows > old:
+        flat = a.reshape(-1, order="F")
+        for j in range(width - 1, 0, -1):
+            flat[j * rows : j * rows + filled] = flat[j * old : j * old + filled]
+
+
+def _count_lines(path: Path) -> int:
+    """The number of lines of the file at ``path``, each ended by ``\\n``,
+    ``\\r``, ``\\r\\n`` or the end of the file. A CSV record takes one line
+    or more, so this bounds the number of records. The bytes are read
+    ``_COUNT_BYTES`` at a time into one buffer, and ``\\r`` is counted only in
+    a read that holds one."""
+    buf = bytearray(_COUNT_BYTES)
+    view = np.frombuffer(buf, np.uint8)
+    lines, last = 0, None
+    with path.open("rb", buffering=0) as raw:
+        while got := raw.readinto(buf):
+            chunk = view[:got]
+            lines += np.count_nonzero(chunk == ord("\n"))
+            if buf.find(b"\r", 0, got) >= 0:  # \r\n ends one line, a lone \r another
+                cr = chunk == ord("\r")
+                lines += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (chunk[1:] == ord("\n")))
+            if last == ord("\r") and chunk[0] == ord("\n"):  # a \r\n split between two reads
+                lines -= 1
+            last = chunk[-1]
+    return int(lines) + (last is not None and last not in b"\r\n")
 
 
 def _records(lines, delimiter: str, count: int, line: int, path: Path) -> "tuple[list[list[str]], int]":
@@ -280,6 +351,7 @@ def _load_lines(lines: "list[str]", rows: int, width: int, delimiter: str) -> "n
     text = "".join(lines)
     if text.count('"') % 2 or any(c in text for c in "\x1c\x1d\x1e\x1f"):
         return None
+    del text  # not held with the C reader's values
     try:
         values = np.loadtxt(lines, delimiter=delimiter, comments=None, quotechar='"', ndmin=2)
     except ValueError:

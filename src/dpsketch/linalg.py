@@ -35,11 +35,17 @@ class SvdResult(NamedTuple):
     V: np.ndarray
 
 
-def as_matrix(m) -> np.ndarray:
-    """Return ``m`` as a float matrix, rejecting empty or non-finite input."""
+def nonempty_matrix(m) -> np.ndarray:
+    """Return ``m`` as a float matrix, rejecting input that is not 2-d or empty."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ParameterError(f"expected a non-empty 2-d matrix, got shape {a.shape}")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Return ``m`` as a float matrix, rejecting empty or non-finite input."""
+    a = nonempty_matrix(m)
     if not np.all(np.isfinite(a)):
         raise ParameterError("matrix contains NaN or Inf entries")
     return a

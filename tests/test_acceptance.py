@@ -9,7 +9,7 @@ import numpy as np
 
 import dpsketch as dps
 from dpsketch.countsketch import countsketch_apply
-from dpsketch.jl import jl_project
+from dpsketch.jl import gaussian_times_root, gram_root, jl_project
 from dpsketch.sketchfile import METHODS
 
 from lad_oracle import lad_vertex_oracle
@@ -134,15 +134,19 @@ def test_criterion_06_l1_bound_tails():
 
 
 def test_criterion_07_jl_distortion():
-    """Scaled distortion within [0.65, 1.35] on >= 95% of 200 x 20 pairs."""
+    """Scaled distortion within [0.65, 1.35] on >= 95% of 200 x 20 pairs.
+
+    ``S V`` for an r x dim Gaussian ``S`` has the law of ``G (V^T V)^{1/2}``
+    with ``G`` r x 20, so each trial draws 20,000 normals, not 200,000."""
     r, dim = 1000, 200
     rng = np.random.default_rng(700)
     vectors = rng.standard_normal((dim, 20))
     vectors /= np.linalg.norm(vectors, axis=0)
+    root = gram_root(vectors)
     inside = 0
     for i in range(200):
-        s = dps.sample_gaussian_matrix(r, dim, 1.0, seed=np.random.SeedSequence([700, i]))
-        scaled = np.linalg.norm(s @ vectors, axis=0) ** 2 / r
+        projected = gaussian_times_root(root, r, seed=np.random.SeedSequence([700, i]))
+        scaled = np.linalg.norm(projected, axis=0) ** 2 / r
         inside += int(((scaled >= 0.65) & (scaled <= 1.35)).sum())
     frac = inside / (200 * 20)
     report("criterion 7: JL distortion", frac >= 0.95, f"in-band fraction {frac:.4f}")

@@ -1,5 +1,7 @@
 import csv
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -55,6 +57,38 @@ class TestDataMatrix:
         assert DataMatrix(a, RowBound(1e200)).n == 2
         with pytest.raises(CertificationError, match=r"^row 1 has norm 1e\+155 > bound 1e\+150$"):
             DataMatrix(a, RowBound(1e150))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("first_row", [[0.3, 0.4], [3.0, 4.0]], ids=["within", "over"])
+    def test_non_finite_entry_refused(self, bad, first_row):
+        # a NaN norm compares false with B, so it must not certify; and a
+        # non-finite entry is refused before a row over B is named
+        a = np.array([first_row, [0.1, 0.2], [0.1, bad]])
+        with pytest.raises(ParameterError, match=r"^matrix contains NaN or Inf entries$"):
+            DataMatrix(a, RowBound(1.0))
+        with pytest.raises(ParameterError, match=r"^matrix contains NaN or Inf entries$"):
+            DataMatrix._adopt(np.asfortranarray(a), RowBound(1.0))
+
+    def test_finite_row_whose_norm_overflows_is_over_the_bound(self):
+        # even hypot of these finite entries is inf: a row over B, not a
+        # non-finite entry
+        a = np.array([[0.1, 0.2], [1.5e308, 1.5e308]])
+        with pytest.raises(CertificationError, match=r"^row 2 has norm inf > bound 1e\+300$"):
+            DataMatrix(a, RowBound(1e300))
+
+    def test_certification_takes_no_bool_matrix(self):
+        # Certifying an adopted array allocates the n row norms (1/11 of A),
+        # one block of squares and an n-entry mask: 0.1025x A measured. The
+        # bool matrix of np.isfinite (1/8 of A) would fail this bound.
+        a = np.random.default_rng(7).standard_normal((200_000, 11))
+        a = np.asfortranarray(a / np.linalg.norm(a, axis=1).max())
+        tracemalloc.start()
+        try:
+            DataMatrix._adopt(a, RowBound(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.11 * a.nbytes
 
     def test_construction_peak_is_the_copy(self):
         a = np.random.default_rng(7).standard_normal((200_000, 11))
@@ -322,16 +356,23 @@ class TestIngest:
         a = np.random.default_rng(5).standard_normal((20_000, 11))
         path = tmp_path / "big.csv"
         np.savetxt(path, a / np.linalg.norm(a, axis=1).max(), delimiter=",")
-        tracemalloc.start()
-        try:
-            res = ingest(str(path), RowBound(1.0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # The blocks and their one concatenation, which DataMatrix keeps
-        # without a copy: 2.02x A measured, bound with 0.08x A of slack.
-        assert peak < 2.1 * res.data.A.nbytes
-        assert not res.data.A.flags.writeable
+        for trailer in ("", "\n\n"):  # blank lines: more lines than rows
+            with open(path, "a") as handle:
+                handle.write(trailer)
+            tracemalloc.start()
+            try:
+                res = ingest(str(path), RowBound(1.0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # A, sized by the line count before it is filled and shrunk in
+            # place if that was too many, plus one block's text and values:
+            # 1.29x A measured both times, where keeping the blocks and
+            # concatenating them took 2.02x and an exact-size copy would take
+            # 2x. The bound leaves 0.11x A of slack for the text reader's
+            # buffers in other numpy versions.
+            assert peak < 1.4 * res.data.A.nbytes
+            assert res.data.n == 20_000 and not res.data.A.flags.writeable
 
     @pytest.mark.parametrize("clip,bound", [("reject", 1e5), ("scale", 2e3)])
     def test_blocks_bit_identical_to_per_cell_float(self, tmp_path, clip, bound):
@@ -427,6 +468,95 @@ class TestIngest:
         path = write_csv(tmp_path, "1,2\n3,4\n1,1\n")
         with pytest.raises(ParameterError):
             ingest(path, RowBound(10.0), clip="truncate")
+
+
+class TestCountThenFill:
+    """``A`` is sized by the line count of a regular file and filled a block at
+    a time. A pipe, a count too low (a file that grew after it) and one too
+    high (blank lines, a quoted cell spanning lines) give the regular file's
+    bytes, rescaled rows and cs2 release, in a column-major read-only ``A``."""
+
+    ROWS = 3000  # several blocks of 5 columns, and more than one block's rows
+
+    @pytest.fixture
+    def lines(self):
+        a = np.random.default_rng(12).standard_normal((self.ROWS, 5))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        a[::40] *= 3.0  # rescaled to norm 2 under clip="scale"
+        return [",".join(repr(float(v)) for v in row) for row in a]
+
+    @staticmethod
+    def read(path):
+        return ingest(str(path), RowBound(2.0), clip="scale", has_header=True, response_column="y")
+
+    def check(self, tmp_path, lines, got):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("a,y,b,c,d\n" + "\n".join(lines) + "\n")
+        assert dataset._count_lines(plain) == self.ROWS + 1
+        expected = self.read(plain)
+        assert expected.rescaled_rows == self.ROWS // 40 > 0
+        assert got.data.A.flags.f_contiguous and not got.data.A.flags.writeable
+        assert got.data.A.tobytes() == expected.data.A.tobytes()
+        assert got.rescaled_rows == expected.rescaled_rows
+        release = lambda res: private_countsketch_l2(res.data, 64, PP, RowBound(2.0), seed=1)[0].tobytes()
+        assert release(got) == release(expected)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_pipe(self, tmp_path, lines):
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "w") as handle:
+                handle.write("a,y,b,c,d\n" + "\n".join(lines) + "\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        got = self.read(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        self.check(tmp_path, lines, got)
+
+    @pytest.mark.parametrize("counted", [1, 2, 11])  # the header and 0, 1 or 10 rows
+    def test_count_too_low(self, tmp_path, lines, monkeypatch, counted):
+        path = tmp_path / "grown.csv"
+        path.write_text("a,y,b,c,d\n" + "\n".join(lines) + "\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "_count_lines", lambda path: counted)
+            got = self.read(path)
+        self.check(tmp_path, lines, got)
+
+    def test_count_too_high(self, tmp_path, lines):
+        spaced = list(lines)
+        cells = spaced[1500].split(",")
+        cells[2] = f'"{cells[2]}\n"'  # float reads the cell without its line break
+        spaced[1500] = ",".join(cells)
+        spaced[10:10] = ["", ""]
+        spaced += ["", ""]
+        path = tmp_path / "spaced.csv"
+        path.write_text("a,y,b,c,d\n" + "\n".join(spaced) + "\n")
+        assert dataset._count_lines(path) == self.ROWS + 6
+        self.check(tmp_path, lines, self.read(path))
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("old,filled,rows", [(2, 2, 5), (7, 3, 16), (7, 7, 7), (7, 4, 4), (16, 9, 9), (7, 0, 3)])
+    def test_resize_rows_keeps_the_filled_rows(self, width, old, filled, rows):
+        a = np.empty((old, width), order="F")
+        a[:] = np.arange(old * width).reshape(old, width)
+        kept = a[:filled].copy()
+        dataset._resize_rows(a, filled, rows)
+        assert a.shape == (rows, width) and a.flags.f_contiguous and a.flags.owndata
+        assert np.array_equal(a[:filled], kept)
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 1 << 16])
+    def test_line_count_is_the_readers(self, tmp_path, monkeypatch, read_bytes):
+        # \n, \r and \r\n each end a line, also where a read splits \r\n
+        monkeypatch.setattr(dataset, "_COUNT_BYTES", read_bytes)
+        path = tmp_path / "lines.csv"
+        for text in ["", "a", "a\n", "\n\n", "a\r\nb", "a\rb\r", "\r\n\r\n", "ab\r\r\nc\n\rd", "a,b\r\n1,2\r"]:
+            path.write_bytes(text.encode())
+            with open(path, newline="") as handle:
+                assert dataset._count_lines(path) == sum(1 for _ in handle), text
 
 
 def reference_read(path, delimiter, has_header):

@@ -169,18 +169,6 @@ class TestMultiLevelSketch:
                 ws = private_l1_sketch(data, cfg)
                 assert s <= ws.max_data_memberships <= s + ws.h_m
 
-    def test_expected_level_occupancy(self):
-        # inclusion at level h is Bernoulli(1/b^h) per row: n / b^2 = 625 expected
-        n, b, h = 10_000, 4.0, 2
-        data = synthetic_regression(n, 2, seed=11)
-        counts = []
-        for seed in range(1000):
-            cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=16, b=b)
-            ws = private_l1_sketch(data, cfg)
-            counts.append(ws.data_level_counts[h])
-        mean = float(np.mean(counts))
-        assert 590.0 <= mean <= 660.0
-
     def test_noise_coverage_after_patching(self):
         for seed in range(50):
             data = synthetic_regression(300, 2, seed=12)
@@ -238,7 +226,11 @@ class TestLevelLaw:
     # Every row of [A; eta], data or noise, enters level h >= 1 independently
     # with probability q_h = b^-h, so level h holds Binomial(m, q_h) rows.
     # Seeded; every check allows slack = 4.5 standard errors of its statistic.
-    @pytest.mark.parametrize("b,s", [(2.0, 1), (2.0, 3), (1.5, 1), (1.5, 3)])
+    # The variance is checked at the levels whose count has variance >= 20, at
+    # least this many per b (at b = 4 and n = 1000 only levels 1 and 2 have it).
+    WIDE_LEVELS = {2.0: 5, 1.5: 5, 4.0: 2}
+
+    @pytest.mark.parametrize("b,s", [(2.0, 1), (2.0, 3), (1.5, 1), (1.5, 3), (4.0, 1)])
     def test_membership_law(self, monkeypatch, b, s):
         n, trials, slack = 1000, 300, 4.5
         data = synthetic_regression(n, 2, seed=21)
@@ -262,7 +254,7 @@ class TestLevelLaw:
         # count is near normal (sd of a sample variance ~ var sqrt(2 / (T - 1)))
         assert np.all(np.abs(counts.mean(axis=0) - mean) <= slack * np.sqrt(var / trials))
         wide = var >= 20
-        assert wide.sum() >= 5
+        assert wide.sum() >= self.WIDE_LEVELS[b]
         ratio = counts.var(axis=0, ddof=1)[wide] / var[wide]
         assert np.all(np.abs(ratio - 1) <= slack * math.sqrt(2 / (trials - 1)))
         # levels 1 and 2 are drawn independently: a row joins both at rate b^-3
