@@ -26,7 +26,7 @@ a_neighbor[17] = -a[17]  # swap one row for another bounded row
 plan = dps.draw_countsketch_plan(n, r=8, seed=5)
 diff = countsketch_apply(plan, a) - countsketch_apply(plan, a_neighbor)
 print(f"rows changed in SA: {int((np.abs(diff).max(axis=1) > 0).sum())} (exactly one bucket)")
-print(f"||SA - SA'||_2 = {np.linalg.norm(diff):.4f} <= 2B = {dps.countsketch_sensitivity(bound)}\n")
+print(f"||SA - SA'||_2 = {np.linalg.norm(diff):.4f} <= 2B = {dps.bucket_sensitivity(bound, 1)}\n")
 
 print("=== the released sketch ===")
 data = dps.synthetic_regression(n=2000, d=5, seed=900, noise=0.05, beta_scale=0.1)

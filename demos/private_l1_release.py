@@ -32,7 +32,7 @@ data = dps.DataMatrix(a, bound)
 print("=== level structure ===")
 cfg = dps.L1SketchConfig(pp=pp, bound=bound, seed=3, N=200, b=2.0, s=1)
 ws = dps.private_l1_sketch(data, cfg)
-print(f"h_m = {ws.h_m} levels of {ws.N} buckets + {ws.N_u} uniform buckets "
+print(f"h_m = {ws.h_m} levels of {cfg.N} buckets + {cfg.uniform_buckets} uniform buckets "
       f"-> r = {ws.r} rows")
 print("data rows per level:", dict(enumerate(ws.data_level_counts.tolist())))
 print("expected, n / b^h  :", {h: round(n / cfg.b**h, 1) for h in range(ws.h_m + 1)})

@@ -19,7 +19,7 @@ bound = dps.RowBound(1.0)
 print("=== one bound, by hand ===")
 r = 64
 beta_aug = np.array([0.5, -0.5, 1.0, -1.0])
-sigma = dps.gaussian_sigma(dps.countsketch_sensitivity(bound), pp)
+sigma = dps.gaussian_sigma(dps.bucket_sensitivity(bound, 1), pp)  # a CountSketch row moves 1 bucket
 value = dps.ridge_coeff_bound_l2(sigma, r, beta_aug)
 print(f"ridge coefficient bound at r = {r}, sigma = {sigma:.4f}: {value:.2f}")
 

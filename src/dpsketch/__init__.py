@@ -61,9 +61,8 @@ from .linalg import (
 from .mechanisms import (
     PrivacyParams,
     RowBound,
-    countsketch_sensitivity,
+    bucket_sensitivity,
     gaussian_sigma,
-    l1_sketch_sensitivity,
 )
 from .sketchfile import SketchFile, read_sketch, write_sketch
 from .solvers import (

@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (hook site of perfbench/tracer.py)
 from .errors import ParameterError
 from .linalg import as_matrix
-from .mechanisms import PrivacyParams, RowBound, countsketch_sensitivity, gaussian_sigma
+from .mechanisms import PrivacyParams, RowBound, bucket_sensitivity, gaussian_sigma
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,12 @@ def noise_row_count(r: int) -> int:
     return math.ceil(r * (math.log(r) + 4.0))
 
 
-def noised_bucket_release(a: np.ndarray, r: int, sigma: float, seed, assign):
+def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyParams, bound: RowBound, seed, assign):
     """Sum ``[A; eta]`` into ``r`` buckets, ``eta`` ``noise_row_count(r)`` N(0, sigma^2 I) rows.
 
+    The hashed releases' one calibration point: a row of ``A`` sits in at
+    most ``footprint`` buckets, so ``sigma = gaussian_sigma(bucket_sensitivity(
+    bound, footprint), pp)``, refused before anything is sized or drawn.
     ``assign(seed, n, p)`` places the ``n`` data rows and ``p`` noise rows. It
     returns a tuple that starts with ``bucket_sum``'s ``(maps, signs)``;
     entries after those are the caller's. A bucket's coverage is the number
@@ -129,6 +132,7 @@ def noised_bucket_release(a: np.ndarray, r: int, sigma: float, seed, assign):
     dedicated extra noise row each. Returns the sketch, its ``NoisePlan``
     and the assignment, which must not be published.
     """
+    sigma = gaussian_sigma(bucket_sensitivity(bound, footprint), pp)
     n, d1 = a.shape
     p = noise_row_count(r)
     noise_seed, assign_seed, patch_seed = np.random.SeedSequence(seed).spawn(3)
@@ -157,17 +161,17 @@ def private_countsketch_l2(
 ) -> "tuple[np.ndarray, NoisePlan]":
     """Release a private CountSketch ``S [A; eta]`` for l2 regression.
 
-    ``eta`` holds ``noise_row_count(r)`` rows of N(0, sigma^2 I) noise with
-    ``sigma = gaussian_sigma(2B, pp)``; see ``noised_bucket_release``. The
-    bucket/sign plan and the seed are discarded, never serialized. Rows come
-    from ``certified_rows`` (``CertificationError`` on a row over ``B``); a
-    ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
+    ``eta`` holds ``noise_row_count(r)`` rows of N(0, sigma^2 I) noise, with
+    sigma calibrated to footprint 1 (sensitivity ``2B``: a changed row moves
+    one bucket) by ``noised_bucket_release``. The bucket/sign plan and the
+    seed are discarded, never serialized. Rows come from ``certified_rows``
+    (``CertificationError`` on a row over ``B``); a ``DataMatrix`` certified
+    at ``B' <= B`` is not scanned again.
     """
     a = certified_rows(data, bound)
-    sigma = gaussian_sigma(countsketch_sensitivity(bound), pp)
 
     def assign(plan_seed, n, p):
         plan = draw_countsketch_plan(n + p, r, plan_seed, signed=signed)
         return [(None, plan.bucket_of)], plan.sign_of
 
-    return noised_bucket_release(a, r, sigma, seed, assign)[:2]
+    return noised_bucket_release(a, r, 1, pp, bound, seed, assign)[:2]

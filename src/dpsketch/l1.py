@@ -19,8 +19,8 @@ noise rows) block by block through ``countsketch.noised_bucket_release``,
 never forming the stack, and patch every bucket to contain at least one
 noise row.
 
-The multi-level release calibrates its noise to the footprint's
-sensitivity ``2 B sqrt(s + h_m)`` (``mechanisms.l1_sketch_sensitivity``):
+The multi-level release calibrates its noise to its footprint ``s + h_m``
+(``mechanisms.bucket_sensitivity``, called in ``noised_bucket_release``):
 ``sigma = 2 B sqrt(s + h_m) / eps * sqrt(2 ln(1.25/delta))``.
 """
 
@@ -35,7 +35,7 @@ import numpy as np
 from .countsketch import noised_bucket_release, private_countsketch_l2
 from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (hook site of perfbench/tracer.py)
 from .errors import ParameterError
-from .mechanisms import PrivacyParams, RowBound, gaussian_sigma, l1_sketch_sensitivity
+from .mechanisms import PrivacyParams, RowBound
 
 # level_count multiplies once per level; refuse a b so close to 1 that
 # log_b n exceeds this before looping.
@@ -120,8 +120,9 @@ class L1SketchConfig:
 class WeightedSketch:
     """A released multi-level sketch: rows, oblivious weights, and bookkeeping.
 
-    ``rows`` is ``r x (d+1)`` with ``r = N*h_m + N_u``; level h occupies the
-    row block ``[h*N, (h+1)*N)`` (the uniform level the final ``N_u`` rows).
+    ``rows`` is ``r x (d+1)`` with ``r = N*h_m + N_u`` (``N``, ``N_u`` of the
+    config); level h occupies the row block ``[h*N, (h+1)*N)`` (the uniform
+    level the final ``N_u`` rows).
     Everything here except the assignment diagnostics ``data_level_counts``,
     ``noise_coverage`` and ``max_data_memberships`` is safe to publish; the
     bucket assignments and the seed are already gone.
@@ -132,10 +133,7 @@ class WeightedSketch:
     level_of: np.ndarray
     sigma: float
     h_m: int
-    b: float
     s: int
-    N: int
-    N_u: int
     noise_rows: int
     patched: int
     data_level_counts: np.ndarray = field(repr=False)
@@ -212,12 +210,11 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
     h_m = level_count(n, cfg.b)
     N, N_u, s, b = cfg.N, cfg.uniform_buckets, cfg.s, cfg.b
     r = N * h_m + N_u
-    sigma = gaussian_sigma(l1_sketch_sensitivity(cfg.bound, h_m, s), cfg.pp)
 
     def assign(assign_seed, n, p):
         return _level_buckets(np.random.default_rng(assign_seed), n, p, cfg, h_m)
 
-    rows, noise, levels = noised_bucket_release(a, r, sigma, cfg.seed, assign)
+    rows, noise, levels = noised_bucket_release(a, r, s + h_m, cfg.pp, cfg.bound, cfg.seed, assign)
 
     level_of = np.concatenate(
         [np.repeat(np.arange(h_m), N), np.full(N_u, h_m)]
@@ -228,12 +225,9 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
         rows=rows,
         weights=weights,
         level_of=level_of,
-        sigma=sigma,
+        sigma=noise.sigma,
         h_m=h_m,
-        b=b,
         s=s,
-        N=N,
-        N_u=N_u,
         noise_rows=noise.p,
         patched=noise.patched,
         data_level_counts=levels.data_level_counts,

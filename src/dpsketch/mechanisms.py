@@ -69,19 +69,13 @@ def gaussian_sigma(sensitivity: float, pp: PrivacyParams) -> float:
     )
 
 
-def countsketch_sensitivity(bound: RowBound) -> float:
-    """l2 sensitivity of a fixed CountSketch: one changed row moves one bucket by <= 2B."""
-    return 2.0 * bound.B
+def bucket_sensitivity(bound: RowBound, footprint: int) -> float:
+    """l2 sensitivity ``2B * sqrt(footprint)`` of a noised bucket-sum release.
 
-
-def l1_sketch_sensitivity(bound: RowBound, h_m: int, s: int = 1) -> float:
-    """l2 sensitivity ``2B * sqrt(s + h_m)`` of the multi-level l1 sketch.
-
-    A changed row perturbs at most ``s`` buckets at level 0 plus one bucket
-    at each of the ``h_m`` sampled levels, each by at most ``2B``.
+    One changed row moves each of the at most ``footprint`` buckets it sits
+    in by at most ``2B``: footprint 1 for a CountSketch, ``s + h_m`` for the
+    multi-level l1 sketch.
     """
-    if h_m < 1:
-        raise ParameterError("h_m must be at least 1")
-    if s < 1:
-        raise ParameterError("s must be at least 1")
-    return 2.0 * bound.B * math.sqrt(s + h_m)
+    if footprint < 1:
+        raise ParameterError(f"footprint must be at least 1, got {footprint}")
+    return 2.0 * bound.B * math.sqrt(footprint)

@@ -164,14 +164,14 @@ def read_sketch(path) -> SketchFile:
     if not isinstance(has_weights, bool):
         raise SketchFileError(f"{path}: header field 'has_weights' must be true or false")
 
-    body = raw[10 + hlen :]
+    got = len(raw) - (10 + hlen)
     need = r * (d + 1) * 8 + (r * 8 if has_weights else 0)
-    if len(body) != need:
-        raise SketchFileError(f"{path}: payload has {len(body)} bytes, expected {need}")
-    matrix = np.frombuffer(body[: r * (d + 1) * 8], dtype="<f8").reshape(r, d + 1).copy()
-    weights = None
-    if has_weights:
-        weights = np.frombuffer(body[r * (d + 1) * 8 :], dtype="<f8").copy()
+    if got != need:
+        raise SketchFileError(f"{path}: payload has {got} bytes, expected {need}")
+    # One copy of the payload; the matrix and weights are views of it.
+    payload = np.frombuffer(raw, dtype="<f8", offset=10 + hlen).copy()
+    matrix = payload[: r * (d + 1)].reshape(r, d + 1)
+    weights = payload[r * (d + 1) :] if has_weights else None
     try:
         return SketchFile(
             method=method, matrix=matrix, epsilon=epsilon, delta=delta, B=bnd,

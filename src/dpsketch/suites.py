@@ -24,7 +24,7 @@ from .countsketch import countsketch_apply, draw_countsketch_plan, noise_row_cou
 from .dataset import synthetic_regression
 from .jl import gaussian_times_root, gram_root, jl_project  # noqa: F401  (hook site of perfbench/tracer.py)
 from .l1 import l1_tail_bound
-from .mechanisms import PrivacyParams, RowBound, countsketch_sensitivity, gaussian_sigma
+from .mechanisms import PrivacyParams, RowBound, bucket_sensitivity, gaussian_sigma
 from .solvers import SketchProblem, solve_l2_sketch
 from .solvers import approximation_ratio  # noqa: F401  (hook site of perfbench/tracer.py)
 
@@ -32,8 +32,8 @@ from .solvers import approximation_ratio  # noqa: F401  (hook site of perfbench/
 _DIRECTION = np.array([1.0, 2.0, -1.0, 0.5, -3.0])
 _DIRECTION = _DIRECTION / np.linalg.norm(_DIRECTION)
 
-_PP = PrivacyParams(1.0, 0.05)
-_B = RowBound(1.0)
+# The CountSketch noise level (footprint 1) that thm1 and lemma2 check.
+_SIGMA = gaussian_sigma(bucket_sensitivity(RowBound(1.0), 1), PrivacyParams(1.0, 0.05))
 
 
 def _stated_rows(r: int) -> int:
@@ -65,7 +65,7 @@ def suite_lemma1(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
 def suite_thm1(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
     """l2 tail of the CountSketch noise block, for the stated and the implemented
     noise-row counts (the implementation deliberately over-noises)."""
-    sigma = gaussian_sigma(countsketch_sensitivity(_B), _PP)
+    sigma = _SIGMA
     cases = [
         (f"thm1[r={r},p={label}:{p}]", "l2", p, sigma, _DIRECTION,
          ridge_coeff_bound_l2(sigma, r, _DIRECTION))
@@ -82,7 +82,7 @@ def suite_lemma2(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
     their ratio does not depend on it: this check at the CountSketch sigma
     covers every l1 calibration, the multi-level one included.
     """
-    sigma = gaussian_sigma(countsketch_sensitivity(_B), _PP)
+    sigma = _SIGMA
     cases = []
     for r in (16, 64):
         p = _stated_rows(r)

@@ -16,16 +16,16 @@ from lad_oracle import lad_vertex_oracle
 
 PP = dps.PrivacyParams(1.0, 0.05)
 B1 = dps.RowBound(1.0)
-SIGMA_CS = dps.gaussian_sigma(dps.countsketch_sensitivity(B1), PP)
+SIGMA_CS = dps.gaussian_sigma(dps.bucket_sensitivity(B1, 1), PP)
 
 
-def sigma_sqrt_hm(h_m):
-    """Gaussian sigma at the paper's 2B sqrt(h_m) multi-level sensitivity constant.
+def sigma_at(footprint):
+    """Gaussian sigma at sensitivity ``2B sqrt(footprint)``.
 
-    It feeds the formula and l1 tail-bound checks below only. No release
-    draws at it: the multi-level release calibrates at 2B sqrt(s + h_m).
+    The formula and l1 tail-bound checks below take it at footprint 4; a
+    multi-level release calibrates at its own footprint ``s + h_m``.
     """
-    return dps.gaussian_sigma(2.0 * B1.B * math.sqrt(h_m), PP)
+    return dps.gaussian_sigma(dps.bucket_sensitivity(B1, footprint), PP)
 
 
 def report(name, ok, detail=""):
@@ -41,8 +41,8 @@ def test_criterion_01_formula_exactness():
         ("ridge_coeff_bound_l2", dps.ridge_coeff_bound_l2(SIGMA_CS, 8, [1.0]), 95.12919359305178),
         ("l1_coeff_bound", dps.l1_coeff_bound(SIGMA_CS, 8, [1.0]), 84.41775683805606),
         (
-            "l1_coeff_bound at sigma(2B sqrt(h_m))",
-            dps.l1_coeff_bound(sigma_sqrt_hm(4), 8, [1.0]),
+            "l1_coeff_bound at sigma(2B sqrt(4))",
+            dps.l1_coeff_bound(sigma_at(4), 8, [1.0]),
             168.83551367611213,
         ),
     ]
@@ -120,12 +120,9 @@ def test_criterion_06_l1_bound_tails():
             simple, "l1", dps.l1_coeff_bound(simple.sigma, r, beta_aug), 0.25, 10_000, seed=600 + i
         )
         rates.append(rep.exceedance_rate)
-        h_m = 4
-        multi = dps.GaussianNoiseSpec(
-            rows=p, sigma=dps.gaussian_sigma(2.0 * math.sqrt(h_m), PP), beta_aug=beta_aug
-        )
+        multi = dps.GaussianNoiseSpec(rows=p, sigma=sigma_at(4), beta_aug=beta_aug)
         rep = dps.verify_tail_bound(
-            multi, "l1", dps.l1_coeff_bound(sigma_sqrt_hm(h_m), r, beta_aug),
+            multi, "l1", dps.l1_coeff_bound(multi.sigma, r, beta_aug),
             0.25, 10_000, seed=650 + i,
         )
         rates.append(rep.exceedance_rate)
@@ -188,7 +185,7 @@ def test_criterion_09_private_l2_end_to_end():
                 res = data.X @ sol.beta - data.y
                 loss = float(res @ res)
                 assert np.isfinite(loss)
-                sigma = dps.gaussian_sigma(dps.countsketch_sensitivity(B1), pp)
+                sigma = dps.gaussian_sigma(dps.bucket_sensitivity(B1, 1), pp)
                 bound = dps.ridge_coeff_bound_l2(sigma, r, sol.beta_aug)
                 hits += (loss - loss_star) <= bound
             results.append((eps, method, hits))

@@ -16,9 +16,8 @@ from dpsketch.errors import ParameterError
 from dpsketch.mechanisms import (
     PrivacyParams,
     RowBound,
-    countsketch_sensitivity,
+    bucket_sensitivity,
     gaussian_sigma,
-    l1_sketch_sensitivity,
 )
 from dpsketch.suites import _DIRECTION, suite_lemma1
 
@@ -27,13 +26,13 @@ B1 = RowBound(1.0)
 
 
 def sigma_cs(b=B1, pp=PP):
-    """Gaussian sigma of the CountSketch releases (sensitivity 2B)."""
-    return gaussian_sigma(countsketch_sensitivity(b), pp)
+    """Gaussian sigma of the CountSketch releases, at the hand sensitivity 2B."""
+    return gaussian_sigma(2.0 * b.B, pp)
 
 
-def sigma_sqrt_hm(h_m, b=B1, pp=PP):
-    """Gaussian sigma at the paper's 2B sqrt(h_m) multi-level sensitivity constant."""
-    return gaussian_sigma(2.0 * b.B * math.sqrt(h_m), pp)
+def sigma_at(footprint, b=B1, pp=PP):
+    """Gaussian sigma of a bucket release whose row moves ``footprint`` buckets."""
+    return gaussian_sigma(bucket_sensitivity(b, footprint), pp)
 
 
 class TestBoundFormulas:
@@ -48,17 +47,17 @@ class TestBoundFormulas:
         assert got == pytest.approx(84.41775683805606, rel=1e-12)
 
     def test_l1_multilevel_hand_value(self):
-        got = l1_coeff_bound(sigma_sqrt_hm(4), 8, [1.0])
+        got = l1_coeff_bound(sigma_at(4), 8, [1.0])
         assert got == pytest.approx(2.0 * 84.41775683805606, rel=1e-12)
 
     def test_multilevel_reduces_to_simple(self):
         beta = [0.2, -0.7, 1.0]
-        assert l1_coeff_bound(sigma_sqrt_hm(1), 16, beta) == pytest.approx(
+        assert l1_coeff_bound(sigma_at(1), 16, beta) == pytest.approx(
             l1_coeff_bound(sigma_cs(), 16, beta), rel=1e-12
         )
 
     def test_multilevel_monotone_in_levels(self):
-        vals = [l1_coeff_bound(sigma_sqrt_hm(h), 16, [1.0]) for h in range(1, 9)]
+        vals = [l1_coeff_bound(sigma_at(h), 16, [1.0]) for h in range(1, 9)]
         assert vals == sorted(vals)
 
     def test_beta_norm_linearity(self):
@@ -70,12 +69,12 @@ class TestBoundFormulas:
         for fn in (
             lambda: ridge_coeff_bound_l2(sigma_cs(), 1, [1.0]),
             lambda: l1_coeff_bound(sigma_cs(), 1, [1.0]),
-            lambda: l1_coeff_bound(sigma_sqrt_hm(2), 1, [1.0]),
+            lambda: l1_coeff_bound(sigma_at(2), 1, [1.0]),
         ):
             with pytest.raises(ParameterError):
                 fn()
         with pytest.raises(ParameterError):
-            l1_sketch_sensitivity(B1, 0)
+            bucket_sensitivity(B1, 0)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("bound", [ridge_coeff_bound_l2, l1_coeff_bound])
@@ -99,7 +98,7 @@ class TestBoundFormulas:
         for fn in (
             lambda b, pp, v: ridge_coeff_bound_l2(sigma_cs(b, pp), 32, v),
             lambda b, pp, v: l1_coeff_bound(sigma_cs(b, pp), 32, v),
-            lambda b, pp, v: l1_coeff_bound(sigma_sqrt_hm(3, b, pp), 32, v),
+            lambda b, pp, v: l1_coeff_bound(sigma_at(3, b, pp), 32, v),
         ):
             base = fn(RowBound(1.0), base_pp, beta)
             assert fn(RowBound(b_scale), base_pp, beta) == pytest.approx(b_scale * base, rel=1e-9)

@@ -7,8 +7,13 @@ import pytest
 
 from dpsketch.cli import main
 from dpsketch.errors import ParameterError
+from dpsketch.mechanisms import PrivacyParams, RowBound, bucket_sensitivity, gaussian_sigma
 from dpsketch.sketchfile import METHODS, read_sketch
 from dpsketch.suites import SUITES
+
+# The hashed releases (every method but jl) and the flags of the unweighted ones.
+HASHED = [method for method in METHODS if method != "jl"]
+UNWEIGHTED_FLAGS = [spec.flag for spec in METHODS.values() if not spec.weighted]
 
 
 @pytest.fixture
@@ -160,7 +165,7 @@ class TestSketchCommand:
         assert captured.err.startswith("error: sigma_min(A)^2 underflows")
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", ["jl", "cs2", "l1-illus"])
+    @pytest.mark.parametrize("method", UNWEIGHTED_FLAGS)
     def test_fewer_rows_than_coefficients_exits_2(self, tmp_path, csv_path, capsys, method):
         out = tmp_path / "one-row.dps"
         assert run_sketch(csv_path, str(out), method=method, extra=("--rows", "1")) == 2
@@ -207,6 +212,23 @@ class TestSketchCommand:
         assert (meta["h_m"], meta["footprint"]) == (1, 17)
         assert f"{meta['sigma']:.6g}" == "20.9229"
         assert "noise sigma: 20.9229  noise rows: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", HASHED)
+    def test_header_alone_recomputes_sigma(self, tmp_path, csv_path, method):
+        # B, epsilon, delta and the footprint (1 when absent) in the header fix
+        # the sigma the release drew; s = 2 and b = 3 keep s + h_m off 1 + h_m
+        out = str(tmp_path / "calibrated.dps")
+        code = main([
+            "sketch", "--method", METHODS[method].flag, "--epsilon", "0.7", "--delta", "0.001",
+            "--bound", "2.5", "--rows", "60", "--s", "2", "--b", "3", "--seed", "5",
+            "--in", csv_path, "--out", out,
+        ])
+        assert code == 0
+        release = read_sketch(out)
+        footprint = release.meta.get("footprint", 1)
+        assert footprint == (2 + 4 if METHODS[method].weighted else 1)  # h_m = ceil(log3 60) = 4
+        pp = PrivacyParams(release.epsilon, release.delta)
+        assert gaussian_sigma(bucket_sensitivity(RowBound(release.B), footprint), pp) == release.meta["sigma"]
 
     def test_l1_uniform_bucket_override(self, tmp_path, csv_path):
         out = str(tmp_path / "nu.dps")
@@ -271,7 +293,7 @@ class TestSketchCommand:
         assert code == 0
         assert capsys.readouterr().out == PINNED_STDOUT[flag].format(out=out)
 
-    @pytest.mark.parametrize("method", ["countsketch-l2", "l1-illustration", "l1-multilevel"])
+    @pytest.mark.parametrize("method", HASHED)
     def test_bound_line_only_for_unweighted_releases(self, tmp_path, csv_path, capsys, method):
         # the bounds assume unit row weights; the multi-level release's noise,
         # weighted by b^h, exceeded the l1 bound in every zero-data draw

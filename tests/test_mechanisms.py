@@ -15,9 +15,8 @@ from dpsketch.l1 import L1SketchConfig, level_count, private_l1_sketch
 from dpsketch.mechanisms import (
     PrivacyParams,
     RowBound,
-    countsketch_sensitivity,
+    bucket_sensitivity,
     gaussian_sigma,
-    l1_sketch_sensitivity,
 )
 
 PP = PrivacyParams(1.0, 0.05)
@@ -97,26 +96,26 @@ class TestGaussianSigma:
 class TestSensitivities:
     @pytest.mark.parametrize("b,expected", [(1.0, 2.0), (0.5, 1.0), (3.0, 6.0)])
     def test_countsketch(self, b, expected):
-        assert countsketch_sensitivity(RowBound(b)) == expected
+        assert bucket_sensitivity(RowBound(b), 1) == expected
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=50, deadline=None)
     def test_countsketch_exact_2b(self, b):
-        assert countsketch_sensitivity(RowBound(b)) == 2.0 * b
+        # footprint 1 is 2B bit for bit, so the cs2 and l1-illus sigmas did not move
+        assert bucket_sensitivity(RowBound(b), 1) == 2.0 * b
 
     def test_l1_conservative(self):
-        got = l1_sketch_sensitivity(RowBound(1.0), h_m=4, s=1)
+        got = bucket_sensitivity(RowBound(1.0), 1 + 4)  # s = 1, h_m = 4
         assert got == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-12)
 
     def test_l1_minimal(self):
-        got = l1_sketch_sensitivity(RowBound(1.0), h_m=1, s=1)
+        got = bucket_sensitivity(RowBound(1.0), 1 + 1)
         assert got == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
-    def test_l1_validation(self):
-        with pytest.raises(ParameterError):
-            l1_sketch_sensitivity(RowBound(1.0), h_m=0)
-        with pytest.raises(ParameterError):
-            l1_sketch_sensitivity(RowBound(1.0), h_m=2, s=0)
+    def test_footprint_validation(self):
+        for footprint in (0, -1):
+            with pytest.raises(ParameterError, match="footprint"):
+                bucket_sensitivity(RowBound(1.0), footprint)
 
 
 class TestNeighbourAudit:
@@ -169,7 +168,7 @@ class TestNeighbourAudit:
             sketch, plan = private_countsketch_l2(data, int(params[0] % 64) + 1, PP, bound, seed, signed=signed)
             return sketch, plan.sigma
 
-        self.audit(31 + signed, release, lambda data, bound, params: countsketch_sensitivity(bound))
+        self.audit(31 + signed, release, lambda data, bound, params: bucket_sensitivity(bound, 1))
 
     def test_multilevel_release(self):
         def config(bound, seed, params):
@@ -183,7 +182,7 @@ class TestNeighbourAudit:
 
         def sensitivity(data, bound, params):
             cfg = config(bound, 0, params)
-            return l1_sketch_sensitivity(bound, level_count(data.n, cfg.b), cfg.s)
+            return bucket_sensitivity(bound, cfg.s + level_count(data.n, cfg.b))
 
         self.audit(33, release, sensitivity)
 
