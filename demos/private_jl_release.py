@@ -10,6 +10,7 @@ Run: python demos/private_jl_release.py
 import numpy as np
 
 import dpsketch as dps
+from dpsketch.linalg import tall_skinny_r
 
 pp = dps.PrivacyParams(epsilon=1.0, delta=0.05)
 bound = dps.RowBound(1.0)
@@ -35,11 +36,16 @@ print(f"utility factor 1 + c^2 = {1 + meta.c**2:.1f} "
 print("=== why c*Q does not regularize ===")
 # Q = V Sigma V^T satisfies Q^T Q = A^T A, so [A; cQ] has the same normal
 # equations as A up to the scalar (1 + c^2): identical least-squares argmin.
+# The release never forms Q: the R factor of A has R^T R = A^T A too, so
+# [A; cQ]^T [A; cQ] = (1 + c^2) R^T R, and the release is drawn as
+# sqrt(1 + c^2) G R with G an r x (d+1) Gaussian, the law of S [A; cQ].
 u, s, v = dps.svd(data.A)
 q = (v * s) @ v.T
+r_factor = tall_skinny_r(data.A)
 beta_probe = np.array([0.3, -1.0, 0.2, -1.0])
 print(f"||Q beta|| = {np.linalg.norm(q @ beta_probe):.6f}")
-print(f"||A beta|| = {np.linalg.norm(data.A @ beta_probe):.6f}  (equal by construction)\n")
+print(f"||R beta|| = {np.linalg.norm(r_factor @ beta_probe):.6f}")
+print(f"||A beta|| = {np.linalg.norm(data.A @ beta_probe):.6f}  (all equal by construction)\n")
 
 print("=== solving on the release ===")
 solution = dps.solve_l2_sketch(dps.SketchProblem(sketch))

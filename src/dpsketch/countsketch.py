@@ -5,10 +5,11 @@ and hash the rows of ``[A; eta]`` into buckets. One kernel, ``bucket_sum``,
 serves the three hashed releases: it sums a list of bucket maps block by
 block, so the stack is never formed, and an unsigned release passes no sign
 array. Each released bucket is a sum of data rows plus at least one noise
-row: ``p = ceil(r (ln r + 4))`` noise rows (coupon-collector sizing) cover
-all r buckets with probability at least ``1 - r e^-4``, and any bucket
-still uncovered is patched with a dedicated extra noise row. Extra Gaussian
-noise never weakens privacy, so coverage is unconditional.
+row: a bucket misses all ``p = ceil(r (ln r + 4))`` noise rows
+(coupon-collector sizing) with probability ``(1 - 1/r)^p <= e^-4 / r``, so
+they cover all r buckets with probability at least ``1 - e^-4``, and any
+bucket still uncovered is patched with a dedicated extra noise row. Extra
+Gaussian noise never weakens privacy, so coverage is unconditional.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dataset import DataMatrix, certified_rows, max_row_norm  # noqa: F401  (hook site of perfbench/tracer.py)
 from .errors import ParameterError
-from .linalg import as_matrix
+from .linalg import as_matrix, sample_gaussian_matrix
 from .mechanisms import PrivacyParams, RowBound, bucket_sensitivity, gaussian_sigma
 
 
@@ -136,7 +137,7 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
     n, d1 = a.shape
     p = noise_row_count(r)
     noise_seed, assign_seed, patch_seed = np.random.SeedSequence(seed).spawn(3)
-    eta = sigma * np.random.default_rng(noise_seed).standard_normal((p, d1))
+    eta = sample_gaussian_matrix(p, d1, sigma, noise_seed)
     assignment = assign(assign_seed, n, p)
     maps, signs = assignment[:2]
     sketch = bucket_sum((a, eta), r, maps, signs)
@@ -145,8 +146,7 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
     uncovered = np.flatnonzero(coverage == 0)
     if uncovered.size:
         # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
-        extra = sigma * np.random.default_rng(patch_seed).standard_normal((uncovered.size, d1))
-        sketch[uncovered] += extra
+        sketch[uncovered] += sample_gaussian_matrix(uncovered.size, d1, sigma, patch_seed)
         coverage[uncovered] = 1
     return sketch, NoisePlan(p=p, sigma=sigma, coverage=coverage, patched=int(uncovered.size)), assignment
 

@@ -8,19 +8,17 @@ value by the same factor until the smallest reaches ``w``, and the release
 has the law of ``S [A; cQ]``. Unlike appending ``w I``, the scaling route
 keeps the sketched problem an unregularized least-squares problem.
 
-``S`` is never formed. Each row of ``S M`` is an independent
-``N(0, M^T M)`` draw, and ``Q = (A^T A)^{1/2}`` gives
-``[A; cQ]^T [A; cQ] = (1 + c^2) A^T A``. So the release is drawn as
-``sqrt(1 + c^2) G Q`` with ``G`` an ``r x (d+1)`` matrix of N(0, 1) entries:
-the same law as ``S A`` (``c = 0``) or ``S [A; cQ]``, at the cost of an
-``r x (d+1)`` draw instead of an ``r x n`` one. The privacy analysis of the
-JL release depends only on this law.
-
-``Sigma`` and ``V`` come from the SVD of the ``(d+1) x (d+1)`` R factor of
-``A`` (``linalg.tall_skinny_r``), which has the singular values and right
-singular vectors of ``A``. The blocked QR holds one fixed-size group of rows
-at a time, so beyond ``A`` the release needs memory of the sketch's order,
-not of ``n``.
+``S`` is never formed, and neither is ``Q``. Each row of ``S M`` is an
+independent ``N(0, M^T M)`` draw, so ``G F`` has the law of ``S A`` for any
+``F`` with ``F^T F = A^T A`` and ``G`` an ``r x (d+1)`` matrix of N(0, 1)
+entries. The release takes ``F = R``, the ``(d+1) x (d+1)`` R factor of
+``A`` (``linalg.tall_skinny_r``), and ``[A; cQ]^T [A; cQ] = (1 + c^2) R^T R``
+makes ``sqrt(1 + c^2) G R`` a draw of ``S [A; cQ]``: an ``r x (d+1)`` draw
+instead of an ``r x n`` one. The privacy analysis of the JL release depends
+only on this law. ``sigma_min`` for the noisy test is the smallest singular
+value of R, which ``A`` shares. The blocked QR holds one fixed-size group of
+rows at a time, so beyond ``A`` the release needs memory of the sketch's
+order, not of ``n``.
 
 The entries are unscaled N(0, 1); the argmin of the sketched problem is
 invariant to scaling, so the conventional ``1/sqrt(r)`` factor is applied
@@ -94,17 +92,18 @@ def noisy_rank_test(sigma_min_sq: float, w_sq: float, bound: RowBound, pp: Priva
 
 
 def _full_rank_spectrum(a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Singular values ``s`` (descending) and right singular vectors ``V`` of ``a``.
+    """The R factor of ``a`` and its singular values ``s`` (descending), which ``a`` shares.
 
-    Taken from the SVD of the R factor of ``a``; ``a`` must be finite.
-    Raises ``SingularSystemError`` unless ``a`` is tall with full column rank.
+    ``a`` must be finite. Raises ``SingularSystemError`` unless ``a`` is tall
+    with full column rank.
     """
     if a.shape[0] < a.shape[1]:
         raise SingularSystemError("a wide matrix cannot have full column rank")
-    _, s, v = svd(tall_skinny_r(a))
+    r_factor = tall_skinny_r(a)
+    s = svd(r_factor).singular_values
     if s[-1] <= s[0] * max(a.shape) * np.finfo(float).eps:
         raise SingularSystemError("A must have full column rank")
-    return s, v
+    return r_factor, s
 
 
 def _augment_factor(smin: float, w: float) -> float:
@@ -112,18 +111,13 @@ def _augment_factor(smin: float, w: float) -> float:
     return math.sqrt(max(w**2 / smin**2 - 1.0, 0.0))
 
 
-def gram_root(a) -> np.ndarray:
-    """``Q = (A^T A)^{1/2} = V diag(s) V^T``, from the SVD of the R factor of ``A``."""
-    _, s, v = svd(tall_skinny_r(as_matrix(a)))
-    return (v * s) @ v.T
-
-
 def gaussian_times_root(root: np.ndarray, r: int, seed) -> np.ndarray:
-    """``G Q`` for ``Q = root`` and ``G`` an r-row matrix of N(0, 1) entries.
+    """``G F`` for ``F = root`` and ``G`` an r-row matrix of N(0, 1) entries.
 
-    With ``Q = (A^T A)^{1/2}`` the rows of ``G Q`` are iid ``N(0, A^T A)``:
-    the law of the rows of ``S A`` for an r-by-n Gaussian ``S``, which is
-    never formed. Draws for many seeds share one ``gram_root``.
+    For any ``F`` with ``F^T F = A^T A`` (the R factor of ``A`` here) the
+    rows of ``G F`` are iid ``N(0, A^T A)``: the law of the rows of ``S A``
+    for an r-by-n Gaussian ``S``, which is never formed. Draws for many
+    seeds share one ``F``.
     """
     return sample_gaussian_matrix(r, root.shape[0], 1.0, seed) @ root
 
@@ -131,10 +125,10 @@ def gaussian_times_root(root: np.ndarray, r: int, seed) -> np.ndarray:
 def jl_project(a, r: int, seed) -> np.ndarray:
     """Plain (non-private) JL sketch with the law of ``S A``, S r-by-n with N(0,1) entries.
 
-    Drawn as ``G (A^T A)^{1/2}`` from the SVD of the R factor of ``A``;
-    neither ``S`` nor an n-row ``U`` is formed.
+    Drawn as ``G R`` with ``R`` the R factor of ``A``; any ``F`` with
+    ``F^T F = A^T A`` would do. Neither ``S`` nor ``Q`` is formed.
     """
-    return gaussian_times_root(gram_root(a), r, seed)
+    return gaussian_times_root(tall_skinny_r(as_matrix(a)), r, seed)
 
 
 def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[np.ndarray, JlReleaseMeta]":
@@ -142,9 +136,9 @@ def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[
 
     Runs the noisy rank test. On success the release has the law of ``S A``,
     otherwise that of ``S [A; cQ]`` for the spectrally augmented matrix; both
-    are drawn as ``sqrt(1 + c^2) G Q`` with ``Q = (A^T A)^{1/2}`` and ``G``
-    an ``r x (d+1)`` Gaussian (``c = 0`` on success), so neither ``S`` nor
-    the stacked matrix is formed. The output has shape ``r x (d+1)`` either
+    are drawn as ``sqrt(1 + c^2) G R`` with ``R`` the R factor of ``A`` and
+    ``G`` an ``r x (d+1)`` Gaussian (``c = 0`` on success), so neither ``S``
+    nor the stacked matrix is formed. The output has shape ``r x (d+1)`` either
     way. ``G`` and the seed are discarded; only the returned matrix and
     metadata are safe to publish.
 
@@ -161,7 +155,7 @@ def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[
     """
     a = certified_rows(data, cfg.bound)
     w_sq = threshold_w_squared(cfg.bound, cfg.pp, cfg.r)
-    s, v = _full_rank_spectrum(a)
+    r_factor, s = _full_rank_spectrum(a)
     smin, w = float(s[-1]), math.sqrt(w_sq)
     if smin**2 == 0.0 or math.isinf(w**2 / smin**2):
         raise SingularSystemError(
@@ -177,4 +171,4 @@ def private_jl_sketch(data: "DataMatrix | np.ndarray", cfg: JlConfig) -> "tuple[
         branch="no-augment" if passed else "spectral-augment", w_squared=w_sq, c=c,
         utility_warning=(1.0 + c**2) > _UTILITY_WARN_FACTOR,
     )
-    return math.sqrt(1.0 + c**2) * gaussian_times_root((v * s) @ v.T, cfg.r, proj_seed), meta
+    return math.sqrt(1.0 + c**2) * gaussian_times_root(r_factor, cfg.r, proj_seed), meta

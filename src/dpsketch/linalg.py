@@ -153,6 +153,9 @@ def sample_gaussian_matrix(rows: int, cols: int, sigma: float, seed) -> np.ndarr
         raise ParameterError("matrix dimensions must be positive")
     if not 0 <= sigma < np.inf:
         raise ParameterError(f"sigma must be nonnegative and finite, got {sigma}")
+    # numpy refuses such a shape with a ValueError before it tries to allocate.
+    if rows * cols * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ParameterError(f"a {rows} x {cols} Gaussian draw exceeds the largest array this platform can address")
     rng = np.random.default_rng(seed)
     return sigma * rng.standard_normal((rows, cols))
 

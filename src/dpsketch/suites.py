@@ -22,8 +22,9 @@ from .bounds import (
 )
 from .countsketch import countsketch_apply, draw_countsketch_plan, noise_row_count
 from .dataset import synthetic_regression
-from .jl import gaussian_times_root, gram_root, jl_project  # noqa: F401  (hook site of perfbench/tracer.py)
+from .jl import gaussian_times_root, jl_project  # noqa: F401  (hook site of perfbench/tracer.py)
 from .l1 import l1_tail_bound
+from .linalg import tall_skinny_r
 from .mechanisms import PrivacyParams, RowBound, bucket_sensitivity, gaussian_sigma
 from .solvers import SketchProblem, solve_l2_sketch
 from .solvers import approximation_ratio  # noqa: F401  (hook site of perfbench/tracer.py)
@@ -108,17 +109,17 @@ def suite_jl_distortion(trials: int = 200, seed: int = 0) -> "list[BoundReport]"
     of (seed, vector) pairs; 20 unit vectors in R^200, r = 1000.
 
     The rows of ``S V`` are iid ``N(0, V^T V)``, the law ``jl_project`` draws
-    as ``G Q`` with ``Q = (V^T V)^{1/2}``. The norms ``||G Q e_j||^2`` depend
-    on ``G`` only through ``G^T G = L L^T``, a Wishart matrix, so each trial
-    draws the Bartlett factor ``L`` (210 variates) and takes
-    ``||L^T Q e_j||^2``: the exact joint law of the 20 norms, and no
+    as ``G R`` with ``R`` the R factor of ``V``. The norms ``||G R e_j||^2``
+    depend on ``G`` only through ``G^T G = L L^T``, a Wishart matrix, so each
+    trial draws the Bartlett factor ``L`` (210 variates) and takes
+    ``||L^T R e_j||^2``: the exact joint law of the 20 norms, and no
     ``r x 20`` matrix is drawn.
     """
     r, dim, n_vectors = 1000, 200, 20
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((dim, n_vectors))
     vectors /= np.linalg.norm(vectors, axis=0)
-    root = gram_root(vectors)
+    root = tall_skinny_r(vectors)
     outside = 0
     for i in range(trials):
         factor = _bartlett_factor(n_vectors, r, np.random.default_rng(np.random.SeedSequence([seed, i])))
@@ -178,7 +179,7 @@ def suite_approx_ratio(trials: int = 100, seed: int = 0) -> "list[BoundReport]":
     n, d = 5000, 5
     r = math.ceil(50 * d * math.log(d))
     data = synthetic_regression(n, d, seed=seed, noise=0.1, beta_scale=1.0)
-    root = gram_root(data.A)
+    root = tall_skinny_r(data.A)
     # Called through the module so the traced benchmark times the exact solve.
     loss_star = solvers.exact_l2_solution(data).sketch_loss
     over = 0

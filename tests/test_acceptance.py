@@ -9,7 +9,8 @@ import numpy as np
 
 import dpsketch as dps
 from dpsketch.countsketch import countsketch_apply
-from dpsketch.jl import gaussian_times_root, gram_root, jl_project
+from dpsketch.jl import gaussian_times_root, jl_project
+from dpsketch.linalg import tall_skinny_r
 from dpsketch.sketchfile import METHODS
 
 from lad_oracle import lad_vertex_oracle
@@ -133,13 +134,14 @@ def test_criterion_06_l1_bound_tails():
 def test_criterion_07_jl_distortion():
     """Scaled distortion within [0.65, 1.35] on >= 95% of 200 x 20 pairs.
 
-    ``S V`` for an r x dim Gaussian ``S`` has the law of ``G (V^T V)^{1/2}``
-    with ``G`` r x 20, so each trial draws 20,000 normals, not 200,000."""
+    ``S V`` for an r x dim Gaussian ``S`` has the law of ``G R`` with ``R``
+    the R factor of ``V`` and ``G`` r x 20, so each trial draws 20,000
+    normals, not 200,000."""
     r, dim = 1000, 200
     rng = np.random.default_rng(700)
     vectors = rng.standard_normal((dim, 20))
     vectors /= np.linalg.norm(vectors, axis=0)
-    root = gram_root(vectors)
+    root = tall_skinny_r(vectors)
     inside = 0
     for i in range(200):
         projected = gaussian_times_root(root, r, seed=np.random.SeedSequence([700, i]))

@@ -400,6 +400,17 @@ class TestSketchCommand:
         assert captured.err.startswith("error: Unable to allocate")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", [spec.flag for spec in METHODS.values()])
+    def test_unaddressable_row_budget_exits_2(self, tmp_path, csv_path, capsys, method):
+        # numpy refuses a shape whose byte size exceeds intp before it tries to
+        # allocate (a ValueError, not a MemoryError); the release refuses it first
+        out = tmp_path / "huge.dps"
+        assert run_sketch(csv_path, str(out), method=method, extra=("--rows", str(10**18))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "exceeds the largest array" in captured.err
+        assert not out.exists()
+
 
 def test_main_builds_no_parser_per_call(monkeypatch, capsys):
     import dpsketch.cli as cli

@@ -145,6 +145,20 @@ class TestNoiseRowCount:
         with pytest.raises(ParameterError):
             noise_row_count(0)
 
+    def test_coverage_failure_share_is_at_most_e_minus_4(self):
+        # A bucket misses all p noise rows with probability (1 - 1/r)^p <= e^-4 / r,
+        # so some bucket needs a patch with probability <= e^-4 (union bound).
+        # The share of 4000 seeded noise-row assignments at r = 64 that leave a
+        # bucket empty must stay within e^-4 plus two binomial standard deviations.
+        r, trials = 64, 4000
+        p = noise_row_count(r)
+        patched = sum(
+            int(np.bincount(draw_countsketch_plan(p, r, [64, i]).bucket_of, minlength=r).min() == 0)
+            for i in range(trials)
+        )
+        bound = np.exp(-4.0)
+        assert patched / trials <= bound + 2.0 * np.sqrt(bound * (1.0 - bound) / trials)
+
 
 class TestPrivateCountSketch:
     def test_shape_and_coverage(self):

@@ -12,13 +12,12 @@ from dpsketch.jl import (
     JlConfig,
     _full_rank_spectrum,
     gaussian_times_root,
-    gram_root,
     jl_project,
     noisy_rank_test,
     private_jl_sketch,
     threshold_w_squared,
 )
-from dpsketch.linalg import sample_gaussian_matrix, svd
+from dpsketch.linalg import sample_gaussian_matrix, tall_skinny_r
 from dpsketch.mechanisms import PrivacyParams, RowBound
 from dpsketch.solvers import SketchProblem, exact_l2_solution, solve_l2_sketch
 from dpsketch.suites import _bartlett_factor
@@ -161,15 +160,15 @@ def _unit_rows(n, d1, seed):
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
-def _gaussian_times_gram_root(a, r, seed):
-    """Reference ``G (A^T A)^{1/2}`` with G rebuilt from ``seed``."""
-    _, s, v = svd(a)
-    return sample_gaussian_matrix(r, a.shape[1], 1.0, seed) @ ((v * s) @ v.T)
+def _gaussian_times_r(a, r, seed):
+    """Reference ``G R``, ``R`` the R factor of ``a``, with G rebuilt from ``seed``."""
+    return sample_gaussian_matrix(r, a.shape[1], 1.0, seed) @ tall_skinny_r(a)
 
 
 class TestGramRootRelease:
-    """The release is ``sqrt(1 + c^2) G (A^T A)^{1/2}``, which has the law of
-    ``S A`` / ``S [A; cQ]`` without forming the r x n Gaussian ``S``."""
+    """The release is ``sqrt(1 + c^2) G R`` with ``R`` the R factor of ``A``,
+    a root of the Gram matrix (``R^T R = A^T A``). It has the law of ``S A`` /
+    ``S [A; cQ]`` without forming the r x n Gaussian ``S``."""
 
     # (dataset, r, seed) per branch; unit-sphere rows give sigma_min^2 ~ n/d1,
     # far above w^2, so every seed takes the no-augment branch
@@ -182,31 +181,29 @@ class TestGramRootRelease:
         sk, meta = private_jl_sketch(data, JlConfig(r, PP, B1, seed=6))
         assert meta.branch == case
         _, proj_seed = np.random.SeedSequence(6).spawn(2)
-        expected = math.sqrt(1.0 + meta.c**2) * _gaussian_times_gram_root(data.A, r, proj_seed)
-        np.testing.assert_allclose(sk, expected, rtol=1e-12, atol=1e-12)
+        expected = math.sqrt(1.0 + meta.c**2) * _gaussian_times_r(data.A, r, proj_seed)
+        assert sk.tobytes() == expected.tobytes()
 
     def test_zero_c_when_sigma_min_clears_w_but_test_fails(self):
         # sigma_min^2 = 153.51 sits between w^2 = 153.29 and w^2 + margin, so
-        # most Laplace draws fail the test with c = 0: the release is plain G Q
-        a = _unit_rows(820, 5, 2)
-        assert threshold_w_squared(B1, PP, 8) < np.linalg.svd(a, compute_uv=False)[-1] ** 2
-        sk, meta = private_jl_sketch(DataMatrix(a, B1), JlConfig(8, PP, B1, seed=0))
+        # most Laplace draws fail the test with c = 0: the release is plain G R
+        data = DataMatrix(_unit_rows(820, 5, 2), B1)
+        assert threshold_w_squared(B1, PP, 8) < np.linalg.svd(data.A, compute_uv=False)[-1] ** 2
+        sk, meta = private_jl_sketch(data, JlConfig(8, PP, B1, seed=0))
         assert (meta.branch, meta.c) == ("spectral-augment", 0.0)
         _, proj_seed = np.random.SeedSequence(0).spawn(2)
-        np.testing.assert_allclose(sk, _gaussian_times_gram_root(a, 8, proj_seed), rtol=1e-12, atol=1e-12)
+        assert sk.tobytes() == _gaussian_times_r(data.A, 8, proj_seed).tobytes()
 
     def test_jl_project_reconstruction(self):
         a = synthetic_regression(500, 4, seed=2).A
         seed = np.random.SeedSequence([3, 1])
-        np.testing.assert_allclose(
-            jl_project(a, 20, seed), _gaussian_times_gram_root(a, 20, seed), rtol=1e-12, atol=1e-12
-        )
+        assert jl_project(a, 20, seed).tobytes() == _gaussian_times_r(a, 20, seed).tobytes()
 
     @pytest.mark.parametrize("n", [500, 5000])
     def test_shared_root_draws_are_jl_project_bit_for_bit(self, n):
         # the verify suites take the root once and draw every trial from it
         a = synthetic_regression(n, 4, seed=2).A
-        root = gram_root(a)
+        root = tall_skinny_r(a)
         for i in range(3):
             seed = np.random.SeedSequence([3, i])
             assert gaussian_times_root(root, 20, seed).tobytes() == jl_project(a, 20, seed).tobytes()
@@ -258,17 +255,16 @@ class TestGramRootRelease:
 
 
 class TestSpectrum:
-    """``s`` and ``Q = V diag(s) V^T`` from the R factor agree with LAPACK's
-    thin SVD of ``A`` itself, below and above the blocked-QR threshold."""
+    """The R factor is a root of ``A^T A``, and its singular values agree with
+    LAPACK's thin SVD of ``A`` itself, below and above the blocked-QR threshold."""
 
     @pytest.mark.parametrize("n", [60, 4097, 30_011])
     def test_matches_thin_svd(self, n):
         a = synthetic_regression(n, 10, seed=n).A
-        s, v = _full_rank_spectrum(a)
-        _, s_ref, vt = np.linalg.svd(a, full_matrices=False)
-        assert np.max(np.abs(s - s_ref) / s_ref) <= 1e-12
-        q, q_ref = (v * s) @ v.T, (vt.T * s_ref) @ vt
-        assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
+        r_factor, s = _full_rank_spectrum(a)
+        assert np.max(np.abs(s - np.linalg.svd(a, compute_uv=False)) / s) <= 1e-12
+        gram = a.T @ a
+        assert np.linalg.norm(r_factor.T @ r_factor - gram) <= 1e-12 * np.linalg.norm(gram)
 
     def test_jl_project_validates_its_input(self):
         with pytest.raises(ParameterError):
@@ -303,7 +299,7 @@ class TestJlDistortionLaw:
         assert np.max(np.abs(w.var(axis=0) / var - 1.0)) <= 0.15
 
     def test_norm_quantiles_match_gaussian_draws(self):
-        # The suite's statistic ||L^T Q e_j||^2 / r against ||G Q e_j||^2 / r
+        # The suite's statistic ||L^T R e_j||^2 / r against ||G R e_j||^2 / r
         # through gaussian_times_root, at r = 1000, 20 unit vectors in R^200.
         # Each side has 1000 trials x 20 vectors; a p-quantile of N samples
         # has standard error sqrt(p (1 - p) / N) / f(q_p), with f the density
@@ -312,7 +308,7 @@ class TestJlDistortionLaw:
         r, dim, k, trials = 1000, 200, 20, 1000
         vectors = np.random.default_rng(0).standard_normal((dim, k))
         vectors /= np.linalg.norm(vectors, axis=0)
-        root = gram_root(vectors)
+        root = tall_skinny_r(vectors)
         bartlett = np.concatenate([
             np.linalg.norm(_bartlett_factor(k, r, np.random.default_rng([11, i])).T @ root, axis=0) ** 2 / r
             for i in range(trials)

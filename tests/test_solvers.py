@@ -7,7 +7,8 @@ import pytest
 from dpsketch import solvers
 from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
-from dpsketch.jl import gaussian_times_root, gram_root
+from dpsketch.jl import gaussian_times_root
+from dpsketch.linalg import tall_skinny_r
 from dpsketch.mechanisms import RowBound
 from dpsketch.solvers import (
     RegressionSolution,
@@ -570,7 +571,7 @@ class TestApproximationRatio:
         # suite_approx_ratio solves the exact loss once and scores each trial
         # with _ratio_report; the reports equal approximation_ratio's exactly
         data = synthetic_regression(5000, 5, seed=0, noise=0.1, beta_scale=1.0)
-        root = gram_root(data.A)
+        root = tall_skinny_r(data.A)
         loss_star = exact_l2_solution(data).sketch_loss
         for i in range(3):
             sol = solve_l2_sketch(SketchProblem(gaussian_times_root(root, 403, np.random.SeedSequence([0, i]))))
