@@ -34,6 +34,14 @@ its R factor) and BLAS; the hashed releases use only numpy's generator and
 call, the same factorization LAPACK's SVD of a tall matrix starts with, so
 moving the spectrum onto the R factor left this digest unchanged.
 
+The ``jl`` file and certified digests were re-recorded when the release
+came to be drawn as ``sqrt(1 + c^2) G R`` from the R factor ``R`` of ``A``
+in place of ``sqrt(1 + c^2) G V diag(s) V^T``. That changed the stream,
+not the law: ``R^T R = A^T A``, so the rows are ``N(0, (1 + c^2) A^T A)``
+either way, and the Laplace draw, branch, ``w^2`` and ``c`` did not move
+(``tests/test_jl.py::TestGramRootRelease``). The SVD of ``R`` now serves
+only the noisy test's ``sigma_min``.
+
 The ``CERTIFIED_DIGESTS`` hash releases from a ``DataMatrix`` of 5000 rows,
 so they cover the matrix as certification stores it, and a jl release whose
 R factor comes from the blocked tall-skinny QR (one of its two sketch sizes
@@ -136,7 +144,7 @@ LIBRARY_DIGESTS = {
 }
 
 CLI_DIGESTS = {
-    "jl": "afb2a790f1c883b4267fbb8d00cbb000dbbdcde40ad1a43a8aee5537d8121bca",
+    "jl": "ce91b48181b246df0d836b74750b38e2a62cf91af8db03546b3cbeef326d6094",
     "cs2": "7675ab87b51128b90201d4b17f71807773a8362169b695d04c5a54632723c4a0",
     "l1": "2e124382e5f86135e6d444512349e7b35221c926d2a3197cccc06c71797fde7b",
     "l1-illus": "f93f56bc695c92268672a8818b1312b0b9f02672011aa2ad83ee7970708ba5ca",
@@ -183,7 +191,7 @@ def test_cli_clip_scale_bytes(tmp_path, capsys):
 CERTIFIED_ROWS = 5000
 CERTIFIED_DIGESTS = {
     "countsketch-l2": "93148e9cf70fe2148204224dca056ea8ded45a5730fd6cf31285feb68beb2b0a",
-    "jl": "fe8d533938dec2a77e0f70b4b3e804b41ead46d73412b2e7955194d60d48b5c5",
+    "jl": "238a42413cf02a53a6a5528fe2a5df221b42ef253621f02372303bc2f1475ba2",
     "l1-multilevel": "39a964a1e097e68c7bb66e279322c24a71bc0e04ac9dafce2de3fcd38d877e59",
     "synthetic": "c59323a3d095e82e08de39b1436dff9eb8412b6e8d9b40deb97fd4d1a539eecd",
 }
