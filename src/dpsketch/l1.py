@@ -1,34 +1,33 @@
 """Private sketches for l1 regression.
 
 Two releases live here. The single-level illustration sketch reuses the
-CountSketch pipeline with an unsigned plan, one that has no sign array. The
-multi-level weighted sketch stacks ``h_m + 1`` levels: level 0 is a
-CountMin-style pass over every row (duplicated into ``s`` blocks of
-``N' = N/s`` buckets), and every row enters each level ``h = 1..h_m``
-independently with probability ``1/b^h``; levels ``1..h_m-1`` have ``N``
-buckets and the final, uniform level ``N_u``. A row therefore touches at
-most ``s + h_m`` buckets, and about ``s + 1/(b-1)`` on average. A sampled
-level is drawn at the size of its membership (a binomial count, then a
-uniform subset of the rows). The release hands ``countsketch.bucket_sum``
-``s + 1`` bucket maps: one per level-0 block, summed straight from each
-column of ``[A; eta]``, and one listing every sampled membership, so it
+CountSketch pipeline with no signs. The multi-level weighted sketch stacks
+``h_m + 1`` levels: level 0 is a CountMin-style pass over every row
+(duplicated into ``s`` blocks of ``N' = N/s`` buckets), and every row enters
+each level ``h = 1..h_m`` independently with probability ``1/b^h``; levels
+``1..h_m-1`` have ``N`` buckets and the final, uniform level ``N_u``. A row
+therefore touches at most ``s + h_m`` buckets, and about ``s + 1/(b-1)`` on
+average. Both releases sum ``S [A; eta]`` (``eta`` Gaussian noise rows)
+through ``countsketch.noised_bucket_release``, which walks ``[A; eta]`` in
+row chunks, adds each into one ``r x (d+1)`` accumulator and patches every
+bucket to contain at least one noise row, so a release holds ``O(chunk + r
+(d+1))`` floats beside ``A``, whatever ``n``. The multi-level release draws
+each chunk's memberships when the chunk is reached: ``s`` level-0 bucket
+maps, each summed straight from the chunk's columns, and for each sampled
+level a ``Binomial(k, b^-h)`` count, a uniform subset of the chunk's ``k``
+rows of that size and a bucket for each, listed in one more map, so it
 costs what its memberships cost, not ``h_m`` passes over every row. Bucket
-weights are ``b^h`` (level 0: ``1/s``) and are data oblivious, so
-releasing them is free. Both releases sum ``S [A; eta]`` (``eta`` Gaussian
-noise rows) block by block through ``countsketch.noised_bucket_release``,
-never forming the stack, and patch every bucket to contain at least one
-noise row.
+weights are ``b^h`` (level 0: ``1/s``) and are data oblivious, so releasing
+them is free.
 
 The multi-level release calibrates its noise to its footprint ``s + h_m``
 (``mechanisms.bucket_sensitivity``, called in ``noised_bucket_release``):
 ``sigma = 2 B sqrt(s + h_m) / eps * sqrt(2 ln(1.25/delta))``.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -145,50 +144,30 @@ class WeightedSketch:
         return self.rows.shape[0]
 
 
-class _Levels(NamedTuple):
-    """Where ``_level_buckets`` puts the rows of ``[A; eta]``, and what that tells of the data rows."""
+def _level_buckets(rng: np.random.Generator, k: int, cfg: L1SketchConfig, h_m: int):
+    """Bucket the ``k`` rows of one chunk of ``[A; eta]`` at every level.
 
-    maps: "list[tuple[np.ndarray | None, np.ndarray]]"
-    signs: None
-    data_level_counts: np.ndarray
-    max_data_memberships: int
-
-
-def _level_buckets(rng: np.random.Generator, n: int, p: int, cfg: L1SketchConfig, h_m: int) -> _Levels:
-    """Bucket every row of ``[A; eta]`` (``n`` data rows, then ``p`` noise rows) at every level.
-
-    Level 0 is ``s`` maps ``(None, block)``, each placing all ``m = n + p``
-    rows in row order. Level ``h = 1..h_m`` draws its size ``k ~ Binomial(m,
-    b^-h)``, then a uniform ``k``-subset of the rows (in ascending order) and
-    a bucket for each: every row gets its own Bernoulli(``b^-h``) membership,
-    independently of the other rows and levels. The sampled levels are
-    concatenated in draw order into one map ``(rows, buckets)``; each level
-    writes its own bucket range, so one ``bincount`` adds every bucket in the
-    order separate per-level sums would. The data rows' diagnostics are read
-    from the sorted per-level row lists, where a level's data rows are a prefix.
+    Level 0 is ``s`` maps ``(None, block)``, each placing every row of the
+    chunk in row order. Level ``h = 1..h_m`` draws its size ``c_h ~
+    Binomial(k, b^-h)``, then a uniform ``c_h``-subset of the chunk's rows
+    (in no particular order) and a bucket for each: every row gets its own
+    Bernoulli(``b^-h``) membership, independently of the other rows, levels
+    and chunks. The sampled levels are concatenated in draw order into one
+    map ``(rows, buckets)``; each level writes its own bucket range, so one
+    ``bincount`` adds every bucket in the order separate per-level sums
+    would. Returns the maps and the sizes ``c_1..c_h_m``.
     """
     N, s, b = cfg.N, cfg.s, cfg.b
-    m = n + p
     n_prime = N // s
-    maps = [(None, block * n_prime + rng.integers(0, n_prime, size=m)) for block in range(s)]
-    rows, buckets = [], []
+    maps = [(None, block * n_prime + rng.integers(0, n_prime, size=k)) for block in range(s)]
+    sizes, rows, buckets = [], [], []
     for h in range(1, h_m + 1):
-        k = rng.binomial(m, b**-h)
-        rows.append(np.sort(rng.choice(m, size=k, replace=False, shuffle=False)))
+        size = rng.binomial(k, b**-h)
+        rows.append(rng.choice(k, size=size, replace=False, shuffle=False))
         width = N if h < h_m else cfg.uniform_buckets
-        buckets.append(h * N + rng.integers(0, width, size=k))
-
-    data_rows = [int(np.searchsorted(level, n)) for level in rows]
-    memberships = np.zeros(n, dtype=np.min_scalar_type(h_m))
-    for level, c in zip(rows, data_rows):
-        memberships[level[:c]] += 1  # rows within a level are distinct
-    buckets = np.concatenate(buckets)  # the per-level pieces are freed as each list is replaced
-    rows = np.concatenate(rows)
-    return _Levels(
-        [*maps, (rows, buckets)], None,
-        data_level_counts=np.array([n, *data_rows]),  # every data row sits in every level-0 block
-        max_data_memberships=s + int(memberships.max()),
-    )
+        buckets.append(h * N + rng.integers(0, width, size=size))
+        sizes.append(size)
+    return [*maps, (np.concatenate(rows), np.concatenate(buckets))], sizes
 
 
 def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> WeightedSketch:
@@ -197,12 +176,13 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
     Every row of ``[A; eta]`` lands in ``s`` distinct level-0 buckets (one
     per block of ``N'`` buckets), in at most one bucket per sampled level
     ``1..h_m-1``, and in at most one uniform-level bucket, so a single row
-    touches at most ``s + h_m`` buckets. Each sampled level draws only its
-    members (``_level_buckets``), so the work follows the about
-    ``(n + p)(s + 1/(b-1))`` memberships. Buckets that absorbed no noise row
-    get one dedicated extra noise row. Rows come from ``certified_rows``
-    (``CertificationError`` on a row over ``B``); a ``DataMatrix`` certified
-    at ``B' <= B`` is not scanned again.
+    touches at most ``s + h_m`` buckets. Each chunk's sampled levels draw
+    only their members (``_level_buckets``), so the work follows the about
+    ``(n + p)(s + 1/(b-1))`` memberships, and the data rows' diagnostics are
+    summed (level counts) or maxed (memberships) over the data chunks.
+    Buckets that absorbed no noise row get one dedicated extra noise row.
+    Rows come from ``certified_rows`` (``CertificationError`` on a row over
+    ``B``); a ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
     """
     a = certified_rows(data, cfg.bound)
     n = a.shape[0]
@@ -211,10 +191,21 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
     N, N_u, s, b = cfg.N, cfg.uniform_buckets, cfg.s, cfg.b
     r = N * h_m + N_u
 
-    def assign(assign_seed, n, p):
-        return _level_buckets(np.random.default_rng(assign_seed), n, p, cfg, h_m)
+    data_level_counts = np.zeros(h_m + 1, dtype=np.int64)
+    most = 0  # sampled levels a data row sits in, at most
 
-    rows, noise, levels = noised_bucket_release(a, r, s + h_m, cfg.pp, cfg.bound, cfg.seed, assign)
+    def assign(seed, chunks):
+        nonlocal most
+        rng = np.random.default_rng(seed)
+        for start, k in chunks:
+            maps, sizes = _level_buckets(rng, k, cfg, h_m)
+            if start < n:  # a data chunk: every row sits in every level-0 block
+                data_level_counts[0] += k
+                data_level_counts[1:] += sizes
+                most = max(most, int(np.bincount(maps[-1][0], minlength=1).max()))  # rows within a level are distinct
+            yield maps, None
+
+    rows, noise = noised_bucket_release(a, r, s + h_m, cfg.pp, cfg.bound, cfg.seed, assign)
 
     level_of = np.concatenate(
         [np.repeat(np.arange(h_m), N), np.full(N_u, h_m)]
@@ -230,7 +221,7 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
         s=s,
         noise_rows=noise.p,
         patched=noise.patched,
-        data_level_counts=levels.data_level_counts,
+        data_level_counts=data_level_counts,
         noise_coverage=noise.coverage,
-        max_data_memberships=levels.max_data_memberships,
+        max_data_memberships=s + most,
     )

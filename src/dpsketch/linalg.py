@@ -148,16 +148,29 @@ def augmented_least_squares(ab: np.ndarray) -> np.ndarray:
 
 
 def sample_gaussian_matrix(rows: int, cols: int, sigma: float, seed) -> np.ndarray:
-    """rows-by-cols matrix of i.i.d. N(0, sigma^2) entries, seed-deterministic."""
+    """rows-by-cols matrix of i.i.d. N(0, sigma^2) entries, seed-deterministic.
+
+    ``seed`` may be a ``Generator``, whose stream the draw continues: numpy
+    draws the rows of a matrix in order, so draws of consecutive row blocks
+    equal one draw of their stack.
+    """
     if rows < 1 or cols < 1:
         raise ParameterError("matrix dimensions must be positive")
     if not 0 <= sigma < np.inf:
         raise ParameterError(f"sigma must be nonnegative and finite, got {sigma}")
-    # numpy refuses such a shape with a ValueError before it tries to allocate.
+    check_addressable(rows, cols, "Gaussian draw")
+    out = np.random.default_rng(seed).standard_normal((rows, cols))
+    out *= sigma
+    return out
+
+
+def check_addressable(rows: int, cols: int, what: str) -> None:
+    """Refuse a float64 ``rows x cols`` shape whose byte size exceeds ``intp``.
+
+    numpy refuses such a shape with a ValueError before it tries to allocate.
+    """
     if rows * cols * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise ParameterError(f"a {rows} x {cols} Gaussian draw exceeds the largest array this platform can address")
-    rng = np.random.default_rng(seed)
-    return sigma * rng.standard_normal((rows, cols))
+        raise ParameterError(f"a {rows} x {cols} {what} exceeds the largest array this platform can address")
 
 
 def sample_laplace(scale: float, seed) -> float:

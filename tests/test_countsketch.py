@@ -54,31 +54,32 @@ class TestApply:
                 assert np.array_equal(countsketch_apply(plan, m), ref)
 
     def test_blocks_equal_explicit_stack(self):
-        # summing [A; eta] block by block, with a gather and signs, equals
-        # np.add.at over the stacked matrix bit for bit
+        # summing [A; eta] as two row chunks into one accumulator, with a
+        # gather and signs, equals np.add.at of each chunk onto zeros, the
+        # chunk sums added in order, bit for bit
         rng = np.random.default_rng(42)
         for n, p, r, k in [(1, 4, 1, 3), (40, 25, 8, 200), (3, 9, 64, 50)]:
             a, eta = rng.standard_normal((n, 3)), rng.standard_normal((p, 3))
-            idx = np.sort(rng.integers(0, n + p, size=k))
-            buckets = rng.integers(0, r, size=k)
-            signs = rng.choice([-1.0, 1.0], size=n + p)
-            stacked = np.vstack([a, eta])
-            ref = np.zeros((r, 3))
-            np.add.at(ref, buckets, (signs[:, None] * stacked)[idx])
-            assert np.array_equal(bucket_sum((a, eta), r, [(idx, buckets)], signs), ref)
-            every = rng.integers(0, r, size=n + p)
-            ref = np.zeros((r, 3))
-            np.add.at(ref, every, stacked)
-            assert np.array_equal(bucket_sum((a, eta), r, [(None, every)]), ref)
+            for gather in (True, False):
+                out, ref = np.zeros((r, 3)), np.zeros((r, 3))
+                for block in (a, eta):
+                    idx = np.sort(rng.integers(0, len(block), size=k)) if gather else None
+                    buckets = rng.integers(0, r, size=k if gather else len(block))
+                    signs = rng.choice([-1.0, 1.0], size=len(block)) if gather else None
+                    signed = block if signs is None else signs[:, None] * block
+                    chunk = np.zeros((r, 3))
+                    np.add.at(chunk, buckets, signed if idx is None else signed[idx])
+                    ref += chunk
+                    assert bucket_sum(out, block, [(idx, buckets)], signs) is out
+                    assert np.array_equal(out, ref)
 
     def test_dense_parts_equal_add_at_reference(self):
-        # the level-0 form: each dense array places every row of [A; eta] once,
-        # in row order and without a gather, in its own bucket range, and the
-        # entries listed through idx fill the range after them
+        # the level-0 form: each dense array places every row of a column-major
+        # chunk once, in row order and without a gather, in its own bucket
+        # range, and the entries listed through idx fill the range after them
         rng = np.random.default_rng(43)
         for n, p, s, width, r, k in [(1, 4, 1, 3, 5, 2), (40, 25, 3, 4, 20, 30), (300, 60, 2, 16, 40, 90), (2, 1, 4, 1, 6, 0)]:
-            a, eta = np.asfortranarray(rng.standard_normal((n, 3))), rng.standard_normal((p, 3))
-            stacked = np.vstack([a, eta])
+            stacked = np.asfortranarray(rng.standard_normal((n + p, 3)))
             m = n + p
             dense = [j * width + rng.integers(0, width, size=m) for j in range(s)]
             for idx in (np.sort(rng.choice(m, size=k, replace=False)), None):
@@ -91,7 +92,7 @@ class TestApply:
                         np.add.at(ref, level, signed)
                     np.add.at(ref, buckets, signed if idx is None else signed[idx])
                     maps = [(None, level) for level in dense] + [(idx, buckets)]
-                    assert np.array_equal(bucket_sum((a, eta), r, maps, signs), ref)
+                    assert np.array_equal(bucket_sum(np.zeros((r, 3)), stacked, maps, signs), ref)
 
     def test_plan_validation(self):
         with pytest.raises(ParameterError):

@@ -62,9 +62,10 @@ class TestTailBoundValue:
 
 class TestIllustrationSketch:
     def test_unsigned_release_holds_no_sign_array(self):
-        # the unsigned plan carries no sign array, so at the same seed the l1
-        # illustration release peaks at least about one float per row of
-        # [A; eta] below the signed cs2 release
+        # the unsigned release draws no signs, so at the same seed it peaks at
+        # least about one float per row of its largest live chunk below the
+        # signed cs2 release: at r = 1024 the p noise rows are one chunk, and
+        # both releases peak while it is held, where cs2 also holds p signs
         data = synthetic_regression(200_000, 10, seed=7)
         r = 1024
         peaks = []
@@ -75,8 +76,7 @@ class TestIllustrationSketch:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        rows = data.n + noise_row_count(r)
-        assert peaks[0] - peaks[1] >= 0.9 * rows * 8
+        assert peaks[0] - peaks[1] >= 0.9 * noise_row_count(r) * 8
 
     def test_shape(self):
         data = synthetic_regression(400, 3, seed=4)
@@ -113,6 +113,36 @@ class TestIllustrationSketch:
         bound = l1_coeff_bound(sigma, r, beta_aug)
         report = verify_tail_bound(spec, "l1", bound, 0.25, 1000, seed=8)
         assert report.exceedance_rate <= 0.3
+
+
+class TestReleaseMemory:
+    # A hashed release walks [A; eta] in row chunks into one r x (d+1)
+    # accumulator, so its tracemalloc peak is set by the chunk and the sketch,
+    # not by n: 1.3-1.8 MB at both sizes here, 0.07-0.10x A at 200k x 11. One
+    # float per row of [A; eta] held whole would add 1.4 MB from 20k to 200k
+    # rows and break the 10% growth bound; the 0.2x A bound leaves room for
+    # the chunk alone.
+    RELEASES = {
+        "cs2": lambda data: private_countsketch_l2(data, 1024, PP, B1, seed=3),
+        "l1-illus": lambda data: illustration_sketch_private(data, 1024, PP, B1, seed=3),
+        "l1-multilevel": lambda data: private_l1_sketch(
+            data, L1SketchConfig(pp=PP, bound=B1, seed=3, N=1216 // (level_count(data.n, 2.0) + 1))
+        ),
+    }
+
+    @pytest.mark.parametrize("method", sorted(RELEASES))
+    def test_peak_does_not_grow_with_n(self, method):
+        peaks = []
+        for n in (20_000, 200_000):
+            data = synthetic_regression(n, 10, seed=7)
+            tracemalloc.start()
+            try:
+                self.RELEASES[method](data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 0.2 * data.A.nbytes
 
 
 class TestConfigValidation:
@@ -193,33 +223,47 @@ class TestMultiLevelSketch:
         assert (one.weights == two.weights).all()
 
 
-def _memberships(assignment):
-    """(row, bucket) of every membership an l1 release's assignment lists, level 0 included.
+def _memberships(chunks):
+    """(row, bucket) of every membership an l1 release's chunks list, level 0 included.
 
-    A map ``(idx, buckets)`` lists memberships one by one; ``idx=None``
-    places every row once, in row order.
+    ``chunks`` holds ``(start, maps)`` for each chunk of ``[A; eta]``, whose
+    first row is ``start``. A map ``(idx, buckets)`` lists memberships one by
+    one, ``idx`` counting from the chunk's first row; ``idx=None`` places
+    every row of the chunk once, in row order.
     """
-    maps = assignment[0]
-    rows = [np.arange(len(buckets)) if idx is None else idx for idx, buckets in maps]
-    return np.concatenate(rows), np.concatenate([buckets for _, buckets in maps])
+    rows = [start + (np.arange(len(buckets)) if idx is None else idx) for start, maps in chunks for idx, buckets in maps]
+    return np.concatenate(rows), np.concatenate([buckets for _, maps in chunks for _, buckets in maps])
 
 
 def _release_and_memberships(monkeypatch, data, cfg):
-    """``private_l1_sketch(data, cfg)`` and the (row, bucket) pairs of its assignment."""
+    """``private_l1_sketch(data, cfg)`` and the (row, bucket) pairs its per-chunk ``assign`` drew."""
     import dpsketch.l1 as l1_module
 
     release = l1_module.noised_bucket_release
     seen = []
 
     def spy(*args):
-        result = release(*args)
-        seen.append(result[2])
-        return result
+        *head, assign = args
+
+        def recorded(seed, chunks):
+            for (start, _), (maps, signs) in zip(chunks, assign(seed, chunks)):
+                seen.append((start, maps))
+                yield maps, signs
+
+        return release(*head, recorded)
 
     with monkeypatch.context() as patch:
         patch.setattr(l1_module, "noised_bucket_release", spy)
         ws = private_l1_sketch(data, cfg)
-    return (ws, *_memberships(seen[0]))
+    return (ws, *_memberships(seen))
+
+
+@pytest.fixture
+def chunks_of_r_rows(monkeypatch):
+    """Release in the smallest chunks ``noised_bucket_release`` takes: ``r`` rows."""
+    import dpsketch.countsketch as cs_module
+
+    monkeypatch.setattr(cs_module, "_CHUNK_CELLS", 1)
 
 
 class TestLevelLaw:
@@ -266,6 +310,14 @@ class TestLevelLaw:
         spread = math.sqrt(per_row / (trials * n) + per_row / (trials * p))
         assert abs(data_hits / (trials * n) - noise_hits / (trials * p)) <= slack * spread
 
+    @pytest.mark.parametrize("b,s", [(2.0, 3), (1.5, 1)])
+    def test_membership_law_in_chunks_of_r_rows(self, monkeypatch, chunks_of_r_rows, b, s):
+        # the same law, statistics and slack when [A; eta] is cut into 18-25
+        # chunks, each chunk drawing its own level sizes and subsets;
+        # two of the five cases (sparsity s > 1, and the most levels), as each
+        # takes about 2 s
+        self.test_membership_law(monkeypatch, b, s)
+
 
 class TestDiagnosticsRecount:
     # the diagnostics a release reports equal a brute-force recount of the
@@ -290,35 +342,54 @@ class TestDiagnosticsRecount:
         if ws.h_m > 1:
             assert patched > 0  # the deep levels drew no noise row somewhere: patches were recounted
 
+    @pytest.mark.parametrize("n,s,n_u", [(300, 1, None), (300, 2, 5), (300, 4, 3), (1, 1, None), (1, 2, 3)])
+    def test_recount_in_chunks_of_r_rows(self, monkeypatch, chunks_of_r_rows, n, s, n_u):
+        # the diagnostics summed and maxed over many chunks still equal the recount
+        self.test_recount(monkeypatch, n, s, n_u)
+
 
 class TestBucketSums:
     @staticmethod
-    def add_at_reference(calls):
-        def reference(blocks, r, maps, signs=None):
-            calls.append(len(blocks))
-            stacked = np.vstack(blocks)
-            if signs is not None:
-                stacked = signs[:, None] * stacked
-            out = np.zeros((r, stacked.shape[1]))
+    def add_at_reference(lengths):
+        def reference(out, m, maps, signs=None):
+            lengths.append(len(m))
+            signed = m if signs is None else signs[:, None] * m
+            chunk = np.zeros_like(out)
             for idx, buckets in maps:
-                np.add.at(out, buckets, stacked if idx is None else stacked[idx])
+                np.add.at(chunk, buckets, signed if idx is None else signed[idx])
+            out += chunk
             return out
 
         return reference
 
-    @pytest.mark.parametrize("n,s", [(1, 1), (2, 4), (3, 2), (50, 2), (50, 4), (2000, 1)])
-    def test_bincount_equals_add_at(self, monkeypatch, n, s):
-        # the release's bucket_sum against np.add.at over an explicit [A; eta]
+    def compare(self, monkeypatch, n, s):
+        """The release's bucket_sum against np.add.at of each chunk of an explicit [A; eta].
+
+        The reference sums each chunk onto zeros and adds the chunk sums in
+        order. Returns each release's sketch row count and chunk row counts.
+        """
         import dpsketch.countsketch as cs_module
 
         data = synthetic_regression(n, 3, seed=n)
+        summed = []
         for seed in range(3):
             cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8, s=s, b=4.0)
             got = private_l1_sketch(data, cfg)
-            calls = []
+            lengths = []
             with monkeypatch.context() as patch:
-                patch.setattr(cs_module, "bucket_sum", self.add_at_reference(calls))
+                patch.setattr(cs_module, "bucket_sum", self.add_at_reference(lengths))
                 want = private_l1_sketch(data, cfg)
-            assert calls == [2]  # the reference summed the two blocks A and eta
+            assert sum(lengths) == n + got.noise_rows  # the reference summed every row of [A; eta] once
             assert got.rows.tobytes() == want.rows.tobytes()
             assert (got.noise_coverage == want.noise_coverage).all()
+            summed.append((got.r, lengths))
+        return summed
+
+    @pytest.mark.parametrize("n,s", [(1, 1), (2, 4), (3, 2), (50, 2), (50, 4), (2000, 1)])
+    def test_bincount_equals_add_at(self, monkeypatch, n, s):
+        self.compare(monkeypatch, n, s)
+
+    @pytest.mark.parametrize("n,s", [(1, 1), (2, 4), (3, 2), (50, 2), (50, 4), (2000, 1)])
+    def test_bincount_equals_add_at_in_chunks_of_r_rows(self, monkeypatch, chunks_of_r_rows, n, s):
+        for r, lengths in self.compare(monkeypatch, n, s):
+            assert max(lengths) <= r and len(lengths) > 2
