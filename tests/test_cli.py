@@ -49,8 +49,8 @@ PINNED_STDOUT = {
         "wrote 16 x 4 l1-illustration sketch to {out}\n"
     ),
     "l1": (
-        "levels h_m = 6, data rows per level {{0:60, 1:24, 2:10, 3:11, 4:6, 5:2, 6:0}}\n"
-        "noise sigma: 14.353  noise rows: 450 (+6 patched)\n"
+        "levels h_m = 6, data rows per level {{0:60, 1:25, 2:17, 3:5, 4:4, 5:3, 6:0}}\n"
+        "noise sigma: 14.353  noise rows: 450 (+2 patched)\n"
         "wrote 56 x 4 l1-multilevel sketch to {out}\n"
     ),
 }

@@ -42,6 +42,21 @@ either way, and the Laplace draw, branch, ``w^2`` and ``c`` did not move
 (``tests/test_jl.py::TestGramRootRelease``). The SVD of ``R`` now serves
 only the noisy test's ``sigma_min``.
 
+The ``countsketch-l2``, ``l1-illustration`` and ``l1-multilevel`` values
+(library, certified and the CLI ``cs2``, ``l1-illus`` and ``l1`` files, and
+``CLIP_SCALE_DIGEST``) were re-recorded when the hashed releases came to walk
+``[A; eta]`` in row chunks into one ``r x (d+1)`` accumulator. That changed
+the streams, not the laws. CountSketch buckets and signs now come from two
+generators spawned from the assignment seed, in place of one plan drawn
+buckets-then-signs over all ``n + p`` rows; each multi-level chunk draws its
+own level sizes and unsorted subsets, so each row still enters level ``h``
+independently with probability ``b^-h`` (``tests/test_l1.py::TestLevelLaw``);
+the noise rows are the same standard normal draws, taken chunk by chunk; and
+chunk sums are added into the accumulator, which moves float association.
+The 70000-row library values were added then: at 4 columns their data rows
+span two chunks, so the chunk size is pinned too. The CLI ``l1`` stdout
+pinned in ``tests/test_cli.py`` moved with them.
+
 The ``CERTIFIED_DIGESTS`` hash releases from a ``DataMatrix`` of 5000 rows,
 so they cover the matrix as certification stores it, and a jl release whose
 R factor comes from the blocked tall-skinny QR (one of its two sketch sizes
@@ -64,7 +79,7 @@ from dpsketch.mechanisms import PrivacyParams, RowBound
 
 PP = PrivacyParams(1.0, 0.05)
 B1 = RowBound(1.0)
-SIZES = (1, 2, 3, 50, 2000)
+SIZES = (1, 2, 3, 50, 2000, 70000)
 
 
 def _data(n: int) -> np.ndarray:
@@ -126,28 +141,31 @@ def synthetic_digest(n: int) -> str:
 
 
 LIBRARY_DIGESTS = {
-    ("countsketch-l2", 1): "969b32d299112f66336ca7a59282e993997cdbd567af8ac0040d689fcd8f2120",
-    ("countsketch-l2", 2): "7bc0e5164a38b9e864e585c990225a88588e61ccbfcd32b5a30b4b011e18f969",
-    ("countsketch-l2", 3): "64641c98dd882831c2f555a4e49bc1639857348cca9a520f537ef58bb0983254",
-    ("countsketch-l2", 50): "f1732c0d608230cf830fe2b98dd4928129eef82f9f128c4ef62ce01fbdc9508a",
-    ("countsketch-l2", 2000): "96fd3b3500672dc0fc0ad0b60d0fc3b4d4ec72e74caa359b6315c9fef0c596b7",
-    ("l1-illustration", 1): "603ba8328e62176abc121669f7deace4ff1ab18b2eef1d8d71078f2a833a94ff",
-    ("l1-illustration", 2): "b23bc9b8b097859789af5eb5f49651eee39a21c7aba27e218788f783d925338b",
-    ("l1-illustration", 3): "bc07c6ee282dab7d41f48a815f2e2dc6912fa069e7454cfb1ae146b315eb851a",
-    ("l1-illustration", 50): "d5b0677d8f6a2ed0d6eae51f98d3b30f26685a0a16abc0821e50b022cd88c746",
-    ("l1-illustration", 2000): "1c3c72f62d1dbc020899822a7a1fcc2e1b1ef720052f1658e1f5b768fb1352f9",
-    ("l1-multilevel", 1): "eade7f3ed725621ce8cbe6fdb5039763754806adeaf20629f265cd065d5cab70",
-    ("l1-multilevel", 2): "0fd6bca8df86af3f982671860ed8c3013a8ca827c6bd3d5c55298facf7e3a9a7",
-    ("l1-multilevel", 3): "d293764c7f3afa56a8b440b86d67845afbd3c3982a66c7ccf4d5468ba5e35423",
-    ("l1-multilevel", 50): "ca378aa50176f9c51995842ffc1da55c8ebfbc3c2439e78c6cf8f2974cd4b1a6",
-    ("l1-multilevel", 2000): "128f4a78b611f9c0fbb5263e169ae9853674af2950480dabb19ec9880ad6f94c",
+    ("countsketch-l2", 1): "0d7ecfe30c5f103a30eea43e6de0b058da7e305e191cefa61aac6969e12d68d0",
+    ("countsketch-l2", 2): "b8972d3de16b6c3d0a17088bd0b9cb5a114de779bbf07aad37f58e651f657c31",
+    ("countsketch-l2", 3): "1ac6e9a69be364d29f21df4d8a0ebd3911d9047a03007b0991b7d1d5d27fdb5e",
+    ("countsketch-l2", 50): "774b2b531a338596294f9eb455cce9837d96fcee673f3a3f1bd511c95efb9077",
+    ("countsketch-l2", 2000): "d9027d5e4485091de3dfe3e61f9ed10c7ec012e34d7c5538ff6b92df17d40406",
+    ("countsketch-l2", 70000): "cae96fe14f4b0ad53bc389b366922b4f2afe307aff789915c3a2d98be7be5c4f",
+    ("l1-illustration", 1): "a0de5b35c532b24c793ea93b26f09ef90bd1228a809ea7d6553c69bb761167c7",
+    ("l1-illustration", 2): "7ad5c37e277ec7a06901ccd84c87100c7de9c3343a9aadeac257293755f5fd2e",
+    ("l1-illustration", 3): "748ebcd5e99bd03dce0ee9f8246fe951c9b1d7006e85bde8fdb0750f7047894d",
+    ("l1-illustration", 50): "587688b0e35a2c5b7b74b66e3acc409d133f7f3679b149734316a9ae100d6caf",
+    ("l1-illustration", 2000): "fd7ca017f503eee3bb7db1fafd06398d824b4b0de726594c4bbf90070256e4a8",
+    ("l1-illustration", 70000): "97d6a998282cfbdaecddee43d69b83af25eb29285f8264ff3a81ff4f76dc2f92",
+    ("l1-multilevel", 1): "a1ae1914aeb08145743debe168f924a1fbf149f49bb089ad92dbabb666315065",
+    ("l1-multilevel", 2): "4bd79f815a793fedc59ef13c1a4e55661dcf1969ec298aeac29f044dfa7d6f96",
+    ("l1-multilevel", 3): "b8ba58991dbe71dcfd0660b023a7785031c6f892a9eac985e6ddb882cab9827c",
+    ("l1-multilevel", 50): "d6b927d596b452c20e0230740ca295e1446a981f1c715895cc2c23c502019f4b",
+    ("l1-multilevel", 2000): "f1584fda991adaec98129eb5bb21baab285c774aba510d3f15d22f982e0c1da2",
+    ("l1-multilevel", 70000): "cbb5c55ba87d6aeb7380cdffcdfd9cb14e9901511ecb87eb19e3e80fbfbb6be1",
 }
 
 CLI_DIGESTS = {
     "jl": "ce91b48181b246df0d836b74750b38e2a62cf91af8db03546b3cbeef326d6094",
-    "cs2": "7675ab87b51128b90201d4b17f71807773a8362169b695d04c5a54632723c4a0",
-    "l1": "2e124382e5f86135e6d444512349e7b35221c926d2a3197cccc06c71797fde7b",
-    "l1-illus": "f93f56bc695c92268672a8818b1312b0b9f02672011aa2ad83ee7970708ba5ca",
+    "cs2": "98c1db97e8c5afed1015234e3586390e097b13b00ae532bf2e92a589cc632fd8",
+    "l1": "1df10e7f980a26d9912aa6cd8fe7a002144de223fdd7524acf5708dbd5d04383",
+    "l1-illus": "8870d44d4eb4f0274d9ff3120a904c2ecdb79b2117e4548d98ac761dc4d46230",
 }
 
 
@@ -167,7 +185,7 @@ def cli_digest(tmp_path, flag: str) -> str:
 
 # ``cs2`` on the CLI input with every third row pushed to four times its
 # norm, so ``--clip scale`` rescales rows before the release.
-CLIP_SCALE_DIGEST = "ed7d36defc41d2060317612ccc28078ff4b2d7d8ce462587af8124ff100cf7ad"
+CLIP_SCALE_DIGEST = "13b7971171694be0a74a929c09a490e8cd6b6c3f5aafb1f34e02d473cd47160e"
 
 
 def test_cli_clip_scale_bytes(tmp_path, capsys):
@@ -190,9 +208,9 @@ def test_cli_clip_scale_bytes(tmp_path, capsys):
 # tall-skinny QR; and the matrices ``synthetic_regression`` builds at that size.
 CERTIFIED_ROWS = 5000
 CERTIFIED_DIGESTS = {
-    "countsketch-l2": "93148e9cf70fe2148204224dca056ea8ded45a5730fd6cf31285feb68beb2b0a",
+    "countsketch-l2": "147ab31a886fb9d38231d87dba87855d8c66c833b8031efe10a9898014a956cf",
     "jl": "238a42413cf02a53a6a5528fe2a5df221b42ef253621f02372303bc2f1475ba2",
-    "l1-multilevel": "39a964a1e097e68c7bb66e279322c24a71bc0e04ac9dafce2de3fcd38d877e59",
+    "l1-multilevel": "20b67dc5dd9904e29a66b5450d6a2fbd250a610a6c4b7e630d13e09f32bc800d",
     "synthetic": "c59323a3d095e82e08de39b1436dff9eb8412b6e8d9b40deb97fd4d1a539eecd",
 }
 
