@@ -16,6 +16,7 @@ least ``1 - e^-4``, and any bucket still uncovered is patched with a
 dedicated extra noise row. Extra Gaussian noise never weakens privacy, so
 coverage is unconditional.
 """
+
 from __future__ import annotations
 
 import math
@@ -86,7 +87,7 @@ def draw_countsketch_plan(n_inputs: int, r: int, seed, signed: bool = True) -> C
         raise ParameterError("sketch must have at least one row")
     rng = np.random.default_rng(seed)
     buckets = rng.integers(0, r, size=n_inputs)
-    signs = rng.choice(np.array([-1.0, 1.0]), size=n_inputs) if signed else None
+    signs = rng.choice(_SIGNS, size=n_inputs) if signed else None
     return CountSketchPlan(r=r, bucket_of=buckets, sign_of=signs)
 
 
@@ -165,7 +166,7 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
     step = max(_CHUNK_CELLS // d1, r)
     chunks = [(start, min(step, stop - start)) for first, stop in ((0, n), (n, n + p)) for start in range(first, stop, step)]
     coverage = np.zeros(r, dtype=np.intp)
-    for (start, k), (maps, signs) in zip(chunks, assign(assign_seed, chunks)):
+    for (start, k), (maps, signs) in zip(chunks, assign(assign_seed, chunks), strict=True):
         if start < n:
             bucket_sum(sketch, a[start:start + k], maps, signs)
         else:
@@ -191,7 +192,7 @@ def private_countsketch_l2(
 ) -> "tuple[np.ndarray, NoisePlan]":
     """Release a private CountSketch ``S [A; eta]`` for l2 regression.
 
-    ``eta`` holds ``noise_row_count(r)`` rows of N(0, sigma^2) noise, with
+    ``eta`` holds ``noise_row_count(r)`` rows of N(0, sigma^2 I) noise, with
     sigma calibrated to footprint 1 (sensitivity ``2B``: a changed row moves
     one bucket) by ``noised_bucket_release``. Each row's bucket is uniform
     over ``[0, r)`` and its sign uniform over ``{-1, +1}``, drawn chunk by

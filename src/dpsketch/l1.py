@@ -24,6 +24,7 @@ The multi-level release calibrates its noise to its footprint ``s + h_m``
 (``mechanisms.bucket_sensitivity``, called in ``noised_bucket_release``):
 ``sigma = 2 B sqrt(s + h_m) / eps * sqrt(2 ln(1.25/delta))``.
 """
+
 from __future__ import annotations
 
 import math
