@@ -40,11 +40,11 @@ _SIGNS = np.array([-1.0, 1.0])
 
 @dataclass(frozen=True)
 class CountSketchPlan:
-    """One nonzero per input row: a bucket in [0, r) and a sign in {-1, +1}, or no sign (``None``)."""
+    """One nonzero per input row: a bucket in [0, r) and a sign in {-1, +1}."""
 
     r: int
     bucket_of: np.ndarray
-    sign_of: "np.ndarray | None"
+    sign_of: np.ndarray
 
     def __post_init__(self):
         buckets = np.asarray(self.bucket_of, dtype=np.intp)
@@ -54,12 +54,11 @@ class CountSketchPlan:
             raise ParameterError("bucket map must be 1-d")
         if buckets.size and (buckets.min() < 0 or buckets.max() >= self.r):
             raise ParameterError("bucket indices out of range")
+        signs = np.asarray(self.sign_of, dtype=float)
+        if signs.shape != buckets.shape or not np.all(np.abs(signs) == 1.0):
+            raise ParameterError("signs must be +1 or -1, one per input row")
         object.__setattr__(self, "bucket_of", buckets)
-        if self.sign_of is not None:
-            signs = np.asarray(self.sign_of, dtype=float)
-            if signs.shape != buckets.shape or not np.all(np.abs(signs) == 1.0):
-                raise ParameterError("signs must be +1 or -1, one per input row")
-            object.__setattr__(self, "sign_of", signs)
+        object.__setattr__(self, "sign_of", signs)
 
     @property
     def n_inputs(self) -> int:
@@ -76,19 +75,15 @@ class NoisePlan:
     patched: int  # buckets that needed a dedicated extra noise row
 
 
-def draw_countsketch_plan(n_inputs: int, r: int, seed, signed: bool = True) -> CountSketchPlan:
-    """Sample a plan: buckets uniform over [0, r), signs uniform over {-1, +1}.
-
-    With ``signed=False`` the plan has no sign array (the l1 illustration sketch).
-    """
+def draw_countsketch_plan(n_inputs: int, r: int, seed) -> CountSketchPlan:
+    """Sample a plan: buckets uniform over [0, r), signs uniform over {-1, +1}."""
     if n_inputs < 1:
         raise ParameterError("need at least one input row")
     if r < 1:
         raise ParameterError("sketch must have at least one row")
     rng = np.random.default_rng(seed)
     buckets = rng.integers(0, r, size=n_inputs)
-    signs = rng.choice(_SIGNS, size=n_inputs) if signed else None
-    return CountSketchPlan(r=r, bucket_of=buckets, sign_of=signs)
+    return CountSketchPlan(r=r, bucket_of=buckets, sign_of=rng.choice(_SIGNS, size=n_inputs))
 
 
 def bucket_sum(out: np.ndarray, m: np.ndarray, maps, signs=None) -> np.ndarray:

@@ -142,6 +142,8 @@ def synthetic_regression(
     """A planted linear model ``y = X beta0 + noise`` rescaled so every row of
     ``[X | y]`` has l2 norm at most ``bound`` (rescaling X and y together
     leaves the regression solution unchanged)."""
+    if n < 1 or d < 1:
+        raise ParameterError(f"need n >= 1 rows and d >= 1 features, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     beta0 = beta_scale * rng.standard_normal(d)

@@ -1,11 +1,11 @@
 """Dense matrix routines and seeded noise sampling used by every sketcher.
 
-Every least-squares solve goes through one kernel, ``augmented_least_squares``:
-a blocked (tall-skinny) Householder QR of the augmented ``[M | rhs]`` whose
-R factor already holds ``Q^T rhs``, so ``Q`` is never formed. The same R
-factor, ``tall_skinny_r``, gives singular values and right singular vectors
-(``M`` and ``R`` share both), so no routine here but the public ``svd``
-forms an n-row ``U``.
+Every least-squares solve goes through one function, ``qr_least_squares``,
+which takes the augmented ``[M | rhs]``: a blocked (tall-skinny) Householder
+QR of it has an R factor that already holds ``Q^T rhs``, so ``Q`` is never
+formed. The same R factor, ``tall_skinny_r``, gives singular values and
+right singular vectors (``M`` and ``R`` share both), so no routine here but
+the public ``svd`` forms an n-row ``U``.
 
 Randomness policy: all sampling goes through ``numpy.random.default_rng``
 (PCG64). Normal variates use numpy's ziggurat sampler, Laplace variates its
@@ -61,26 +61,6 @@ def svd(m) -> SvdResult:
     return SvdResult(u, s, vt.T)
 
 
-def qr_least_squares(m, rhs) -> np.ndarray:
-    """Solve ``argmin_v ||M v - rhs||_2`` by blocked Householder QR.
-
-    Requires ``M`` to be tall (rows >= cols) with full column rank. This is
-    input validation around ``augmented_least_squares``, which factors
-    ``[M | rhs]`` without forming ``Q``; see there for why QR and not the
-    normal equations.
-
-    Raises
-    ------
-    SingularSystemError
-        If ``M`` is (numerically) rank deficient.
-    """
-    a = as_matrix(m)
-    b = np.asarray(rhs, dtype=float).reshape(-1)
-    if b.shape[0] != a.shape[0]:
-        raise ParameterError("rhs length does not match matrix rows")
-    return augmented_least_squares(np.column_stack([a, b]))
-
-
 # Rows per Householder block. Blocks this size keep each factorization in
 # cache; 256 was the fastest of 64..2048 on a 20k x 11 weighted design.
 _QR_BLOCK = 256
@@ -118,27 +98,29 @@ def tall_skinny_r(ab: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.vstack(parts), mode="r")
 
 
-def augmented_least_squares(ab: np.ndarray) -> np.ndarray:
+def qr_least_squares(ab) -> np.ndarray:
     """Solve ``argmin_v ||M v - rhs||_2`` given the augmented ``ab = [M | rhs]``.
 
-    ``ab`` must be a finite float matrix (callers validate, e.g. with
-    ``as_matrix``). The R factor of ``[M | rhs]`` carries both ``R_M``
-    (its leading ``k x k`` block) and ``Q_M^T rhs`` (the first ``k`` entries
-    of its last column), so one blocked Householder QR of ``ab`` and a
-    triangular solve give the solution without ever forming ``Q``.
-    Householder QR is used instead of the normal equations (or a Cholesky
-    factor of ``M^T M``) so the condition number is not squared.
+    ``M`` must be tall (rows >= cols) with full column rank. The R factor of
+    ``[M | rhs]`` carries both ``R_M`` (its leading ``k x k`` block) and
+    ``Q_M^T rhs`` (the first ``k`` entries of its last column), so one
+    blocked Householder QR of ``ab`` and a triangular solve give the
+    solution without ever forming ``Q``. Householder QR is used instead of
+    the normal equations (or a Cholesky factor of ``M^T M``) so the
+    condition number is not squared.
 
     Raises
     ------
     ParameterError
-        If ``M`` has fewer rows than columns.
+        If ``ab`` is not a finite matrix, or ``M`` has no column or fewer
+        rows than columns.
     SingularSystemError
         If ``M`` is (numerically) rank deficient.
     """
+    ab = as_matrix(ab)
     rows, k = ab.shape[0], ab.shape[1] - 1
-    if rows < k:
-        raise ParameterError(f"need rows >= cols, got shape {(rows, k)}")
+    if not 1 <= k <= rows:
+        raise ParameterError(f"need rows >= cols >= 1, got shape {(rows, k)}")
     r = tall_skinny_r(ab)
     diag = np.abs(np.diag(r)[:k])
     tol = max(rows, k) * np.finfo(float).eps * max(diag.max(), 1e-300)

@@ -3,9 +3,9 @@
 A released sketch is an ``r x (d+1)`` matrix whose last column plays the
 role of the response, so every solver works on the augmented vector
 ``beta_aug = [beta; -1]`` and minimizes ``||M beta_aug||`` (optionally
-weighted). Least squares goes through ``linalg.augmented_least_squares``:
-one blocked Householder QR of the (weighted) ``[X | y]``, with ``Q`` never
-formed. Least absolute deviations is solved exactly by vertex descent
+weighted). Least squares goes through ``linalg.qr_least_squares``: one
+blocked Householder QR of the (weighted) ``[X | y]`` as it lies, with ``Q``
+never formed. Least absolute deviations is solved exactly by vertex descent
 started from that least-squares fit, and each result carries a dual
 certificate of optimality: the dual of its last vertex, which like every
 vertex's is computed from scratch. On tall problems the descent first runs
@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import ParameterError, SingularSystemError
-from .linalg import as_matrix, augmented_least_squares, qr_least_squares
+from .linalg import as_matrix, qr_least_squares
 
 # Vertex descent. Pivots run on the target plus a fixed tie-breaking vector
 # with entries up to _TIE_BREAK * max|M|; without it, exact fits and
@@ -131,8 +131,7 @@ def _finish(beta: np.ndarray, loss: float, method: str, converged=True, iteratio
 def solve_l2_sketch(problem: SketchProblem) -> RegressionSolution:
     """Least squares on the sketch: minimize ``sum_i w_i (M_i beta_aug)^2``."""
     w = problem.effective_weights()
-    scale = np.sqrt(w)
-    beta = qr_least_squares(problem.design * scale[:, None], problem.target * scale)
+    beta = qr_least_squares(problem.M if problem.weights is None else problem.M * np.sqrt(w)[:, None])
     residual = problem.design @ beta - problem.target
     return _finish(beta, w @ residual**2, "qr")
 
@@ -349,7 +348,7 @@ def solve_l1_weighted(problem: SketchProblem) -> RegressionSolution:
     core and all-rows together, at most ``_PIVOTS_PER_COLUMN * d`` in all.
     """
     m, design, target, w = problem.M, problem.design, problem.target, problem.effective_weights()
-    beta = augmented_least_squares(m)
+    beta = qr_least_squares(m)
     perturbed = target + _tie_breaker(m.shape[0], _TIE_BREAK * float(max(m.max(), -m.min())))
     residual = design @ beta - perturbed
     cap = _PIVOTS_PER_COLUMN * design.shape[1]
@@ -372,7 +371,7 @@ def exact_l2_solution(data: DataMatrix) -> RegressionSolution:
 
     ``data.A`` is already the certified ``[X | y]``, so it is factored as is.
     """
-    beta = augmented_least_squares(data.A)
+    beta = qr_least_squares(data.A)
     residual = data.X @ beta - data.y
     return _finish(beta, float(residual @ residual), "qr")
 

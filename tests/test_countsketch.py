@@ -46,12 +46,11 @@ class TestApply:
         # that leave buckets empty (n << r) and the single-bucket plan r = 1
         rng = np.random.default_rng(41)
         for n, r, d1 in [(5, 50, 3), (300, 1, 4), (2000, 64, 2), (1, 3, 1), (700, 700, 5)]:
-            for signed in (True, False):
-                plan = draw_countsketch_plan(n, r, rng.integers(2**32), signed=signed)
-                m = rng.standard_normal((n, d1))
-                ref = np.zeros((r, d1))
-                np.add.at(ref, plan.bucket_of, m if plan.sign_of is None else plan.sign_of[:, None] * m)
-                assert np.array_equal(countsketch_apply(plan, m), ref)
+            plan = draw_countsketch_plan(n, r, rng.integers(2**32))
+            m = rng.standard_normal((n, d1))
+            ref = np.zeros((r, d1))
+            np.add.at(ref, plan.bucket_of, plan.sign_of[:, None] * m)
+            assert np.array_equal(countsketch_apply(plan, m), ref)
 
     def test_blocks_equal_explicit_stack(self):
         # summing [A; eta] as two row chunks into one accumulator, with a
@@ -95,21 +94,14 @@ class TestApply:
                     assert np.array_equal(bucket_sum(np.zeros((r, 3)), stacked, maps, signs), ref)
 
     def test_plan_validation(self):
-        with pytest.raises(ParameterError):
-            CountSketchPlan(r=2, bucket_of=np.array([0, 2]), sign_of=np.ones(2))
-        with pytest.raises(ParameterError):
-            CountSketchPlan(r=2, bucket_of=np.array([0, 1]), sign_of=np.array([1.0, 0.5]))
-
-    def test_unsigned_plan_validation(self):
-        # an unsigned plan (no sign array) is accepted and applied as is; its
-        # bucket map is still checked for range and shape
-        plan = CountSketchPlan(r=3, bucket_of=np.array([2, 0, 2]), sign_of=None)
-        assert plan.sign_of is None
-        out = countsketch_apply(plan, np.diag([1.0, 2.0, 3.0]))
-        assert np.array_equal(out, [[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        # the bucket map is checked for range and shape, the signs for value
+        # and length
         for buckets in (np.array([0, 2]), np.array([-1, 0]), np.zeros((2, 2), dtype=int)):
             with pytest.raises(ParameterError):
-                CountSketchPlan(r=2, bucket_of=buckets, sign_of=None)
+                CountSketchPlan(r=2, bucket_of=buckets, sign_of=np.ones(2))
+        for signs in (np.array([1.0, 0.5]), np.ones(3), None):
+            with pytest.raises(ParameterError):
+                CountSketchPlan(r=2, bucket_of=np.array([0, 1]), sign_of=signs)
 
 
 class TestPlanDistribution:
@@ -118,18 +110,6 @@ class TestPlanDistribution:
         counts = np.bincount(plan.bucket_of, minlength=10)
         assert counts.min() > 1700 and counts.max() < 2300
         assert abs(plan.sign_of.mean()) < 0.03
-
-    def test_unsigned_mode(self):
-        plan = draw_countsketch_plan(50, 5, seed=1, signed=False)
-        assert plan.sign_of is None
-
-    def test_unsigned_plan_has_the_signed_buckets(self):
-        # buckets are drawn before signs, so an unsigned plan is the signed
-        # plan of the same seed without its sign array
-        signed = draw_countsketch_plan(300, 7, seed=9)
-        unsigned = draw_countsketch_plan(300, 7, seed=9, signed=False)
-        assert unsigned.sign_of is None
-        assert np.array_equal(unsigned.bucket_of, signed.bucket_of)
 
 
 class TestNoiseRowCount:

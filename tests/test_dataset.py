@@ -121,6 +121,11 @@ class TestDataMatrix:
         assert max_row_norm(dm.A) <= 2.5 * (1 + 1e-9)
         assert dm.n == 100 and dm.d == 3
 
+    @pytest.mark.parametrize("n, d", [(0, 5), (-1, 3), (5, 0)])
+    def test_synthetic_refuses_empty_sizes(self, n, d):
+        with pytest.raises(ParameterError):
+            synthetic_regression(n, d, seed=1)
+
 
 class TestRowNorms:
     @pytest.mark.parametrize("width", [2, 4, 11, 33])

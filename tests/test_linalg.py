@@ -7,7 +7,6 @@ from dpsketch import linalg
 from dpsketch.dataset import synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
 from dpsketch.linalg import (
-    augmented_least_squares,
     qr_least_squares,
     sample_gaussian_matrix,
     sample_laplace,
@@ -110,15 +109,15 @@ class TestTallSkinnyR:
     def test_exact_l2_is_bit_identical_to_qr_least_squares(self):
         data = synthetic_regression(20_000, 10, seed=4)
         beta = exact_l2_solution(data).beta
-        assert beta.tobytes() == qr_least_squares(data.X, data.y).tobytes()
+        assert beta.tobytes() == qr_least_squares(data.A).tobytes()
 
 
 class TestQrLeastSquares:
     def test_identity(self):
-        assert np.allclose(qr_least_squares(np.eye(2), [5.0, 7.0]), [5.0, 7.0])
+        assert np.allclose(qr_least_squares(np.column_stack([np.eye(2), [5.0, 7.0]])), [5.0, 7.0])
 
     def test_mean_of_two_points(self):
-        assert qr_least_squares([[1.0], [1.0]], [0.0, 2.0]) == pytest.approx([1.0])
+        assert qr_least_squares(np.column_stack([[1.0, 1.0], [0.0, 2.0]])) == pytest.approx([1.0])
 
     def test_hand_normal_equations(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -127,13 +126,13 @@ class TestQrLeastSquares:
         mtm = m.T @ m
         expected = np.linalg.solve(mtm, m.T @ rhs)
         assert expected == pytest.approx([2.0 / 3.0, 2.0 / 3.0], rel=1e-12)
-        assert qr_least_squares(m, rhs) == pytest.approx(expected, rel=1e-9)
+        assert qr_least_squares(np.column_stack([m, rhs])) == pytest.approx(expected, rel=1e-9)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((40, 6))
         rhs = rng.standard_normal(40)
-        v = qr_least_squares(m, rhs)
+        v = qr_least_squares(np.column_stack([m, rhs]))
         grad = np.abs(m.T @ (m @ v - rhs)).max()
         assert grad <= 1e-8 * np.abs(m).max() * np.linalg.norm(rhs)
 
@@ -143,15 +142,27 @@ class TestQrLeastSquares:
             m = rng.standard_normal((30, 4)) + 2.0 * np.eye(30, 4)
             rhs = rng.standard_normal(30)
             ne = np.linalg.solve(m.T @ m, m.T @ rhs)
-            assert qr_least_squares(m, rhs) == pytest.approx(ne, rel=1e-6)
+            assert qr_least_squares(np.column_stack([m, rhs])) == pytest.approx(ne, rel=1e-6)
 
     def test_rank_deficient_raises(self):
         with pytest.raises(SingularSystemError):
-            qr_least_squares([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], [1.0, 2.0, 3.0])
+            qr_least_squares(np.column_stack([[[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], [1.0, 2.0, 3.0]]))
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ParameterError):
-            qr_least_squares([[1.0, 2.0, 3.0]], [1.0])
+            qr_least_squares(np.column_stack([[[1.0, 2.0, 3.0]], [1.0]]))
+
+    def test_rhs_alone_rejected(self):
+        with pytest.raises(ParameterError):
+            qr_least_squares(np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, -1], ids=["M", "rhs"])
+    def test_non_finite_entry_rejected(self, bad, column):
+        ab = np.column_stack([np.eye(3), [1.0, 2.0, 3.0]])
+        ab[1, column] = bad
+        with pytest.raises(ParameterError):
+            qr_least_squares(ab)
 
 
 class TestAugmentedLeastSquares:
@@ -164,16 +175,15 @@ class TestAugmentedLeastSquares:
         m = rng.standard_normal((n, 10)) * rng.uniform(0.1, 10.0, 10)
         rhs = m @ rng.standard_normal(10) + rng.standard_normal(n)
         expected, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-        got = augmented_least_squares(np.column_stack([m, rhs]))
+        got = qr_least_squares(np.column_stack([m, rhs]))
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
-        assert qr_least_squares(m, rhs) == pytest.approx(got, rel=1e-15, abs=0)
 
     def test_duplicate_column_raises_at_scale(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((20_000, 5))
         m = np.column_stack([x, x[:, 2]])
         with pytest.raises(SingularSystemError):
-            qr_least_squares(m, rng.standard_normal(20_000))
+            qr_least_squares(np.column_stack([m, rng.standard_normal(20_000)]))
 
     def test_column_nonzero_in_one_row_of_one_block(self):
         rng = np.random.default_rng(13)
@@ -184,7 +194,7 @@ class TestAugmentedLeastSquares:
         m = np.column_stack([x, spike])
         rhs = rng.standard_normal(n)
         expected, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-        got = qr_least_squares(m, rhs)
+        got = qr_least_squares(np.column_stack([m, rhs]))
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
         # the spike column fits row 777 exactly
         assert (m @ got - rhs)[777] == pytest.approx(0.0, abs=1e-12)
@@ -195,7 +205,7 @@ class TestAugmentedLeastSquares:
         m = rng.standard_normal((n, 6)) * np.geomspace(1.0, 1e-9, 6)
         rhs = m @ rng.standard_normal(6) + 1e-3 * rng.standard_normal(n)
         expected, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-        got = qr_least_squares(m, rhs)
+        got = qr_least_squares(np.column_stack([m, rhs]))
         ref = np.linalg.norm(m @ expected - rhs)
         assert np.linalg.norm(m @ got - rhs) <= ref * (1.0 + 1e-10)
         # optimality: the residual is orthogonal to every column, in that column's scale
@@ -204,7 +214,7 @@ class TestAugmentedLeastSquares:
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ParameterError):
-            augmented_least_squares(np.ones((2, 4)))
+            qr_least_squares(np.ones((2, 4)))
 
 
 class TestSampling:

@@ -8,7 +8,7 @@ from dpsketch import solvers
 from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import ParameterError, SingularSystemError
 from dpsketch.jl import gaussian_times_root
-from dpsketch.linalg import tall_skinny_r
+from dpsketch.linalg import qr_least_squares, tall_skinny_r
 from dpsketch.mechanisms import RowBound
 from dpsketch.solvers import (
     RegressionSolution,
@@ -70,6 +70,19 @@ class TestSolveL2:
         m = np.array([[1.0, 1.0, 0.5], [2.0, 2.0, 1.0], [3.0, 3.0, 0.0]])
         with pytest.raises(SingularSystemError):
             solve_l2_sketch(SketchProblem(m))
+
+    @pytest.mark.parametrize("n", [300, 5000])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_beta_bytes_equal_split_solve(self, n, weighted):
+        # the release is solved as it lies (column-major here), or scaled by
+        # sqrt(w) row by row: the bytes of scaling design and target apart
+        rng = np.random.default_rng(n)
+        prob = SketchProblem(
+            np.asfortranarray(rng.standard_normal((n, 6))), rng.uniform(0.5, 2.0, n) if weighted else None
+        )
+        s = np.sqrt(prob.effective_weights())
+        expected = qr_least_squares(np.column_stack([prob.design * s[:, None], prob.target * s]))
+        assert solve_l2_sketch(prob).beta.tobytes() == expected.tobytes()
 
 
 class TestSolveL1:
@@ -266,7 +279,7 @@ class TestIncrementalDescent:
         m, w = prob.M, prob.effective_weights()
         design = np.ascontiguousarray(prob.design)
         target = prob.target + _tie_breaker(n, solvers._TIE_BREAK * np.abs(m).max())
-        start = _start_basis(design, design @ solvers.augmented_least_squares(m) - target)
+        start = _start_basis(design, design @ solvers.qr_least_squares(m) - target)
         vertices = list(_descent(design, target, w, start))
         reference = list(reference_descent(design, target, w, start))
         assert [v.basis.tolist() for v in vertices] == [v.basis.tolist() for v in reference]
