@@ -99,9 +99,19 @@ class TestApply:
         for buckets in (np.array([0, 2]), np.array([-1, 0]), np.zeros((2, 2), dtype=int)):
             with pytest.raises(ParameterError):
                 CountSketchPlan(r=2, bucket_of=buckets, sign_of=np.ones(2))
-        for signs in (np.array([1.0, 0.5]), np.ones(3), None):
+        for signs in (np.array([1.0, 0.5]), np.ones(3)):
             with pytest.raises(ParameterError):
                 CountSketchPlan(r=2, bucket_of=np.array([0, 1]), sign_of=signs)
+
+    def test_unsigned_plan_validation(self):
+        # a plan must carry its signs: an unsigned one (no sign array) is
+        # refused, with a valid bucket map or not; unsigned sums go through
+        # the kernel with signs=None, which adds the rows as they are
+        for buckets in (np.array([2, 0, 2]), np.array([0, 3, 1]), np.zeros((3, 3), dtype=int)):
+            with pytest.raises(ParameterError):
+                CountSketchPlan(r=3, bucket_of=buckets, sign_of=None)
+        out = bucket_sum(np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0]), [(None, np.array([2, 0, 2]))])
+        assert np.array_equal(out, [[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
 
 
 class TestPlanDistribution:
