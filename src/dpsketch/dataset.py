@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +26,14 @@ _NORM_SLACK = 1e-9
 _INGEST_CELLS = 1 << 13
 # Bytes per read when counting a CSV file's lines.
 _COUNT_BYTES = 1 << 16
+# Bytes from which a regular file is parsed in two processes (_read_split).
+# Forking, and waiting for the worker to exit, cost a fixed few ms: on a
+# 2-core host with one BLAS thread (median of 40, 11 columns) the two-process
+# read of 0.46 MB took 14.4 ms against 9.3 in process, 0.69 MB tied at 12.3
+# against 12.9, and 1.15 MB took 17.2 against 20.5. A fork also costs more in
+# a process with a larger address space (1.1 ms, and 3.7 ms beside 200 MB of
+# arrays), hence 1 MiB.
+_SPLIT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -193,6 +205,16 @@ def ingest(
     are fewer (blank lines, quoted cells spanning lines), it is shrunk to
     them. Both resize it in place (``_resize_rows``), so it is never held
     twice. Either way ``A`` is column-major and read-only.
+
+    A regular file of ``_SPLIT_BYTES`` or more that holds no quote character
+    is read by two processes (``_read_split``) when this one may run on two
+    CPUs or more and runs a single OS thread; so a multi-threaded BLAS keeps
+    ``ingest`` in process. A forked worker parses the second half of the
+    file while this process parses the first, both into one ``A`` held in an
+    anonymous shared map, which ``A`` then views. The bytes of ``A``, the
+    rescaled count and every message do not depend on it: a later range may
+    be read concurrently, but the error reported is the one the read in
+    process gives, that of the first malformed block in file order.
     """
     if clip not in ("reject", "scale"):
         raise ParameterError(f"clip must be 'reject' or 'scale', got {clip!r}")
@@ -201,59 +223,11 @@ def ingest(
     if delimiter in '"\r\n':
         raise ParameterError(f"delimiter cannot be the quote character or a line break, got {delimiter!r}")
     path = Path(path)
-    start, rescaled = 0, 0
+    args = (path, bound, clip, delimiter, has_header, response_column)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as handle:
-            records, line = _records(handle, delimiter, 1 + has_header, 0, path)
-            if len(records) < 1 + has_header:
-                raise ParameterError(f"{path}: " + ("empty file" if has_header and not records else "no data rows"))
-            header = [c.strip() for c in records[0]] if has_header else None
-            head = records[-1:]  # the first row, parsed with the block it opens
-            width = len(head[0])
-            if header is not None and len(header) != width:
-                raise ParameterError(f"{path}: header has {len(header)} cells, expected {width}")
-            resp = _resolve_response(response_column, header, width, path)
-            order = [j for j in range(width) if j != resp] + [resp]
-            step = max(1, _INGEST_CELLS // width)
-            capacity = _count_lines(path) - has_header if path.is_file() else step  # else a pipe
-            a = np.empty((max(2, capacity), width), order="F")  # 2 rows: see _resize_rows
-            while True:
-                lines, rows = _take_lines(handle, step - len(head))
-                values = _load_lines(lines, rows, width, delimiter)
-                if values is None:  # csv.reader reads the block from its first line on
-                    block, read = _records(itertools.chain(lines, handle), delimiter, step - len(head), line, path)
-                    values = _parse_block(head + block, width, start, path)
-                    line += read
-                else:
-                    line += len(lines)
-                    if head:
-                        values = np.concatenate([_parse_block(head, width, start, path), values])
-                head, lines, block = [], None, None  # the text goes before the next block's is read
-                if not len(values):
-                    break
-                if not np.all(np.isfinite(values)):
-                    i, j = np.argwhere(~np.isfinite(values))[0]
-                    raise ParameterError(f"{path}: non-finite value at row {start + i + 1}, column {j + 1}")
-                if start + len(values) > len(a):  # more records than counted: a pipe, or a file that grew
-                    _resize_rows(a, start, max(2 * len(a), start + len(values)))
-                part = a[start : start + len(values)]
-                for j, column in enumerate(order):
-                    part[:, j] = values[:, column]
-                start += len(values)
-                values = None  # nor is the parsed block held while the next is read
-                if clip == "scale":
-                    norms = row_norms(part)
-                    over = norms > bound.B * (1.0 + _NORM_SLACK)
-                    huge = over & (norms > np.sqrt(np.finfo(float).max))  # squares overflow
-                    part[huge] /= np.abs(part[huge]).max(axis=1)[:, None]  # so B / norm is not 0
-                    norms[huge] = row_norms(part[huge])
-                    rescaled += int(over.sum())
-                    part[over] *= (bound.B / norms[over])[:, None]
-                del part  # a is resized only while no view of it exists
+        a, rescaled = _read(*args, split=True) or _read(*args, split=False)
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if start < len(a):  # fewer records than lines: blank lines, or quoted cells spanning lines
-        _resize_rows(a, start, start)
     try:
         data = DataMatrix._adopt(a, bound)  # a is referenced nowhere else: no copy
     except (CertificationError, ParameterError) as exc:
@@ -261,6 +235,188 @@ def ingest(
     if data.n < data.d + 2:
         raise ParameterError(f"{path}: need at least d+2 = {data.d + 2} rows, got {data.n}")
     return IngestResult(data, rescaled)
+
+
+def _read(
+    path: Path, bound: RowBound, clip: str, delimiter: str, has_header: bool, response_column, split: bool,
+) -> "tuple[np.ndarray, int] | None":
+    """``A`` of the CSV at ``path``, before certification, and the number of
+    rows rescaled; read in two processes where ``split`` is set and
+    ``_splits`` allows, and None when that read must be done again in
+    process."""
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        records, line = _records(handle, delimiter, 1 + has_header, 0, path)
+        if len(records) < 1 + has_header:
+            raise ParameterError(f"{path}: " + ("empty file" if has_header and not records else "no data rows"))
+        header = [c.strip() for c in records[0]] if has_header else None
+        head = records[-1:]  # the first row, parsed with the block it opens
+        width = len(head[0])
+        if header is not None and len(header) != width:
+            raise ParameterError(f"{path}: header has {len(header)} cells, expected {width}")
+        resp = _resolve_response(response_column, header, width, path)
+        parser = _BlockParser(path, delimiter, tuple(j for j in range(width) if j != resp) + (resp,), clip, bound)
+        count = _count_lines(path) if path.is_file() else None  # else a pipe
+        if split and _splits(count, line):
+            return _read_split(parser, handle, head, line, count)
+        capacity = count.lines - has_header if count else parser.step
+        a = np.empty((max(2, capacity), width), order="F")  # 2 rows: see _resize_rows
+        start, rescaled = parser.fill(a, handle, head, 0, line)
+    if start < len(a):  # fewer records than lines: blank lines, or quoted cells spanning lines
+        _resize_rows(a, start, start)
+    return a, rescaled
+
+
+@dataclass(frozen=True)
+class _BlockParser:
+    """The block loop of ``ingest`` for one file: the one parser, run over
+    the whole file in process, and over each range of a two-process read."""
+
+    path: Path
+    delimiter: str
+    order: "tuple[int, ...]"  # the file's columns in response-last order
+    clip: str
+    bound: RowBound
+
+    @property
+    def step(self) -> int:
+        """Rows per block."""
+        return max(1, _INGEST_CELLS // len(self.order))
+
+    def fill(self, a: np.ndarray, lines, head: "list[list[str]]", start: int, line: int) -> "tuple[int, int]":
+        """Parse the CSV ``lines`` into the rows of ``a`` from ``start`` on,
+        led by ``head`` (the first data row, already read as a record, or
+        none). ``start`` rows and ``line`` lines of the file come before them,
+        so messages name rows and lines in the file. Returns the row after
+        the last one written and the number of rows rescaled. More rows than
+        ``a`` holds grow it (``_resize_rows``), which only an array that owns
+        its data allows."""
+        path, width, step, rescaled = self.path, len(self.order), self.step, 0
+        while True:
+            taken, rows = _take_lines(lines, step - len(head))
+            values = _load_lines(taken, rows, width, self.delimiter)
+            if values is None:  # csv.reader reads the block from its first line on
+                block, read = _records(itertools.chain(taken, lines), self.delimiter, step - len(head), line, path)
+                values = _parse_block(head + block, width, start, path)
+                line += read
+            else:
+                line += len(taken)
+                if head:
+                    values = np.concatenate([_parse_block(head, width, start, path), values])
+            head, taken, block = [], None, None  # the text goes before the next block's is read
+            if not len(values):
+                return start, rescaled
+            if not np.all(np.isfinite(values)):
+                i, j = np.argwhere(~np.isfinite(values))[0]
+                raise ParameterError(f"{path}: non-finite value at row {start + i + 1}, column {j + 1}")
+            if start + len(values) > len(a):  # more records than counted: a pipe, or a file that grew
+                _resize_rows(a, start, max(2 * len(a), start + len(values)))
+            part = a[start : start + len(values)]
+            for j, column in enumerate(self.order):
+                part[:, j] = values[:, column]
+            start += len(values)
+            values = None  # nor is the parsed block held while the next is read
+            if self.clip == "scale":
+                norms = row_norms(part)
+                over = norms > self.bound.B * (1.0 + _NORM_SLACK)
+                huge = over & (norms > np.sqrt(np.finfo(float).max))  # squares overflow
+                part[huge] /= np.abs(part[huge]).max(axis=1)[:, None]  # so B / norm is not 0
+                norms[huge] = row_norms(part[huge])
+                rescaled += int(over.sum())
+                part[over] *= (self.bound.B / norms[over])[:, None]
+            del part  # a is resized only while no view of it exists
+
+
+def _splits(count: "_Count | None", line: int) -> bool:
+    """Whether the file counted as ``count``, of which the header and first
+    row took ``line`` lines, is read in two processes (``_read_split``).
+
+    It must be a regular file of ``_SPLIT_BYTES`` or more, with a line break
+    past its middle, a first range holding data lines, and no quote character
+    (a quoted cell may span lines, so a line start need not start a record).
+    This process must be allowed two CPUs or more and run a single OS thread:
+    a fork copies only the thread calling it, so a process that runs others
+    (a multi-threaded BLAS among them) is not forked.
+    """
+    if count is None or count.size < _SPLIT_BYTES or count.quoted or count.split is None or count.before <= line:
+        return False
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc: the threads cannot be counted
+        return False
+
+
+def _read_split(
+    parser: _BlockParser, handle, head: "list[list[str]]", line: int, count: "_Count",
+) -> "tuple[np.ndarray, int] | None":
+    """``A`` and the rescaled count, read by this process and a forked
+    worker, or None when the file must be read again in process.
+
+    The file is split at ``count.split``, a line start past its middle. The
+    worker parses the second range with ``parser.fill``, and this process
+    the first, from ``handle``, where ``line`` lines have been read and
+    ``head`` is the first data row. Both write into one column-major ``A`` in
+    an anonymous shared map made before the fork, so ``A`` is held once and
+    nothing is sent back but the worker's exit status and two integers after
+    ``A`` in the map: its end row and rescaled count. The file has no quote
+    character, so each line holds at most one record, and the worker writes
+    its rows from ``first``, the most the first range can hold; blank lines
+    there leave a gap, closed by moving the worker's rows down.
+
+    A row's values do not depend on the block it falls in, so ``A`` has the
+    bytes of the read in process. A message can: the block astride the split
+    is read as two. So on an error in the first range, a worker that does
+    not exit 0 (it exits 1 on any error, and on more rows than ``A`` holds),
+    a fork that fails or a file whose size changed since the count, None is
+    returned, and ``ingest`` reads the file in process, which reports the
+    error of the first malformed block. The worker ends in ``os._exit``
+    whatever happens: it never returns into the caller's frames or flushes
+    stdio. This process reaps it in every case, killing it first when it
+    leaves early.
+    """
+    width = len(parser.order)
+    first = 1 + count.before - line  # the head, and one row per line before the split
+    rows = 1 + count.lines - line
+    cells = rows * width
+    shared = mmap.mmap(-1, 8 * (cells + 2))
+    a = np.frombuffer(shared, float, cells).reshape((rows, width), order="F")
+    tally = np.frombuffer(shared, np.int64, 2, offset=8 * cells)
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had
+        return None
+    if pid == 0:  # the worker
+        code = 1
+        try:
+            with open(parser.path, "rb") as raw:
+                raw.seek(count.split)
+                with io.TextIOWrapper(raw, encoding="utf-8", newline="") as lines:
+                    tally[:] = parser.fill(a, lines, [], first, count.before)
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        end, rescaled = parser.fill(a, itertools.islice(handle, count.before - line), head, 0, line)
+        status = os.waitpid(pid, 0)[1]
+        pid = None
+    except (ParameterError, UnicodeDecodeError):
+        return None
+    finally:
+        if pid is not None:  # leaving early: the worker's range is not wanted
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) or parser.path.stat().st_size != count.size:
+        return None
+    stop, more = (int(v) for v in tally)
+    n = end + stop - first
+    if n < rows:  # pack the columns at n rows, the worker's moved down to the parent's
+        flat = a.reshape(-1, order="F")
+        for j in range(width):
+            flat[j * n : j * n + end] = flat[j * rows : j * rows + end]
+            flat[j * n + end : (j + 1) * n] = flat[j * rows + first : j * rows + stop]
+        a = flat[: n * width].reshape((n, width), order="F")
+    return a, rescaled + more
 
 
 def _resize_rows(a: np.ndarray, filled: int, rows: int) -> None:
@@ -285,26 +441,50 @@ def _resize_rows(a: np.ndarray, filled: int, rows: int) -> None:
             flat[j * rows : j * rows + filled] = flat[j * old : j * old + filled]
 
 
-def _count_lines(path: Path) -> int:
+@dataclass(frozen=True)
+class _Count:
+    """What one pass over a file's bytes (``_count_lines``) finds."""
+
+    lines: int  # each ended by \n, \r, \r\n or the end of the file
+    size: int  # bytes read
+    quoted: bool  # whether it holds a quote character
+    split: "int | None"  # the offset after the first \n at or past the middle, if there is one
+    before: int  # lines ended before split
+
+
+def _count_lines(path: Path) -> _Count:
     """The number of lines of the file at ``path``, each ended by ``\\n``,
-    ``\\r``, ``\\r\\n`` or the end of the file. A CSV record takes one line
-    or more, so this bounds the number of records. The bytes are read
-    ``_COUNT_BYTES`` at a time into one buffer, and ``\\r`` is counted only in
-    a read that holds one."""
+    ``\\r``, ``\\r\\n`` or the end of the file, and what a two-process read
+    needs (see ``_Count``). A CSV record takes one line or more, so the line
+    count bounds the number of records. The bytes are read ``_COUNT_BYTES``
+    at a time into one buffer, and ``\\r`` is counted only in a read that
+    holds one."""
     buf = bytearray(_COUNT_BYTES)
     view = np.frombuffer(buf, np.uint8)
-    lines, last = 0, None
+    lines, size, last, quoted, split, before = 0, 0, None, False, None, 0
     with path.open("rb", buffering=0) as raw:
+        middle = os.fstat(raw.fileno()).st_size // 2
         while got := raw.readinto(buf):
-            chunk = view[:got]
-            lines += np.count_nonzero(chunk == ord("\n"))
-            if buf.find(b"\r", 0, got) >= 0:  # \r\n ends one line, a lone \r another
-                cr = chunk == ord("\r")
-                lines += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (chunk[1:] == ord("\n")))
-            if last == ord("\r") and chunk[0] == ord("\n"):  # a \r\n split between two reads
+            if last == ord("\r") and buf[0] == ord("\n"):  # a \r\n split between two reads
                 lines -= 1
-            last = chunk[-1]
-    return int(lines) + (last is not None and last not in b"\r\n")
+            if split is None and size + got > middle and (i := buf.find(b"\n", max(0, middle - size), got)) >= 0:
+                split, before = size + i + 1, lines + _line_ends(buf, view, i + 1)
+            lines += _line_ends(buf, view, got)
+            quoted = quoted or buf.find(b'"', 0, got) >= 0
+            last = buf[got - 1]
+            size += got
+    return _Count(lines + (last is not None and last not in b"\r\n"), size, quoted, split, before)
+
+
+def _line_ends(buf: bytearray, view: np.ndarray, end: int) -> int:
+    """The lines ended in ``buf[:end]``, which ``view`` shows as bytes: one
+    at each ``\\n``, and at each ``\\r`` not followed by ``\\n`` there."""
+    chunk = view[:end]
+    ends = np.count_nonzero(chunk == ord("\n"))
+    if buf.find(b"\r", 0, end) >= 0:  # \r\n ends one line, a lone \r another
+        cr = chunk == ord("\r")
+        ends += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (chunk[1:] == ord("\n")))
+    return int(ends)
 
 
 def _records(lines, delimiter: str, count: int, line: int, path: Path) -> "tuple[list[list[str]], int]":

@@ -1,8 +1,14 @@
 import csv
+import dataclasses
+import io
+import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,8 +362,12 @@ class TestIngest:
         assert res.data.y.tolist() == [3.25, 4.0, 5.0, 6.0]
         assert res.data.X[:, 0].tolist() == [1.0, 2.0, 1.0, 2.0]
 
-    def test_peak_memory_is_a_few_copies_of_the_matrix(self, tmp_path):
-        # the text of one row block is held at a time, not every cell's string
+    def test_peak_memory_is_a_few_copies_of_the_matrix(self, tmp_path, monkeypatch):
+        # the text of one row block is held at a time, not every cell's string;
+        # read in process, where tracemalloc sees every allocation (it sees
+        # neither the shared map nor the worker of the two-process read, whose
+        # peak TestTwoProcessRead measures)
+        monkeypatch.setattr(dataset, "_splits", lambda *args: False)
         a = np.random.default_rng(5).standard_normal((20_000, 11))
         path = tmp_path / "big.csv"
         np.savetxt(path, a / np.linalg.norm(a, axis=1).max(), delimiter=",")
@@ -497,7 +507,7 @@ class TestCountThenFill:
     def check(self, tmp_path, lines, got):
         plain = tmp_path / "plain.csv"
         plain.write_text("a,y,b,c,d\n" + "\n".join(lines) + "\n")
-        assert dataset._count_lines(plain) == self.ROWS + 1
+        assert dataset._count_lines(plain).lines == self.ROWS + 1
         expected = self.read(plain)
         assert expected.rescaled_rows == self.ROWS // 40 > 0
         assert got.data.A.flags.f_contiguous and not got.data.A.flags.writeable
@@ -527,7 +537,8 @@ class TestCountThenFill:
         path = tmp_path / "grown.csv"
         path.write_text("a,y,b,c,d\n" + "\n".join(lines) + "\n")
         with monkeypatch.context() as patch:
-            patch.setattr(dataset, "_count_lines", lambda path: counted)
+            count_lines = dataset._count_lines
+            patch.setattr(dataset, "_count_lines", lambda path: dataclasses.replace(count_lines(path), lines=counted))
             got = self.read(path)
         self.check(tmp_path, lines, got)
 
@@ -540,7 +551,7 @@ class TestCountThenFill:
         spaced += ["", ""]
         path = tmp_path / "spaced.csv"
         path.write_text("a,y,b,c,d\n" + "\n".join(spaced) + "\n")
-        assert dataset._count_lines(path) == self.ROWS + 6
+        assert dataset._count_lines(path).lines == self.ROWS + 6
         self.check(tmp_path, lines, self.read(path))
 
     @pytest.mark.parametrize("width", [1, 2, 5])
@@ -561,7 +572,22 @@ class TestCountThenFill:
         for text in ["", "a", "a\n", "\n\n", "a\r\nb", "a\rb\r", "\r\n\r\n", "ab\r\r\nc\n\rd", "a,b\r\n1,2\r"]:
             path.write_bytes(text.encode())
             with open(path, newline="") as handle:
-                assert dataset._count_lines(path) == sum(1 for _ in handle), text
+                assert dataset._count_lines(path).lines == sum(1 for _ in handle), text
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 1 << 16])
+    def test_split_is_the_line_start_after_the_middle(self, tmp_path, monkeypatch, read_bytes):
+        # the offset after the first \n at or past the middle byte, the lines
+        # before it (a \r\n astride a read counts once) and the quote flag
+        monkeypatch.setattr(dataset, "_COUNT_BYTES", read_bytes)
+        path = tmp_path / "lines.csv"
+        for text in ["a\nb", "ab\r\ncd\r\n", "a\r\rb\r\n\r\nc\n", "1,2\n3,4\n5,6\n7,8\n", "a\r\r\r\nb\r", "\r\n\r\n\r\n", '"a"\n"b"\n', "ab\rcd"]:
+            data = text.encode()
+            path.write_bytes(data)
+            count = dataset._count_lines(path)
+            end = data.find(b"\n", len(data) // 2)
+            assert count.split == (end + 1 if end >= 0 else None), text
+            assert count.before == (sum(1 for _ in io.StringIO(text[: end + 1], newline="")) if end >= 0 else 0), text
+            assert (count.size, count.quoted) == (len(data), '"' in text), text
 
 
 def reference_read(path, delimiter, has_header):
@@ -719,3 +745,187 @@ class TestReaderMatchesReference:
         lines[18] = "0.1,0.2," + "9" * 200_000
         expected = self.check(tmp_path, lines, ",", has_header)
         assert expected.startswith(f"line {19 + has_header}: field larger than field limit")
+
+
+SPLIT_CHECKS = Path(__file__).with_name("split_ingest.py")
+
+
+def run_split_checks(mode, arg):
+    """The report of ``tests/split_ingest.py`` run in a fresh interpreter
+    with one BLAS thread, so that ``ingest`` may fork, under ``-W error``
+    (and ``-X dev`` when this interpreter runs in it). Checks that it wrote
+    nothing to stderr and left no worker unreaped."""
+    if not hasattr(os, "fork") or not os.path.isdir("/proc/self/task") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        pytest.skip("the two-process read needs fork, /proc and two CPUs")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dataset.__file__).parents[1]), env.get("PYTHONPATH")]))
+    dev = ["-X", "dev"] if sys.flags.dev_mode else []
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", *dev, str(SPLIT_CHECKS), mode, str(arg)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["left"] is False
+    return report
+
+
+class TestTwoProcessRead:
+    """A regular file of ``_SPLIT_BYTES`` or more is parsed by two processes
+    (``_read_split``) where ``ingest`` may fork. Each case is ingested both
+    ways in a fresh interpreter (``run_split_checks``): the bytes of ``A``,
+    its layout, the rescaled count and the error text must be those of the
+    read in process, and no worker may outlive ``ingest``."""
+
+    ROWS = 12_000  # five columns of repr floats: about 1.2 MB
+
+    @staticmethod
+    def check(tmp_path, files, settings=None):
+        """Ingest each ``name: (text, kwargs)`` of ``files`` both ways, with
+        the ``dataset`` constants in ``settings`` set first, and check that
+        the outcomes are equal. Returns by name the outcome and the list of
+        two-process attempts: [] for none, [True] for a result kept, [False]
+        for a file read again in process."""
+        cases = []
+        for name, (text, kwargs) in files.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+            cases.append({"path": str(path), "kwargs": kwargs})
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps({"settings": settings or {}, "cases": cases}))
+        report = run_split_checks("cases", request)["cases"]
+        got = {}
+        for name, case in zip(files, report, strict=True):
+            assert case["outcome"] == case["in_process"], name
+            if "error" not in case["outcome"]:
+                assert case["outcome"]["f_contiguous"] and not case["outcome"]["writeable"], name
+            got[name] = case["outcome"], case["split"]
+        return got
+
+    @pytest.fixture
+    def lines(self):
+        a = np.random.default_rng(12).standard_normal((self.ROWS, 5))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        a[::40] *= 3.0  # rescaled to norm 2 under clip="scale"
+        return [",".join(repr(float(v)) for v in row) for row in a]
+
+    def test_padded_count_then_fill_cases(self, tmp_path, lines):
+        header = "a,y,b,c,d"  # the response in the middle
+        read = {"bound": 2.0, "clip": "scale", "has_header": True, "response_column": "y"}
+        text = lambda rows, newline="\n": newline.join([header, *rows]) + newline
+        assert len(text(lines)) >= dataset._SPLIT_BYTES
+        spaced = list(lines)
+        spaced[9000:9000] = ["", "", ""]  # after the split
+        spaced[10:10] = ["", ""]  # before it: a gap the worker's rows are moved down over
+        spaced += ["", ""]
+        quoted = list(lines)
+        quoted[9000] = '"' + quoted[9000].replace(",", '","') + '"'
+        bad = list(lines)
+        bad[9000] = bad[9000].replace(",", ",x", 1)
+        both = list(bad)
+        both[3000] = both[3000].replace(",", ",y", 1)
+        files = {
+            "plain": (text(lines), read, [True]),
+            "blank-lines": (text(spaced), read, [True]),
+            "crlf": (text(lines, "\r\n"), read, [True]),
+            "bom": ("\ufeff" + text(lines), read, [True]),
+            "reject-within": (text(lines), dict(read, bound=5.0, clip="reject"), [True]),
+            "reject-over": (text(lines), dict(read, clip="reject"), [True]),
+            "unpinned-response": (text(lines), {"bound": 5.0, "has_header": True}, [True]),
+            "quoted-second-half": (text(quoted), read, []),
+            "non-utf8-second-half": (text(lines).encode().replace(lines[9000].encode(), b"\xff" + lines[9000].encode()), read, [False]),
+            "bad-cell-second-half": (text(bad), read, [False]),
+            "bad-cells-both-halves": (text(both), read, [False]),
+        }
+        report = self.check(tmp_path, {name: case[:2] for name, case in files.items()})
+        for name, (_, split) in report.items():
+            assert split == files[name][2], name
+        got = {name: outcome for name, (outcome, _) in report.items()}
+        plain = got["plain"]
+        assert plain["shape"] == [self.ROWS, 5] and plain["rescaled"] == self.ROWS // 40
+        for name in ("blank-lines", "crlf", "bom"):
+            assert got[name] == plain, name
+        assert got["reject-over"]["error"].startswith("CertificationError: ") and "row 1 has norm 3 > bound 2" in got["reject-over"]["error"]
+        assert got["non-utf8-second-half"]["error"].endswith("not UTF-8 text (invalid start byte)")
+        assert got["bad-cell-second-half"]["error"].endswith("non-numeric cell at row 9001, column 2: 'x" + lines[9000].split(",")[1] + "'")
+        assert got["bad-cells-both-halves"]["error"].endswith("non-numeric cell at row 3001, column 2: 'y" + lines[3000].split(",")[1] + "'")
+
+    def test_block_astride_the_split(self, tmp_path, lines):
+        # A non-finite cell in the parent's last rows and a non-numeric cell in
+        # the worker's first row fall in one block of the read in process,
+        # which reports the non-numeric one (a block is parsed before it is
+        # checked finite); the two-process read must report it too. The lines
+        # are replaced by lines of the same length, so the split stays put.
+        path = tmp_path / "plain.csv"
+        path.write_text("\n".join(lines) + "\n")
+        split = dataset._count_lines(path).before  # the worker's first row, from 0
+        step = dataset._INGEST_CELLS // 5
+        assert split % step  # not a block boundary
+        edited = list(lines)
+        for row, line in ((split - 1, "0.1,inf,0.3,0.1,0.1"), (split, "0.1,0.1,x,0.1,0.1")):
+            edited[row] = line + " " * (len(lines[row]) - len(line))
+        outcome, attempts = self.check(tmp_path, {"astride": ("\n".join(edited) + "\n", {"bound": 2.0})})["astride"]
+        assert attempts == [False]
+        assert outcome["error"].endswith(f"non-numeric cell at row {split + 1}, column 3: 'x'")
+
+    def test_reader_reference_cases(self, tmp_path):
+        # TestReaderMatchesReference's cases at its 8-row blocks, with every
+        # file over the size from which it is split: rows in both halves and
+        # in the block astride the split (about row 20 of 40).
+        ref = TestReaderMatchesReference
+        base = [",".join(repr(float(v)) for v in row) for row in np.random.default_rng(11).uniform(-1, 1, (ref.ROWS, 3))]
+        read = {"bound": 1e6, "clip": "reject"}
+        files = {}
+
+        def add(name, lines, has_header, newline="\n", lead=""):
+            text = lead + newline.join(["a,b,c"] * has_header + lines) + newline
+            files[name] = (text, dict(read, has_header=has_header))
+
+        for i in (1, 18, 21, 25, 38):
+            for case, cell in ref.CELL_CASES.items():
+                for j, has_header in ((0, False), (2, True)):
+                    lines = list(base)
+                    cells = lines[i].split(",")
+                    cells[j] = cell
+                    lines[i] = ",".join(cells)
+                    add(f"cell-{case}-{i}-{j}", lines, has_header)
+            for case, edit in ref.LINE_CASES.items():
+                for has_header in (False, True):
+                    lines = list(base)
+                    edit(lines, i, ",")
+                    add(f"line-{case}-{i}-{has_header}", lines, has_header)
+        for case, (newline, lead) in ref.FILE_CASES.items():
+            for has_header in (False, True):
+                add(f"file-{case}-{has_header}", list(base), has_header, newline, lead)
+        report = self.check(tmp_path, files, {"_INGEST_CELLS": ref.CELLS, "_SPLIT_BYTES": 0})
+        # a file with a quote character or no \n is not split, and a split
+        # read is kept unless the file is malformed
+        kept = 0
+        for name, (outcome, split) in report.items():
+            text = files[name][0]
+            if '"' in text or "\n" not in text:
+                assert split == [], name
+            else:
+                assert split == ["error" not in outcome], name
+                kept += split == [True]
+        assert kept > 100
+
+    def test_peak_memory(self, tmp_path):
+        # Resident memory, as tracemalloc sees neither the shared map nor the
+        # worker. The parent holds all of A (the map) and its own blocks and
+        # the certification's row norms: at most 1.4x A, as in process. The
+        # worker adds its blocks and the interpreter pages it copies on write
+        # (3.0-3.3 MB measured at 20k and 200k rows, whatever n) beyond its
+        # rows of A, which the parent counts: at most 4 MB. A worker that
+        # parsed its half into an array of its own first, or a parent that
+        # copied A, would break one of them.
+        a = np.random.default_rng(5).standard_normal((50_000, 11))
+        a /= np.linalg.norm(a, axis=1).max()
+        path = tmp_path / "big.csv"
+        row = ",".join(["%.17g"] * 11) + "\n"
+        path.write_text((row * len(a)) % tuple(a.ravel().tolist()))
+        del a
+        peak = run_split_checks("peak", path)
+        assert peak["split"] == [True]
+        assert peak["parent"] < 1.4 * peak["A"]
+        assert peak["worker"] < 4e6
