@@ -1,9 +1,11 @@
 """Private CountSketch for l2 regression: noise-row augmentation in action.
 
-Shows the 2B sensitivity of a fixed plan, the coupon-collector noise block
-with patch-up, the implicit ridge effect of the appended noise, the analytic
-bound on the regularization coefficient, and why the seed stays secret: a
-second release with the same seed strips the noise.
+Shows the 2B sensitivity of a fixed plan (the buckets and signs a release
+draws for its first rows at its assignment seed, which two same-seed releases
+of neighbouring datasets share), the coupon-collector noise block with
+patch-up, the implicit ridge effect of the appended noise, the analytic bound
+on the regularization coefficient, and why the seed stays secret: a second
+release with the same seed strips the noise.
 
 Run: python demos/private_countsketch_release.py
 """
@@ -11,19 +13,19 @@ Run: python demos/private_countsketch_release.py
 import numpy as np
 
 import dpsketch as dps
-from dpsketch.countsketch import countsketch_apply
+from dpsketch.countsketch import countsketch_apply, draw_countsketch_plan
 
 pp = dps.PrivacyParams(epsilon=1.0, delta=0.05)
 bound = dps.RowBound(1.0)
 
-print("=== sensitivity of a fixed plan ===")
+print("=== sensitivity of a fixed plan: the release's own assignment ===")
 rng = np.random.default_rng(1)
 n = 100
 a = rng.standard_normal((n, 4))
 a /= np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1.0)
 a_neighbor = a.copy()
 a_neighbor[17] = -a[17]  # swap one row for another bounded row
-plan = dps.draw_countsketch_plan(n, r=8, seed=5)
+plan = draw_countsketch_plan(n, r=8, seed=5)
 diff = countsketch_apply(plan, a) - countsketch_apply(plan, a_neighbor)
 print(f"rows changed in SA: {int((np.abs(diff).max(axis=1) > 0).sum())} (exactly one bucket)")
 print(f"||SA - SA'||_2 = {np.linalg.norm(diff):.4f} <= 2B = {dps.bucket_sensitivity(bound, 1)}\n")

@@ -15,9 +15,7 @@ from .bounds import (
     verify_tail_bound,
 )
 from .countsketch import (
-    CountSketchPlan,
     NoisePlan,
-    draw_countsketch_plan,
     noise_row_count,
     private_countsketch_l2,
 )

@@ -1,4 +1,4 @@
-"""CountSketch plans, the bucket-sum kernel and the noised hashed releases.
+"""The CountSketch assignment, the bucket-sum kernel and the noised hashed releases.
 
 The private releases append a block ``eta`` of Gaussian noise rows to ``A``
 and hash the rows of ``[A; eta]`` into buckets. One kernel, ``bucket_sum``,
@@ -8,17 +8,20 @@ buckets and signs (or level memberships) and, for a noise chunk, its noise
 rows, and adds the chunk into one ``r x (d+1)`` accumulator. Neither the
 stack, nor ``eta``, nor any per-row array of ``[A; eta]`` is ever held
 whole, so a release holds ``O(chunk + r (d+1))`` floats beside ``A``,
-whatever ``n``; an unsigned release draws no signs. Each released bucket is
-a sum of data rows plus at least one noise row: a bucket misses all ``p =
-ceil(r (ln r + 4))`` noise rows (coupon-collector sizing) with probability
-``(1 - 1/r)^p <= e^-4 / r``, so they cover all r buckets with probability at
-least ``1 - e^-4``, and any bucket still uncovered is patched with a
-dedicated extra noise row. Extra Gaussian noise never weakens privacy, so
-coverage is unconditional.
+whatever ``n``; an unsigned release draws no signs. The CountSketch
+releases draw their buckets and signs with ``countsketch_assignment``, and a
+plan is its first chunk: the assignment of a release's first rows at that
+release's assignment seed. Each released bucket is a sum of data rows plus
+at least one noise row: a bucket misses all ``p = ceil(r (ln r + 4))`` noise
+rows (coupon-collector sizing) with probability ``(1 - 1/r)^p <= e^-4 / r``,
+so they cover all r buckets with probability at least ``1 - e^-4``, and any
+bucket still uncovered is patched with a dedicated extra noise row. Extra
+Gaussian noise never weakens privacy, so coverage is unconditional.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,10 +63,6 @@ class CountSketchPlan:
         object.__setattr__(self, "bucket_of", buckets)
         object.__setattr__(self, "sign_of", signs)
 
-    @property
-    def n_inputs(self) -> int:
-        return self.bucket_of.shape[0]
-
 
 @dataclass(frozen=True)
 class NoisePlan:
@@ -75,15 +74,26 @@ class NoisePlan:
     patched: int  # buckets that needed a dedicated extra noise row
 
 
+def countsketch_assignment(seed: np.random.SeedSequence, chunks, r: int, signed: bool = True):
+    """Yield each ``(start, k)`` chunk's ``bucket_sum`` arguments ``([(None, buckets)], signs)``.
+
+    Buckets are uniform over ``[0, r)`` and signs over ``{-1, +1}`` (None unsigned), drawn from two
+    generators spawned from ``seed``, so neither the chunk size nor ``signed`` moves a row's bucket."""
+    buckets, signs = (np.random.default_rng(s) for s in seed.spawn(2))
+    for _, k in chunks:
+        yield [(None, buckets.integers(0, r, size=k))], signs.choice(_SIGNS, size=k) if signed else None
+
+
 def draw_countsketch_plan(n_inputs: int, r: int, seed) -> CountSketchPlan:
-    """Sample a plan: buckets uniform over [0, r), signs uniform over {-1, +1}."""
-    if n_inputs < 1:
-        raise ParameterError("need at least one input row")
-    if r < 1:
-        raise ParameterError("sketch must have at least one row")
-    rng = np.random.default_rng(seed)
-    buckets = rng.integers(0, r, size=n_inputs)
-    return CountSketchPlan(r=r, bucket_of=buckets, sign_of=rng.choice(_SIGNS, size=n_inputs))
+    """The plan ``countsketch_assignment`` draws for rows ``0 .. n_inputs - 1`` at ``seed``.
+
+    ``seed`` is an int, a sequence of ints or a ``SeedSequence`` (copied, not spawned from). At a
+    release's assignment seed, the plan is the release's assignment of the first rows of ``[A; eta]``."""
+    if n_inputs < 1 or r < 1:
+        raise ParameterError("a plan needs at least one input row and one sketch row")
+    seed = np.random.SeedSequence(getattr(seed, "entropy", seed), spawn_key=getattr(seed, "spawn_key", ()))
+    [(_, buckets)], signs = next(countsketch_assignment(seed, [(0, n_inputs)], r))
+    return CountSketchPlan(r=r, bucket_of=buckets, sign_of=signs)
 
 
 def bucket_sum(out: np.ndarray, m: np.ndarray, maps, signs=None) -> np.ndarray:
@@ -116,10 +126,9 @@ def bucket_sum(out: np.ndarray, m: np.ndarray, maps, signs=None) -> np.ndarray:
 def countsketch_apply(plan: CountSketchPlan, m) -> np.ndarray:
     """Apply a fixed plan: output row i sums ``sign[j] * M[j]`` over rows with bucket j = i."""
     a = as_matrix(m)
-    if a.shape[0] != plan.n_inputs:
-        raise ParameterError(
-            f"plan covers {plan.n_inputs} input rows but matrix has {a.shape[0]}"
-        )
+    if a.shape[0] != len(plan.bucket_of):
+        raise ParameterError(f"plan covers {len(plan.bucket_of)} input rows but matrix has {a.shape[0]}")
+    check_addressable(plan.r, a.shape[1], "sketch")
     return bucket_sum(np.zeros((plan.r, a.shape[1])), a, [(None, plan.bucket_of)], plan.sign_of)
 
 
@@ -188,21 +197,14 @@ def private_countsketch_l2(
     """Release a private CountSketch ``S [A; eta]`` for l2 regression.
 
     ``eta`` holds ``noise_row_count(r)`` rows of N(0, sigma^2 I) noise, with
-    sigma calibrated to footprint 1 (sensitivity ``2B``: a changed row moves
-    one bucket) by ``noised_bucket_release``. Each row's bucket is uniform
-    over ``[0, r)`` and its sign uniform over ``{-1, +1}``, drawn chunk by
-    chunk from two generators spawned from the assignment seed, so the
-    assignment of a row does not depend on the chunk size; an unsigned
-    release draws no signs and has the signed release's buckets. The
-    buckets, signs and seed are discarded, never serialized. Rows come from
-    ``certified_rows`` (``CertificationError`` on a row over ``B``); a
+    sigma calibrated to footprint 1 (sensitivity ``2B``: a changed row moves one
+    bucket) by ``noised_bucket_release``. ``countsketch_assignment`` draws the
+    buckets and signs (no signs unsigned) at the assignment seed, the second of
+    ``SeedSequence(seed).spawn(3)``, so ``draw_countsketch_plan(n + p, r, that
+    seed)`` is the release's assignment. ``seed`` is an int or a sequence of
+    ints; it, the buckets and the signs are discarded, never serialized. Rows
+    come from ``certified_rows`` (``CertificationError`` on a row over ``B``); a
     ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
     """
-    a = certified_rows(data, bound)
-
-    def assign(seed, chunks):
-        buckets, signs = (np.random.default_rng(s) for s in seed.spawn(2))
-        for _, k in chunks:
-            yield [(None, buckets.integers(0, r, size=k))], signs.choice(_SIGNS, size=k) if signed else None
-
-    return noised_bucket_release(a, r, 1, pp, bound, seed, assign)
+    assign = functools.partial(countsketch_assignment, r=r, signed=signed)
+    return noised_bucket_release(certified_rows(data, bound), r, 1, pp, bound, seed, assign)

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 
 import dpsketch as dps
-from dpsketch.countsketch import countsketch_apply
+from dpsketch.countsketch import countsketch_apply, draw_countsketch_plan
 from dpsketch.jl import gaussian_times_root, jl_project
 from dpsketch.linalg import tall_skinny_r
 from dpsketch.sketchfile import METHODS
@@ -250,7 +250,7 @@ def test_criterion_12_sensitivity_audit():
         k = int(rng.integers(n))
         replacement = rng.standard_normal(4)
         a_prime[k] = replacement / max(np.linalg.norm(replacement), b)
-        plan = dps.draw_countsketch_plan(n, 8, seed=1200 + i)
+        plan = draw_countsketch_plan(n, 8, seed=1200 + i)
         diff = countsketch_apply(plan, a) - countsketch_apply(plan, a_prime)
         worst = max(worst, float(np.linalg.norm(diff)))
     report("criterion 12: sensitivity audit", worst <= 2.0 * b + 1e-9, f"worst diff {worst:.6f}")

@@ -11,7 +11,8 @@ from dpsketch.countsketch import (
 )
 from dpsketch.dataset import synthetic_regression
 from dpsketch.errors import CertificationError, ParameterError
-from dpsketch.mechanisms import PrivacyParams, RowBound
+from dpsketch.linalg import sample_gaussian_matrix
+from dpsketch.mechanisms import PrivacyParams, RowBound, bucket_sensitivity, gaussian_sigma
 from dpsketch.suites import _embedding_ratios
 
 PP = PrivacyParams(1.0, 0.05)
@@ -40,6 +41,12 @@ class TestApply:
         plan = CountSketchPlan(r=2, bucket_of=np.zeros(3, dtype=int), sign_of=np.ones(3))
         with pytest.raises(ParameterError):
             countsketch_apply(plan, np.ones((4, 2)))
+
+    def test_unaddressable_sketch_refused(self):
+        # a plan into more buckets than an array can hold is refused with a
+        # typed error before the accumulator is allocated
+        with pytest.raises(ParameterError, match="address"):
+            countsketch_apply(draw_countsketch_plan(3, 10**18, 1), np.ones((3, 2)))
 
     def test_matches_add_at_reference(self):
         # exact equality with the np.add.at accumulation, including plans
@@ -192,6 +199,37 @@ class TestPrivateCountSketch:
         a, _ = private_countsketch_l2(data, 12, PP, RowBound(1.0), seed=77)
         b, _ = private_countsketch_l2(data, 12, PP, RowBound(1.0), seed=77)
         assert (a == b).all()
+
+
+class TestReleaseIsItsPlan:
+    # (n, r, seed); 70000 rows at d = 5 span two data chunks, and seed 79 at
+    # r = 16 leaves a bucket without noise rows, so that release is patched
+    @pytest.mark.parametrize("n,r,seed", [(50, 16, 3), (50, 16, 79), (2000, 64, 5), (70_000, 256, 7)])
+    @pytest.mark.parametrize("signed", [True, False], ids=["cs2", "l1-illus"])
+    def test_release_rebuilt_from_its_plan(self, n, r, seed, signed):
+        # the plan drawn at a release's assignment seed is the release's
+        # assignment: summing [A; eta] through it, with eta and the patch rows
+        # drawn from the release's other two seeds, rebuilds the release
+        data, bound = synthetic_regression(n, 5, seed=seed), RowBound(1.0)
+        sketch, noise_plan = private_countsketch_l2(data, r, PP, bound, seed, signed=signed)
+        noise, assign, patch = np.random.SeedSequence(seed).spawn(3)
+        p, d1 = noise_row_count(r), data.A.shape[1]
+        sigma = gaussian_sigma(bucket_sensitivity(bound, 1), PP)
+        plan = draw_countsketch_plan(n + p, r, assign)
+        eta = sample_gaussian_matrix(p, d1, sigma, noise)
+        rebuilt = bucket_sum(np.zeros((r, d1)), np.vstack([data.A, eta]), [(None, plan.bucket_of)],
+                             plan.sign_of if signed else None)
+        coverage = np.bincount(plan.bucket_of[n:], minlength=r)
+        missed = np.flatnonzero(coverage == 0)
+        if missed.size:
+            rebuilt[missed] += sample_gaussian_matrix(missed.size, d1, sigma, patch)
+        coverage[missed] = 1
+        assert np.linalg.norm(sketch - rebuilt) <= 1e-12 * np.linalg.norm(rebuilt)
+        assert np.array_equal(noise_plan.coverage, coverage)
+        assert noise_plan.patched == missed.size
+        assert (missed.size > 0) == (seed == 79)
+        # the SeedSequence is copied, not spawned from: a second draw repeats the plan
+        assert np.array_equal(draw_countsketch_plan(n + p, r, assign).sign_of, plan.sign_of)
 
 
 class TestSensitivityBookkeeping:

@@ -120,43 +120,57 @@ class TestSensitivities:
 
 class TestNeighbourAudit:
     """Neighbouring datasets (one row replaced, both within B) released with the
-    same seed share the plan and the noise, so the releases differ by exactly
-    what the changed row moves. The displacement must stay within the
-    structural sensitivity, and the sigma each release drew must be at least
-    the Gaussian mechanism's sigma for that displacement."""
+    same seed share the assignment and the noise, so the releases differ by
+    exactly what the changed row moves. At most ``footprint`` buckets may
+    move, the displacement must stay within the structural sensitivity, and
+    the sigma each release drew must be at least the Gaussian mechanism's
+    sigma for that displacement at the release's (epsilon, delta)."""
 
     CASES = 60
 
     @staticmethod
-    def neighbours(rng):
+    def neighbours(rng, case):
         n, d1 = int(rng.integers(20, 300)), int(rng.integers(2, 6))
         bound = RowBound(float(rng.choice([0.5, 1.0, 3.0])))
+        # log-uniform over six decades of epsilon and twelve of delta; at
+        # epsilon 1e-3 the noise is about 1e4 times B, and far smaller
+        # epsilons would bury the displacement in the noise's rounding
+        pp = PrivacyParams(float(10 ** rng.uniform(-3, 3)), float(10 ** rng.uniform(-12, -1e-3)))
         a = rng.standard_normal((n, d1))
         a *= bound.B * rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(a, axis=1, keepdims=True)
         k = int(rng.integers(n))
         a[k] *= bound.B / np.linalg.norm(a[k])
         a_prime = a.copy()
-        if rng.random() < 0.5:
-            a_prime[k] = -a[k]  # the antipodal row moves every bucket it touches by 2B
-        else:
-            row = rng.standard_normal(d1)
-            a_prime[k] = row * bound.B * rng.uniform(0.0, 1.0) / np.linalg.norm(row)
-        return DataMatrix(a, bound), DataMatrix(a_prime, bound), bound
+        e_j = bound.B * np.eye(d1)[rng.integers(d1)]
+        row = rng.standard_normal(d1)
+        replacements = [
+            -a[k],  # the antipode moves every bucket the row touches by 2B
+            e_j,
+            -e_j,
+            np.zeros(d1),
+            row * bound.B * rng.uniform(0.0, 1.0) / np.linalg.norm(row),  # a point in the B-ball
+        ]
+        a_prime[k] = replacements[case % len(replacements)]
+        return DataMatrix(a, bound), DataMatrix(a_prime, bound), bound, pp
 
-    def audit(self, seed, release, sensitivity):
-        """``release(data, bound, seed, params)`` returns the released rows and their sigma."""
+    def audit(self, seed, release, footprint):
+        """``release(data, bound, pp, seed, params)`` returns the released rows
+        and their sigma; ``footprint(data, params)`` the buckets a row sits in."""
         rng = np.random.default_rng(seed)
         worst = 0.0
         for case in range(self.CASES):
-            data, data_prime, bound = self.neighbours(rng)
-            params = rng.integers(1 << 32, size=4)
-            rows, sigma = release(data, bound, case, params)
-            rows_prime, sigma_prime = release(data_prime, bound, case, params)
+            data, data_prime, bound, pp = self.neighbours(rng, case)
+            params = rng.integers(1 << 32, size=5)
+            rows, sigma = release(data, bound, pp, case, params)
+            rows_prime, sigma_prime = release(data_prime, bound, pp, case, params)
             assert sigma_prime == sigma
-            moved = float(np.linalg.norm(rows - rows_prime))
-            ratio = moved / sensitivity(data, bound, params)
+            diff = rows - rows_prime
+            buckets = footprint(data, params)
+            assert np.count_nonzero(np.abs(diff).max(axis=1)) <= buckets, f"case {case}: over {buckets} buckets moved"
+            moved = float(np.linalg.norm(diff))
+            ratio = moved / bucket_sensitivity(bound, buckets)
             assert ratio <= 1.0 + 1e-9, f"case {case}: displacement {ratio:.6f} of the bound"
-            needed = gaussian_sigma(moved, PP)
+            needed = gaussian_sigma(moved, pp)
             assert needed <= sigma * (1 + 1e-12), f"case {case}: needs sigma {needed:.6g}, drew {sigma:.6g}"
             worst = max(worst, ratio)
         # an audit whose displacements stay far below the bound shows nothing
@@ -164,27 +178,29 @@ class TestNeighbourAudit:
 
     @pytest.mark.parametrize("signed", [True, False], ids=["cs2", "l1-illus"])
     def test_countsketch_releases(self, signed):
-        def release(data, bound, seed, params):
-            sketch, plan = private_countsketch_l2(data, int(params[0] % 64) + 1, PP, bound, seed, signed=signed)
+        def release(data, bound, pp, seed, params):
+            sketch, plan = private_countsketch_l2(data, int(params[0] % 64) + 1, pp, bound, seed, signed=signed)
             return sketch, plan.sigma
 
-        self.audit(31 + signed, release, lambda data, bound, params: bucket_sensitivity(bound, 1))
+        self.audit(31 + signed, release, lambda data, params: 1)
 
     def test_multilevel_release(self):
-        def config(bound, seed, params):
-            s = int([1, 2, 4, 16][params[1] % 4])
-            b = float([2.0, 4.0, 1000.0][params[2] % 3])
-            return L1SketchConfig(pp=PP, bound=bound, seed=seed, N=s * int(params[3] % 8 + 1), b=b, s=s)
+        def levels(params):
+            """The level-0 sparsity ``s`` and the branching ``b`` of a case."""
+            return int([1, 2, 4, 16][params[1] % 4]), float([2.0, 4.0, 1000.0][params[2] % 3])
 
-        def release(data, bound, seed, params):
-            ws = private_l1_sketch(data, config(bound, seed, params))
+        def release(data, bound, pp, seed, params):
+            s, b = levels(params)
+            n_u = int(params[4] % 41) or None  # None: the uniform level has N buckets
+            cfg = L1SketchConfig(pp=pp, bound=bound, seed=seed, N=s * int(params[3] % 8 + 1), b=b, s=s, N_u=n_u)
+            ws = private_l1_sketch(data, cfg)
             return ws.rows, ws.sigma
 
-        def sensitivity(data, bound, params):
-            cfg = config(bound, 0, params)
-            return bucket_sensitivity(bound, cfg.s + level_count(data.n, cfg.b))
+        def footprint(data, params):
+            s, b = levels(params)
+            return s + level_count(data.n, b)
 
-        self.audit(33, release, sensitivity)
+        self.audit(33, release, footprint)
 
 
 def test_package_root_exports_no_modules():
@@ -196,7 +212,7 @@ def test_package_root_exports_no_modules():
 def test_package_root_exports_only_calibrated_releases():
     # the non-private sketchers stay in their modules, and no release exported
     # at the root takes a parameter (or a config field) that sets its noise
-    assert not {"countsketch_apply", "jl_project"} & set(dpsketch.__all__)
+    assert not {"CountSketchPlan", "draw_countsketch_plan", "countsketch_apply", "jl_project"} & set(dpsketch.__all__)
     releases = [
         getattr(dpsketch, name) for name in dpsketch.__all__
         if name.startswith("private_") or name.endswith("_private")
