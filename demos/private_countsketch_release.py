@@ -2,8 +2,9 @@
 
 Shows the 2B sensitivity of a fixed plan (the buckets and signs a release
 draws for its first rows at its assignment seed, which two same-seed releases
-of neighbouring datasets share), the coupon-collector noise block with
-patch-up, the implicit ridge effect of the appended noise, the analytic bound
+of neighbouring datasets share), the coupon-collector noise block, drawn
+per bucket (bucket b gets the noise of its c_b ~ Multinomial(p, 1/r) noise
+rows, at least one), the implicit ridge effect of the appended noise, the analytic bound
 on the regularization coefficient, and why the seed stays secret: a second
 release with the same seed strips the noise.
 
@@ -37,7 +38,7 @@ sketch, noise_plan = dps.private_countsketch_l2(data, r, pp, bound, seed=42)
 print(f"shape {sketch.shape}; sigma = {noise_plan.sigma:.4f} "
       f"(Gaussian mechanism at sensitivity 2B)")
 print(f"noise rows: {noise_plan.p} = ceil(r (ln r + 4)), patched buckets: {noise_plan.patched}")
-print(f"every bucket absorbed >= 1 noise row: min coverage = {noise_plan.coverage.min()}\n")
+print(f"every bucket carries the noise of >= 1 noise row: min coverage = {noise_plan.coverage.min()}\n")
 
 print("=== ridge effect and its analytic bound ===")
 solution = dps.solve_l2_sketch(dps.SketchProblem(sketch))
@@ -52,7 +53,7 @@ print(f"analytic coefficient bound at the solution: {bound_at_solution:.2f}")
 print(f"excess <= bound: {excess <= bound_at_solution}\n")
 
 print("=== whoever holds the seed can strip the noise ===")
-# Same seed and n: the same plan and the same noise rows, so they cancel.
+# Same seed and n: the same plan and the same bucket noise, so they cancel.
 zeros, _ = dps.private_countsketch_l2(np.zeros_like(data.A), r, pp, bound, seed=42)
 plain = sketch - zeros
 sol0 = dps.solve_l2_sketch(dps.SketchProblem(plain))

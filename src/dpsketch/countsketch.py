@@ -1,22 +1,27 @@
 """The CountSketch assignment, the bucket-sum kernel and the noised hashed releases.
 
-The private releases append a block ``eta`` of Gaussian noise rows to ``A``
-and hash the rows of ``[A; eta]`` into buckets. One kernel, ``bucket_sum``,
-serves the three hashed releases: ``noised_bucket_release`` walks ``[A;
-eta]`` in row chunks of about ``_CHUNK_CELLS`` cells, draws each chunk's
-buckets and signs (or level memberships) and, for a noise chunk, its noise
-rows, and adds the chunk into one ``r x (d+1)`` accumulator. Neither the
-stack, nor ``eta``, nor any per-row array of ``[A; eta]`` is ever held
-whole, so a release holds ``O(chunk + r (d+1))`` floats beside ``A``,
-whatever ``n``; an unsigned release draws no signs. The CountSketch
-releases draw their buckets and signs with ``countsketch_assignment``, and a
-plan is its first chunk: the assignment of a release's first rows at that
-release's assignment seed. Each released bucket is a sum of data rows plus
-at least one noise row: a bucket misses all ``p = ceil(r (ln r + 4))`` noise
-rows (coupon-collector sizing) with probability ``(1 - 1/r)^p <= e^-4 / r``,
-so they cover all r buckets with probability at least ``1 - e^-4``, and any
-bucket still uncovered is patched with a dedicated extra noise row. Extra
-Gaussian noise never weakens privacy, so coverage is unconditional.
+The private releases are ``S [A; eta]``: ``eta`` holds ``p = ceil(r (ln r +
+4))`` Gaussian noise rows (coupon-collector sizing), hashed into ``r``
+buckets with the rows of ``A``. One kernel, ``bucket_sum``, serves the three
+hashed releases: ``noised_bucket_release`` walks ``A`` in row chunks of
+about ``_CHUNK_CELLS`` cells, draws each chunk's buckets and signs (or level
+memberships) and adds the chunk into one ``r x (d+1)`` accumulator. The
+CountSketch releases (``cs2``, and ``l1-illus`` without signs) draw their
+buckets and signs with ``countsketch_assignment``, and a plan is its first
+chunk: the assignment of a release's first data rows at that release's
+assignment seed. There each row of ``[A; eta]`` lands in one uniform bucket,
+and a sign flip leaves a Gaussian row's law unchanged, so the noise in bucket
+``b`` is exactly N(0, c_b sigma^2 I) with ``c ~ Multinomial(p, 1/r)``: that
+law is drawn directly, one Gaussian row per bucket, and ``eta`` never is.
+The multi-level release places a noise row in several buckets, so it walks
+``eta`` in chunks after ``A`` and hashes it like data. Neither ``eta`` nor
+any per-row array is ever held whole, so a release holds ``O(chunk + r
+(d+1))`` floats beside ``A``, whatever ``n``; an unsigned release draws no
+signs. Each released bucket carries at least one noise row: a bucket misses
+all ``p`` noise rows with probability ``(1 - 1/r)^p <= e^-4 / r``, so they
+cover all r buckets with probability at least ``1 - e^-4``, and any bucket
+still uncovered is patched with a dedicated extra noise row. Extra Gaussian
+noise never weakens privacy, so coverage is unconditional.
 """
 
 from __future__ import annotations
@@ -68,9 +73,9 @@ class CountSketchPlan:
 class NoisePlan:
     """How a private CountSketch was noised: row counts and per-bucket coverage."""
 
-    p: int  # noise rows drawn up front
+    p: int  # noise rows of eta, noise_row_count(r)
     sigma: float
-    coverage: np.ndarray  # noise rows absorbed per sketch row, after patch-up
+    coverage: np.ndarray  # noise rows per sketch row (cs2, l1-illus: multinomial count), after patch-up
     patched: int  # buckets that needed a dedicated extra noise row
 
 
@@ -88,7 +93,7 @@ def draw_countsketch_plan(n_inputs: int, r: int, seed) -> CountSketchPlan:
     """The plan ``countsketch_assignment`` draws for rows ``0 .. n_inputs - 1`` at ``seed``.
 
     ``seed`` is an int, a sequence of ints or a ``SeedSequence`` (copied, not spawned from). At a
-    release's assignment seed, the plan is the release's assignment of the first rows of ``[A; eta]``."""
+    release's assignment seed, the plan is the release's assignment of its first ``n_inputs`` data rows."""
     if n_inputs < 1 or r < 1:
         raise ParameterError("a plan needs at least one input row and one sketch row")
     seed = np.random.SeedSequence(getattr(seed, "entropy", seed), spawn_key=getattr(seed, "spawn_key", ()))
@@ -147,18 +152,26 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
     bound, footprint), pp)``, refused before anything is sized or drawn; a
     sketch no address space can hold is refused next, before any chunk.
 
-    The ``n`` data rows, then the ``p`` noise rows, are walked in chunks of
-    ``max(_CHUNK_CELLS // (d+1), r)`` rows; no chunk mixes the two.
-    ``assign(seed, chunks)`` yields, for each ``(start, k)`` of ``chunks``
-    (rows ``start .. start + k - 1`` of ``[A; eta]``), that chunk's
-    ``bucket_sum`` arguments ``(maps, signs)``, indexing the chunk's own
-    rows. A noise chunk's rows are drawn when it is reached, from one noise
-    generator, and every chunk is added into one ``r x (d+1)`` accumulator,
-    so neither ``eta`` nor the assignment is ever held whole: the release
-    holds ``O(chunk + r (d+1))`` floats beside ``A``. A bucket's coverage is
-    the number of noise rows the maps place in it; buckets that absorbed
-    none get one dedicated extra noise row each. Returns the sketch and its
-    ``NoisePlan``.
+    The ``n`` data rows are walked in chunks of ``max(_CHUNK_CELLS // (d+1),
+    r)`` rows. ``assign(seed, chunks)`` yields, for each ``(start, k)`` of
+    ``chunks`` (rows ``start .. start + k - 1`` of ``[A; eta]``), that
+    chunk's ``bucket_sum`` arguments ``(maps, signs)``, indexing the chunk's
+    own rows. Each chunk is added into one ``r x (d+1)`` accumulator, and its
+    assignment is dropped before the next is drawn, so the release holds
+    ``O(chunk + r (d+1))`` floats beside ``A``. ``coverage[b]`` is the number
+    of noise rows in bucket ``b``; a bucket with none is patched with one.
+
+    At footprint 1, ``assign`` places every row in one uniform bucket with a
+    sign or none, and a sign flip leaves a Gaussian row's law unchanged, so
+    the noise in bucket ``b`` is exactly N(0, c_b sigma^2 I) with ``c ~
+    Multinomial(p, 1/r)``. ``assign`` then places the data rows only, and
+    ``c`` and one Gaussian row per bucket, scaled by ``sqrt(max(c_b, 1))``,
+    are drawn from the noise generator. At a larger footprint a noise row
+    sits in several buckets, whose noises are then correlated: ``eta`` is
+    walked after the data in chunks of the same size, a chunk's rows are
+    drawn from the noise generator when it is reached and placed by
+    ``assign`` like data rows, and the patch rows are drawn from their own
+    seed. Returns the sketch and its ``NoisePlan``.
     """
     sigma = gaussian_sigma(bucket_sensitivity(bound, footprint), pp)
     n, d1 = a.shape
@@ -168,20 +181,28 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
     noise_seed, assign_seed, patch_seed = np.random.SeedSequence(seed).spawn(3)
     noise = np.random.default_rng(noise_seed)
     step = max(_CHUNK_CELLS // d1, r)
-    chunks = [(start, min(step, stop - start)) for first, stop in ((0, n), (n, n + p)) for start in range(first, stop, step)]
-    coverage = np.zeros(r, dtype=np.intp)
-    for (start, k), (maps, signs) in zip(chunks, assign(assign_seed, chunks), strict=True):
-        if start < n:
-            bucket_sum(sketch, a[start:start + k], maps, signs)
-        else:
+    data = [(start, min(step, n - start)) for start in range(0, n, step)]
+    hashed = [] if footprint == 1 else [(start, min(step, n + p - start)) for start in range(n, n + p, step)]
+    assignments = assign(assign_seed, data + hashed)
+    for start, k in data:
+        bucket_sum(sketch, a[start:start + k], *next(assignments))
+
+    if footprint == 1:
+        coverage = noise.multinomial(p, np.full(r, 1.0 / r))
+        uncovered = np.flatnonzero(coverage == 0)
+        coverage[uncovered] = 1
+        sketch += np.sqrt(coverage)[:, None] * sample_gaussian_matrix(r, d1, sigma, noise)
+    else:
+        coverage = np.zeros(r, dtype=np.intp)
+        for _, k in hashed:
+            maps, signs = next(assignments)
             bucket_sum(sketch, sample_gaussian_matrix(k, d1, sigma, noise), maps, signs)
             for _, buckets in maps:
                 coverage += np.bincount(buckets, minlength=r)
-
-    uncovered = np.flatnonzero(coverage == 0)
-    if uncovered.size:
-        # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
-        sketch[uncovered] += sample_gaussian_matrix(uncovered.size, d1, sigma, patch_seed)
+        uncovered = np.flatnonzero(coverage == 0)
+        if uncovered.size:
+            # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
+            sketch[uncovered] += sample_gaussian_matrix(uncovered.size, d1, sigma, patch_seed)
         coverage[uncovered] = 1
     return sketch, NoisePlan(p=p, sigma=sigma, coverage=coverage, patched=int(uncovered.size))
 
@@ -196,13 +217,16 @@ def private_countsketch_l2(
 ) -> "tuple[np.ndarray, NoisePlan]":
     """Release a private CountSketch ``S [A; eta]`` for l2 regression.
 
-    ``eta`` holds ``noise_row_count(r)`` rows of N(0, sigma^2 I) noise, with
-    sigma calibrated to footprint 1 (sensitivity ``2B``: a changed row moves one
-    bucket) by ``noised_bucket_release``. ``countsketch_assignment`` draws the
-    buckets and signs (no signs unsigned) at the assignment seed, the second of
-    ``SeedSequence(seed).spawn(3)``, so ``draw_countsketch_plan(n + p, r, that
-    seed)`` is the release's assignment. ``seed`` is an int or a sequence of
-    ints; it, the buckets and the signs are discarded, never serialized. Rows
+    ``eta`` holds ``p = noise_row_count(r)`` rows of N(0, sigma^2 I) noise,
+    with sigma calibrated to footprint 1 (sensitivity ``2B``: a changed row
+    moves one bucket) by ``noised_bucket_release``, which draws ``S eta`` by
+    its per-bucket law: ``c ~ Multinomial(p, 1/r)`` from the noise seed, the
+    first of ``SeedSequence(seed).spawn(3)``, then one N(0, max(c_b, 1)
+    sigma^2 I) row per bucket. ``countsketch_assignment`` draws the data rows'
+    buckets and signs (no signs unsigned) at the assignment seed, the second,
+    so ``draw_countsketch_plan(n, r, that seed)`` is the release's assignment.
+    ``seed`` is an int or a sequence of ints; it, the buckets and the signs are
+    discarded, never serialized. Rows
     come from ``certified_rows`` (``CertificationError`` on a row over ``B``); a
     ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
     """

@@ -8,15 +8,18 @@ each level ``h = 1..h_m`` independently with probability ``1/b^h``; levels
 ``1..h_m-1`` have ``N`` buckets and the final, uniform level ``N_u``. A row
 therefore touches at most ``s + h_m`` buckets, and about ``s + 1/(b-1)`` on
 average. Both releases sum ``S [A; eta]`` (``eta`` Gaussian noise rows)
-through ``countsketch.noised_bucket_release``, which walks ``[A; eta]`` in
-row chunks, adds each into one ``r x (d+1)`` accumulator and patches every
+through ``countsketch.noised_bucket_release``, which walks ``A`` in row
+chunks, adds each into one ``r x (d+1)`` accumulator and patches every
 bucket to contain at least one noise row, so a release holds ``O(chunk + r
-(d+1))`` floats beside ``A``, whatever ``n``. The multi-level release draws
-each chunk's memberships when the chunk is reached: ``s`` level-0 bucket
-maps, each summed straight from the chunk's columns, and for each sampled
-level a ``Binomial(k, b^-h)`` count, a uniform subset of the chunk's ``k``
-rows of that size and a bucket for each, listed in one more map, so it
-costs what its memberships cost, not ``h_m`` passes over every row. Bucket
+(d+1))`` floats beside ``A``, whatever ``n``. The illustration sketch draws
+``S eta`` by its per-bucket law, as the CountSketch release does; the
+multi-level release walks ``eta`` in chunks after ``A``, its noise rows
+hashed like data rows, and draws each chunk's memberships when the chunk is
+reached: ``s`` level-0 bucket maps, each summed straight from the chunk's
+columns, and for each sampled level a ``Binomial(k, b^-h)`` count, a
+uniform subset of the chunk's ``k`` rows of that size and a bucket for
+each, listed in one more map, so it costs what its memberships cost, not
+``h_m`` passes over every row. Bucket
 weights are ``b^h`` (level 0: ``1/s``) and are data oblivious, so releasing
 them is free.
 

@@ -92,15 +92,19 @@ def suite_lemma2(trials: int = 10_000, seed: int = 0) -> "list[BoundReport]":
     return _tail_reports(cases, trials, seed)
 
 
-def _bartlett_factor(k: int, dof: int, rng: np.random.Generator) -> np.ndarray:
+def _bartlett_factor(
+    dofs: np.ndarray, below: "tuple[np.ndarray, np.ndarray]", rng: np.random.Generator
+) -> np.ndarray:
     """Lower-triangular ``L`` with ``L L^T ~ Wishart_k(dof, I)`` (Bartlett).
 
-    ``L_ii = sqrt(chi2(dof - i))`` for ``i = 0..k-1`` and ``L_ij ~ N(0, 1)``
-    below the diagonal, all independent: ``k (k + 1) / 2`` variates for the
-    law of ``G^T G`` with ``G`` a ``dof x k`` matrix of N(0, 1) entries.
+    ``dofs`` is ``dof - np.arange(k)`` and ``below`` is ``np.tril_indices(k,
+    -1)``, both made once by the caller for all its draws. ``L_ii =
+    sqrt(chi2(dofs[i]))`` and ``L_ij ~ N(0, 1)`` below the diagonal, all
+    independent: ``k (k + 1) / 2`` variates for the law of ``G^T G`` with
+    ``G`` a ``dof x k`` matrix of N(0, 1) entries.
     """
-    factor = np.diag(np.sqrt(rng.chisquare(dof - np.arange(k))))
-    factor[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
+    factor = np.diag(np.sqrt(rng.chisquare(dofs)))
+    factor[below] = rng.standard_normal(below[0].size)
     return factor
 
 
@@ -120,9 +124,10 @@ def suite_jl_distortion(trials: int = 200, seed: int = 0) -> "list[BoundReport]"
     vectors = rng.standard_normal((dim, n_vectors))
     vectors /= np.linalg.norm(vectors, axis=0)
     root = tall_skinny_r(vectors)
+    dofs, below = r - np.arange(n_vectors), np.tril_indices(n_vectors, -1)
     outside = 0
     for i in range(trials):
-        factor = _bartlett_factor(n_vectors, r, np.random.default_rng(np.random.SeedSequence([seed, i])))
+        factor = _bartlett_factor(dofs, below, np.random.default_rng(np.random.SeedSequence([seed, i])))
         scaled = (np.linalg.norm(factor.T @ root, axis=0) ** 2) / r
         outside += int(((scaled < 0.65) | (scaled > 1.35)).sum())
     return [

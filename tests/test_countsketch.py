@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -202,34 +204,87 @@ class TestPrivateCountSketch:
 
 
 class TestReleaseIsItsPlan:
-    # (n, r, seed); 70000 rows at d = 5 span two data chunks, and seed 79 at
+    # (n, r, seed); 70000 rows at d = 5 span two data chunks, and seed 134 at
     # r = 16 leaves a bucket without noise rows, so that release is patched
-    @pytest.mark.parametrize("n,r,seed", [(50, 16, 3), (50, 16, 79), (2000, 64, 5), (70_000, 256, 7)])
+    @pytest.mark.parametrize("n,r,seed", [(50, 16, 3), (50, 16, 134), (2000, 64, 5), (70_000, 256, 7)])
     @pytest.mark.parametrize("signed", [True, False], ids=["cs2", "l1-illus"])
     def test_release_rebuilt_from_its_plan(self, n, r, seed, signed):
         # the plan drawn at a release's assignment seed is the release's
-        # assignment: summing [A; eta] through it, with eta and the patch rows
-        # drawn from the release's other two seeds, rebuilds the release
+        # assignment of its data rows; the noise seed draws the noise rows per
+        # bucket c ~ Multinomial(p, 1/r), then one N(0, max(c_b, 1) sigma^2 I)
+        # row per bucket
         data, bound = synthetic_regression(n, 5, seed=seed), RowBound(1.0)
         sketch, noise_plan = private_countsketch_l2(data, r, PP, bound, seed, signed=signed)
-        noise, assign, patch = np.random.SeedSequence(seed).spawn(3)
-        p, d1 = noise_row_count(r), data.A.shape[1]
+        noise_seed, assign = np.random.SeedSequence(seed).spawn(2)
+        d1 = data.A.shape[1]
         sigma = gaussian_sigma(bucket_sensitivity(bound, 1), PP)
-        plan = draw_countsketch_plan(n + p, r, assign)
-        eta = sample_gaussian_matrix(p, d1, sigma, noise)
-        rebuilt = bucket_sum(np.zeros((r, d1)), np.vstack([data.A, eta]), [(None, plan.bucket_of)],
-                             plan.sign_of if signed else None)
-        coverage = np.bincount(plan.bucket_of[n:], minlength=r)
+        plan = draw_countsketch_plan(n, r, assign)
+        rebuilt = bucket_sum(np.zeros((r, d1)), data.A, [(None, plan.bucket_of)], plan.sign_of if signed else None)
+        noise = np.random.default_rng(noise_seed)
+        coverage = noise.multinomial(noise_row_count(r), np.full(r, 1.0 / r))
         missed = np.flatnonzero(coverage == 0)
-        if missed.size:
-            rebuilt[missed] += sample_gaussian_matrix(missed.size, d1, sigma, patch)
         coverage[missed] = 1
+        rebuilt += np.sqrt(coverage)[:, None] * sample_gaussian_matrix(r, d1, sigma, noise)
         assert np.linalg.norm(sketch - rebuilt) <= 1e-12 * np.linalg.norm(rebuilt)
         assert np.array_equal(noise_plan.coverage, coverage)
         assert noise_plan.patched == missed.size
-        assert (missed.size > 0) == (seed == 79)
+        assert (missed.size > 0) == (seed == 134)
         # the SeedSequence is copied, not spawned from: a second draw repeats the plan
-        assert np.array_equal(draw_countsketch_plan(n + p, r, assign).sign_of, plan.sign_of)
+        assert np.array_equal(draw_countsketch_plan(n, r, assign).sign_of, plan.sign_of)
+
+
+def _hashed_noise(rng, r, d1, sigma):
+    """``S eta`` for ``p = noise_row_count(r)`` N(0, sigma^2 I) rows, each in a
+    uniform bucket with a uniform sign, plus one such row in every bucket they
+    missed; and the number of buckets patched."""
+    p = noise_row_count(r)
+    buckets = rng.integers(0, r, size=p)
+    rows = sigma * rng.choice([-1.0, 1.0], size=(p, 1)) * rng.standard_normal((p, d1))
+    out = np.zeros((r, d1))
+    np.add.at(out, buckets, rows)
+    missed = np.flatnonzero(np.bincount(buckets, minlength=r) == 0)
+    out[missed] += sigma * rng.standard_normal((missed.size, d1))
+    return out, missed.size
+
+
+class TestNoiseLaw:
+    # A release of zero data is its noise alone: N(0, max(c_b, 1) sigma^2 I)
+    # in bucket b, c ~ Multinomial(p, 1/r), the law of p hashed noise rows
+    # plus a patch row in each bucket they miss. The release and a hashed
+    # reference are checked against that law (second and fourth moments of an
+    # entry, share of releases patched) and against each other, each within
+    # slack = 4 standard errors of the statistic, over seeded draws. The
+    # fourth moment, 3 sigma^4 E[max(c_b, 1)^2], tells the mixture over c_b
+    # from one variance shared by every bucket.
+    def test_per_bucket_noise_has_the_hashed_law(self):
+        r, d1, trials, slack = 16, 3, 3000, 4.0
+        p = noise_row_count(r)
+        sigma = gaussian_sigma(bucket_sensitivity(RowBound(1.0), 1), PP)
+        empty = (1 - 1 / r) ** p  # P(c_b = 0)
+        mean_c, var_c = p / r, p / r * (1 - 1 / r)
+        law = np.array([sigma**2 * (mean_c + empty), 3 * sigma**4 * (var_c + mean_c**2 + empty)])
+        # P(some bucket gets no noise row), by inclusion-exclusion
+        patch_share = sum((-1) ** (j + 1) * math.comb(r, j) * (1 - j / r) ** p for j in range(1, r))
+        assert p == 109 and 0.013 < patch_share < 0.015
+
+        rng = np.random.default_rng(43)
+        stats = {"release": [], "hashed": []}
+        for seed in range(trials):
+            noise, plan = private_countsketch_l2(np.zeros((1, d1)), r, PP, RowBound(1.0), seed)
+            assert plan.coverage.sum() == p + plan.patched
+            stats["release"].append(((noise**2).mean(), (noise**4).mean(), plan.patched > 0))
+            noise, patched = _hashed_noise(rng, r, d1, sigma)
+            stats["hashed"].append(((noise**2).mean(), (noise**4).mean(), patched > 0))
+
+        moments = {}
+        for name, rows in stats.items():
+            *per_release, patched = np.array(rows).T
+            mean, se = np.mean(per_release, axis=1), np.std(per_release, axis=1, ddof=1) / np.sqrt(trials)
+            assert np.all(np.abs(mean - law) <= slack * se), (name, mean, law)
+            assert abs(patched.sum() - trials * patch_share) <= slack * np.sqrt(trials * patch_share * (1 - patch_share)), name
+            moments[name] = mean, se
+        (a, se_a), (b, se_b) = moments.values()
+        assert np.all(np.abs(a - b) <= slack * np.hypot(se_a, se_b))
 
 
 class TestSensitivityBookkeeping:

@@ -289,8 +289,9 @@ class TestJlDistortionLaw:
         n_draws = 4000
         rng = np.random.default_rng(2024)
         w = np.empty((n_draws, k, k))
+        dofs, below = r - np.arange(k), np.tril_indices(k, -1)
         for t in range(n_draws):
-            factor = _bartlett_factor(k, r, rng)
+            factor = _bartlett_factor(dofs, below, rng)
             assert np.array_equal(factor, np.tril(factor))
             w[t] = factor @ factor.T
         var = r * (1.0 + np.eye(k))
@@ -309,8 +310,9 @@ class TestJlDistortionLaw:
         vectors = np.random.default_rng(0).standard_normal((dim, k))
         vectors /= np.linalg.norm(vectors, axis=0)
         root = tall_skinny_r(vectors)
+        dofs, below = r - np.arange(k), np.tril_indices(k, -1)
         bartlett = np.concatenate([
-            np.linalg.norm(_bartlett_factor(k, r, np.random.default_rng([11, i])).T @ root, axis=0) ** 2 / r
+            np.linalg.norm(_bartlett_factor(dofs, below, np.random.default_rng([11, i])).T @ root, axis=0) ** 2 / r
             for i in range(trials)
         ])
         direct = np.concatenate([

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpsketch.bounds import GaussianNoiseSpec, l1_coeff_bound, verify_tail_bound
-from dpsketch.countsketch import noise_row_count, private_countsketch_l2
+from dpsketch.countsketch import private_countsketch_l2
 from dpsketch.dataset import DataMatrix, synthetic_regression
 from dpsketch.errors import CertificationError, ParameterError
 from dpsketch.l1 import (
@@ -64,10 +64,11 @@ class TestIllustrationSketch:
     def test_unsigned_release_holds_no_sign_array(self):
         # the unsigned release draws no signs, so at the same seed it peaks at
         # least about one float per row of its largest live chunk below the
-        # signed cs2 release: at r = 1024 the p noise rows are one chunk, and
-        # both releases peak while it is held, where cs2 also holds p signs
+        # signed cs2 release: both releases peak while a full data chunk of
+        # step rows is held, where cs2 also holds its step signs
         data = synthetic_regression(200_000, 10, seed=7)
         r = 1024
+        step = max(2**18 // data.A.shape[1], r)
         peaks = []
         for release in (private_countsketch_l2, illustration_sketch_private):
             tracemalloc.start()
@@ -76,7 +77,7 @@ class TestIllustrationSketch:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] - peaks[1] >= 0.9 * noise_row_count(r) * 8
+        assert peaks[0] - peaks[1] >= 0.9 * step * 8
 
     def test_shape(self):
         data = synthetic_regression(400, 3, seed=4)
@@ -116,12 +117,13 @@ class TestIllustrationSketch:
 
 
 class TestReleaseMemory:
-    # A hashed release walks [A; eta] in row chunks into one r x (d+1)
-    # accumulator, so its tracemalloc peak is set by the chunk and the sketch,
-    # not by n: 1.3-1.8 MB at both sizes here, 0.07-0.10x A at 200k x 11. One
-    # float per row of [A; eta] held whole would add 1.4 MB from 20k to 200k
-    # rows and break the 10% growth bound; the 0.2x A bound leaves room for
-    # the chunk alone.
+    # A hashed release walks A (l1-multilevel: [A; eta]) in row chunks of
+    # 2^18 cells into one r x (d+1) accumulator, so its tracemalloc peak is
+    # set by the chunk and the sketch, not by n: 0.48-1.75 MB at both sizes
+    # here, 0.03-0.10x A at 200k x 11. Both sizes hold at least one full chunk
+    # (23831 rows at d + 1 = 11); a smaller A is one smaller chunk. One float
+    # per row of A held whole would add 1.3 MB from 40k to 200k rows and
+    # break the 10% growth bound; the 0.2x A bound leaves room for the chunk.
     RELEASES = {
         "cs2": lambda data: private_countsketch_l2(data, 1024, PP, B1, seed=3),
         "l1-illus": lambda data: illustration_sketch_private(data, 1024, PP, B1, seed=3),
@@ -133,7 +135,7 @@ class TestReleaseMemory:
     @pytest.mark.parametrize("method", sorted(RELEASES))
     def test_peak_does_not_grow_with_n(self, method):
         peaks = []
-        for n in (20_000, 200_000):
+        for n in (40_000, 200_000):
             data = synthetic_regression(n, 10, seed=7)
             tracemalloc.start()
             try:
