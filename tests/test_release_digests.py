@@ -57,6 +57,16 @@ The 70000-row library values were added then: at 4 columns their data rows
 span two chunks, so the chunk size is pinned too. The CLI ``l1`` stdout
 pinned in ``tests/test_cli.py`` moved with them.
 
+The ``countsketch-l2`` and ``l1-illustration`` values (library, certified,
+the CLI ``cs2`` and ``l1-illus`` files and ``CLIP_SCALE_DIGEST``) were
+re-recorded when those releases came to draw ``S eta`` by its per-bucket
+law: ``c ~ Multinomial(p, 1/r)``, then one N(0, max(c_b, 1) sigma^2 I) row
+per bucket, from the noise seed, in place of ``p`` hashed noise rows and a
+patch row per empty bucket. That changed the noise stream, not the law
+(``tests/test_countsketch.py::TestNoiseLaw``); the data rows' buckets and
+signs, ``p``, ``sigma`` and the pinned CLI stdout did not move, and neither
+did any ``jl`` or ``l1-multilevel`` value.
+
 The ``CERTIFIED_DIGESTS`` hash releases from a ``DataMatrix`` of 5000 rows,
 so they cover the matrix as certification stores it, and a jl release whose
 R factor comes from the blocked tall-skinny QR (one of its two sketch sizes
@@ -141,18 +151,18 @@ def synthetic_digest(n: int) -> str:
 
 
 LIBRARY_DIGESTS = {
-    ("countsketch-l2", 1): "0d7ecfe30c5f103a30eea43e6de0b058da7e305e191cefa61aac6969e12d68d0",
-    ("countsketch-l2", 2): "b8972d3de16b6c3d0a17088bd0b9cb5a114de779bbf07aad37f58e651f657c31",
-    ("countsketch-l2", 3): "1ac6e9a69be364d29f21df4d8a0ebd3911d9047a03007b0991b7d1d5d27fdb5e",
-    ("countsketch-l2", 50): "774b2b531a338596294f9eb455cce9837d96fcee673f3a3f1bd511c95efb9077",
-    ("countsketch-l2", 2000): "d9027d5e4485091de3dfe3e61f9ed10c7ec012e34d7c5538ff6b92df17d40406",
-    ("countsketch-l2", 70000): "cae96fe14f4b0ad53bc389b366922b4f2afe307aff789915c3a2d98be7be5c4f",
-    ("l1-illustration", 1): "a0de5b35c532b24c793ea93b26f09ef90bd1228a809ea7d6553c69bb761167c7",
-    ("l1-illustration", 2): "7ad5c37e277ec7a06901ccd84c87100c7de9c3343a9aadeac257293755f5fd2e",
-    ("l1-illustration", 3): "748ebcd5e99bd03dce0ee9f8246fe951c9b1d7006e85bde8fdb0750f7047894d",
-    ("l1-illustration", 50): "587688b0e35a2c5b7b74b66e3acc409d133f7f3679b149734316a9ae100d6caf",
-    ("l1-illustration", 2000): "fd7ca017f503eee3bb7db1fafd06398d824b4b0de726594c4bbf90070256e4a8",
-    ("l1-illustration", 70000): "97d6a998282cfbdaecddee43d69b83af25eb29285f8264ff3a81ff4f76dc2f92",
+    ("countsketch-l2", 1): "01f49e22b074543820ef6cadbeda460c3a95cb3e6709c75682cf5c8bdb445563",
+    ("countsketch-l2", 2): "991436248f07e47959a541bea315d85dc3580086916354c6a0eeff7e28423a77",
+    ("countsketch-l2", 3): "32e9e7754360bba9a708c77e66d209c899381b639f54db319a23bd8c5264c134",
+    ("countsketch-l2", 50): "23505c1716407d6f6c4349e69fb010600ca4a2cc2bdacdd6b8b9a0a2567916d9",
+    ("countsketch-l2", 2000): "fdd7cafbedec4222e9bd37c8b5fe493e073351c3825c61a85d021d1c269a99ea",
+    ("countsketch-l2", 70000): "c55ba95efed69e2f6e88f634cc47df7ebd9c64ca815bd7e606aa78ae50f349d6",
+    ("l1-illustration", 1): "ccf6818ffc467bfb0d00c226961a7f08ff5ac203234dbd446b35eb7a1332205a",
+    ("l1-illustration", 2): "19649cca579499e8d2f0cfb8cf99d2062c1c87d1c5d631aeb5d8596593d16f0c",
+    ("l1-illustration", 3): "3a33c15fa188af4403f24acf74daff8c3814b90b7126c68b19ca264cdc7654c0",
+    ("l1-illustration", 50): "9e6517e13d035b8f77bb5888b434ff62d92975e1e248ad6707bda6d55e2fdf32",
+    ("l1-illustration", 2000): "c23d144ee7d49c1798b9028b1e54cc217db1ddb880e1cceb759b2e7fc08958a5",
+    ("l1-illustration", 70000): "472bcd3df08dcb852d4858a678b646346d3b48fc14b4dad9d336014daab6456b",
     ("l1-multilevel", 1): "a1ae1914aeb08145743debe168f924a1fbf149f49bb089ad92dbabb666315065",
     ("l1-multilevel", 2): "4bd79f815a793fedc59ef13c1a4e55661dcf1969ec298aeac29f044dfa7d6f96",
     ("l1-multilevel", 3): "b8ba58991dbe71dcfd0660b023a7785031c6f892a9eac985e6ddb882cab9827c",
@@ -163,9 +173,9 @@ LIBRARY_DIGESTS = {
 
 CLI_DIGESTS = {
     "jl": "ce91b48181b246df0d836b74750b38e2a62cf91af8db03546b3cbeef326d6094",
-    "cs2": "98c1db97e8c5afed1015234e3586390e097b13b00ae532bf2e92a589cc632fd8",
+    "cs2": "3c0ac6e4cc5cbb69ebdc43096fc2d2870a678f8599e5efa732b74ab22dd70c4d",
     "l1": "1df10e7f980a26d9912aa6cd8fe7a002144de223fdd7524acf5708dbd5d04383",
-    "l1-illus": "8870d44d4eb4f0274d9ff3120a904c2ecdb79b2117e4548d98ac761dc4d46230",
+    "l1-illus": "cb82f782f6710629efecb240cbcecad2373956d05487da7076b1c6bc861c670e",
 }
 
 
@@ -185,7 +195,7 @@ def cli_digest(tmp_path, flag: str) -> str:
 
 # ``cs2`` on the CLI input with every third row pushed to four times its
 # norm, so ``--clip scale`` rescales rows before the release.
-CLIP_SCALE_DIGEST = "13b7971171694be0a74a929c09a490e8cd6b6c3f5aafb1f34e02d473cd47160e"
+CLIP_SCALE_DIGEST = "0534ac223097d7277bc91406d8e1f477787e0e78064cc49fe8b6d189dc913dc3"
 
 
 def test_cli_clip_scale_bytes(tmp_path, capsys):
@@ -208,7 +218,7 @@ def test_cli_clip_scale_bytes(tmp_path, capsys):
 # tall-skinny QR; and the matrices ``synthetic_regression`` builds at that size.
 CERTIFIED_ROWS = 5000
 CERTIFIED_DIGESTS = {
-    "countsketch-l2": "147ab31a886fb9d38231d87dba87855d8c66c833b8031efe10a9898014a956cf",
+    "countsketch-l2": "7e537b758188d22b3a0a8e08495b9049de40f5d5630901e9ebb367e813ce3194",
     "jl": "238a42413cf02a53a6a5528fe2a5df221b42ef253621f02372303bc2f1475ba2",
     "l1-multilevel": "20b67dc5dd9904e29a66b5450d6a2fbd250a610a6c4b7e630d13e09f32bc800d",
     "synthetic": "c59323a3d095e82e08de39b1436dff9eb8412b6e8d9b40deb97fd4d1a539eecd",
