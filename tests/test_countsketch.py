@@ -281,7 +281,8 @@ class TestNoiseLaw:
             *per_release, patched = np.array(rows).T
             mean, se = np.mean(per_release, axis=1), np.std(per_release, axis=1, ddof=1) / np.sqrt(trials)
             assert np.all(np.abs(mean - law) <= slack * se), (name, mean, law)
-            assert abs(patched.sum() - trials * patch_share) <= slack * np.sqrt(trials * patch_share * (1 - patch_share)), name
+            patched_sd = np.sqrt(trials * patch_share * (1 - patch_share))
+            assert abs(patched.sum() - trials * patch_share) <= slack * patched_sd, name
             moments[name] = mean, se
         (a, se_a), (b, se_b) = moments.values()
         assert np.all(np.abs(a - b) <= slack * np.hypot(se_a, se_b))
