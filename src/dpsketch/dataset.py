@@ -56,7 +56,8 @@ class DataMatrix:
     hashed releases, ``X @ beta``, ``y`` and the residuals of the solvers go
     over ``A`` a column at a time, and in this layout each reads contiguous
     memory. The jl release's tall-skinny QR copies ``A`` a group of rows at
-    a time in either layout.
+    a time in either layout and folds each group into one running R, so it
+    never holds more than one group.
     """
 
     A: np.ndarray

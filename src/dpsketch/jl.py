@@ -16,9 +16,10 @@ entries. The release takes ``F = R``, the ``(d+1) x (d+1)`` R factor of
 makes ``sqrt(1 + c^2) G R`` a draw of ``S [A; cQ]``: an ``r x (d+1)`` draw
 instead of an ``r x n`` one. The privacy analysis of the JL release depends
 only on this law. ``sigma_min`` for the noisy test is the smallest singular
-value of R, which ``A`` shares. The blocked QR holds one fixed-size group of
-rows at a time, so beyond ``A`` the release needs memory of the sketch's
-order, not of ``n``.
+value of R, which ``A`` shares. The blocked QR reads one fixed-size group of
+rows at a time and folds it into one running ``(d+1) x (d+1)`` R, so beyond
+``A`` the release needs one group and memory of the sketch's order, not of
+``n`` (0.59 MB at 200k or 1e6 rows of 11 columns, ``r = 256``).
 
 The entries are unscaled N(0, 1); the argmin of the sketched problem is
 invariant to scaling, so the conventional ``1/sqrt(r)`` factor is applied

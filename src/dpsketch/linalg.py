@@ -5,7 +5,8 @@ which takes the augmented ``[M | rhs]``: a blocked (tall-skinny) Householder
 QR of it has an R factor that already holds ``Q^T rhs``, so ``Q`` is never
 formed. The same R factor, ``tall_skinny_r``, gives singular values and
 right singular vectors (``M`` and ``R`` share both), so no routine here but
-the public ``svd`` forms an n-row ``U``.
+the public ``svd`` forms an n-row ``U``. It folds each group of row blocks
+into one running R, so beyond its input it holds one group, whatever ``n``.
 
 Randomness policy: all sampling goes through ``numpy.random.default_rng``
 (PCG64). Normal variates use numpy's ziggurat sampler, Laplace variates its
@@ -68,18 +69,26 @@ _QR_BLOCK = 256
 # calls of the blocked one (they broke even near 3000 rows at 11 columns).
 _QR_BLOCKED_MIN_ROWS = 16 * _QR_BLOCK
 # Entries of ``ab`` per batched QR call. The batched call copies its input,
-# so this bounds the temporary at 512 kB whatever ``n`` is.
+# and every group is folded into one running R before the next is read, so
+# this bounds the whole of ``tall_skinny_r``'s temporary at about 512 kB
+# whatever ``n`` is.
 _QR_GROUP_ENTRIES = 1 << 16
 
 
 def tall_skinny_r(ab: np.ndarray) -> np.ndarray:
-    """R factor of ``ab`` from Householder QR of row blocks, then of their stacked Rs.
+    """R factor of ``ab`` from Householder QR of row blocks, folded into one running R.
 
     ``ab = Q_1 R_1`` per block and ``[R_1; R_2; ...] = Q' R`` give
     ``ab = diag(Q_1, Q_2, ...) Q' R``, so ``R`` is an R factor of ``ab``
     (Demmel, Grigori, Hoemmen & Langou, tall-skinny QR). No ``Q`` is formed.
-    The blocks go to LAPACK in groups of about ``_QR_GROUP_ENTRIES`` entries;
-    each block's R is the same call's result whatever the grouping.
+    The blocks go to LAPACK in groups of about ``_QR_GROUP_ENTRIES`` entries.
+    The first group's stacked block Rs are held; each later group is folded
+    in as ``held = qr([held; group Rs])``, which leaves ``held`` a ``k x k``
+    R of the rows read so far, and the remainder block's R is stacked under
+    it for the last QR. So memory is one group plus ``O(k^2)``, whatever
+    ``n``. An input of at most one group takes exactly the calls of one
+    stack of every block's R; past that, the bits follow the fold order,
+    and the rows of R may differ in sign from another order's.
 
     ``ab`` must be a finite float matrix (callers validate, e.g. with
     ``as_matrix``).
@@ -89,10 +98,11 @@ def tall_skinny_r(ab: np.ndarray) -> np.ndarray:
         return np.linalg.qr(ab, mode="r")
     full = n - n % _QR_BLOCK
     step = _QR_BLOCK * max(1, _QR_GROUP_ENTRIES // (_QR_BLOCK * k))
-    parts = [
-        np.linalg.qr(ab[i : min(i + step, full)].reshape(-1, _QR_BLOCK, k), mode="r").reshape(-1, k)
-        for i in range(0, full, step)
-    ]
+    held = None
+    for i in range(0, full, step):
+        rs = np.linalg.qr(ab[i : min(i + step, full)].reshape(-1, _QR_BLOCK, k), mode="r").reshape(-1, k)
+        held = rs if held is None else np.linalg.qr(np.vstack([held, rs]), mode="r")
+    parts = [held]
     if full < n:
         parts.append(np.linalg.qr(ab[full:], mode="r"))
     return np.linalg.qr(np.vstack(parts), mode="r")

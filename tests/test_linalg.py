@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -77,25 +78,61 @@ class TestSvd:
 
 class TestTallSkinnyR:
     @staticmethod
-    def one_batched_call(ab):
-        """Reference: every full 256-row block in a single batched QR call."""
+    def group_rows(k):
+        return 256 * max(1, linalg._QR_GROUP_ENTRIES // (256 * k))
+
+    @staticmethod
+    def remainder_r(ab):
+        n, k = ab.shape
+        return [np.linalg.qr(ab[n - n % 256 :], mode="r")] if n % 256 else []
+
+    @classmethod
+    def fold_reference(cls, ab):
+        """Reference: each group's stacked block Rs folded into one running R."""
+        n, k = ab.shape
+        full, group = n - n % 256, cls.group_rows(k)
+        groups = [
+            np.linalg.qr(ab[i : min(i + group, full)].reshape(-1, 256, k), mode="r").reshape(-1, k)
+            for i in range(0, full, group)
+        ]
+        held = functools.reduce(lambda r, g: np.linalg.qr(np.vstack([r, g]), mode="r"), groups[1:], groups[0])
+        return np.linalg.qr(np.vstack([held, *cls.remainder_r(ab)]), mode="r")
+
+    @classmethod
+    def one_stack_reference(cls, ab):
+        """Reference: every full 256-row block in one batched QR call, then one QR of the stack."""
         n, k = ab.shape
         full = n - n % 256
-        parts = [np.linalg.qr(ab[:full].reshape(-1, 256, k), mode="r").reshape(-1, k)]
-        if full < n:
-            parts.append(np.linalg.qr(ab[full:], mode="r"))
-        return np.linalg.qr(np.vstack(parts), mode="r")
+        blocks = np.linalg.qr(ab[:full].reshape(-1, 256, k), mode="r").reshape(-1, k)
+        return np.linalg.qr(np.vstack([blocks, *cls.remainder_r(ab)]), mode="r")
 
     @pytest.mark.parametrize("k", [4, 11, 40])
-    def test_grouped_blocks_bit_identical_to_one_batched_call(self, k):
-        group = 256 * max(1, linalg._QR_GROUP_ENTRIES // (256 * k))
+    def test_groups_fold_into_one_running_r_bit_for_bit(self, k):
         # three full groups, a partial group of three blocks, a 37-row remainder
-        n = 3 * group + 3 * 256 + 37
+        n = 3 * self.group_rows(k) + 3 * 256 + 37
         assert n >= linalg._QR_BLOCKED_MIN_ROWS
         ab = np.random.default_rng(k).standard_normal((n, k))
         got = tall_skinny_r(ab)
         assert got.shape == (k, k)
-        assert got.tobytes() == self.one_batched_call(ab).tobytes()
+        assert got.tobytes() == self.fold_reference(ab).tobytes()
+
+    @pytest.mark.parametrize("k", [4, 11])
+    def test_one_group_is_bit_identical_to_one_stack(self, k):
+        # the largest input of one group: a full group and a 255-row remainder
+        n = self.group_rows(k) + 255
+        assert n >= linalg._QR_BLOCKED_MIN_ROWS
+        ab = np.random.default_rng(k).standard_normal((n, k))
+        assert tall_skinny_r(ab).tobytes() == self.one_stack_reference(ab).tobytes()
+
+    def test_many_groups_keep_the_gram_and_the_diagonal(self):
+        # 34 groups at 11 columns: the running R is still a root of A^T A, and
+        # agrees up to row signs with one unblocked Householder QR of A
+        ab = np.random.default_rng(9).standard_normal((200_003, 11)) * np.geomspace(1.0, 1e-2, 11)
+        got = tall_skinny_r(ab)
+        gram = ab.T @ ab
+        assert np.linalg.norm(got.T @ got - gram) <= 1e-13 * np.linalg.norm(gram)
+        unblocked = np.abs(np.diag(np.linalg.qr(ab, mode="r")))
+        assert np.all(np.abs(np.abs(np.diag(got)) - unblocked) <= 1e-12 * unblocked)
 
     @pytest.mark.parametrize("n", [50, 4097, 20003])
     def test_min_singular_value_matches_lapack_on_tall_input(self, n):

@@ -67,6 +67,15 @@ patch row per empty bucket. That changed the noise stream, not the law
 signs, ``p``, ``sigma`` and the pinned CLI stdout did not move, and neither
 did any ``jl`` or ``l1-multilevel`` value.
 
+The 70000-row ``jl`` value was added when the tall-skinny QR came to fold
+each group of block Rs into one running R, ``R <- qr([R; group Rs])``, in
+place of stacking every block's R for one final QR. At 4 columns a group is
+16384 rows, so this input is four full groups, a partial group of 17 blocks
+and a 112-row remainder: ``jl`` bits past one group follow the fold order.
+Within one group the fold is the same sequence of LAPACK calls as the
+single stack, so the 60-row CLI and 5000-row certified ``jl`` values did
+not move.
+
 The ``CERTIFIED_DIGESTS`` hash releases from a ``DataMatrix`` of 5000 rows,
 so they cover the matrix as certification stores it, and a jl release whose
 R factor comes from the blocked tall-skinny QR (one of its two sketch sizes
@@ -157,6 +166,7 @@ LIBRARY_DIGESTS = {
     ("countsketch-l2", 50): "23505c1716407d6f6c4349e69fb010600ca4a2cc2bdacdd6b8b9a0a2567916d9",
     ("countsketch-l2", 2000): "fdd7cafbedec4222e9bd37c8b5fe493e073351c3825c61a85d021d1c269a99ea",
     ("countsketch-l2", 70000): "c55ba95efed69e2f6e88f634cc47df7ebd9c64ca815bd7e606aa78ae50f349d6",
+    ("jl", 70000): "d70aafbbae518d471a206e2d4c02e182093db4bd4f06b2da7fffcf8af3cecc2c",
     ("l1-illustration", 1): "ccf6818ffc467bfb0d00c226961a7f08ff5ac203234dbd446b35eb7a1332205a",
     ("l1-illustration", 2): "19649cca579499e8d2f0cfb8cf99d2062c1c87d1c5d631aeb5d8596593d16f0c",
     ("l1-illustration", 3): "3a33c15fa188af4403f24acf74daff8c3814b90b7126c68b19ca264cdc7654c0",
