@@ -3,11 +3,17 @@
 Every "log" in these bounds is the natural log; the underlying tail
 arguments are stated in ln throughout (sketching literature sometimes means
 log2, so this is worth saying once, prominently).
+
+The Monte Carlo verifier draws its trials in batches, each from its own child
+of the seed's ``SeedSequence``, on as many threads as the process may use;
+the exceedance count depends on the seed alone, not on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +21,10 @@ import numpy as np
 from .errors import ParameterError
 
 _MIN_TRIALS = 100
-_BATCH = 1000  # trials per sampling batch, bounds peak memory
+# Variates per sampling batch (2 MiB of float64). A batch is drawn and reduced
+# before its worker draws the next, so a verifier with W workers peaks at about
+# W x _BATCH_CELLS floats, whatever the trial count.
+_BATCH_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -115,6 +124,15 @@ def verify_tail_bound(
     draws one chi-square variate with ``rows`` degrees of freedom. An l1
     trial draws the ``rows`` entries of the vector and sums their absolute
     values: that sum has no closed-form law.
+
+    Trials are drawn in batches of about ``_BATCH_CELLS`` variates; batch
+    ``i`` draws from the ``i``-th child of ``SeedSequence(seed)``. The
+    batches are shared out round-robin among ``min(batches, usable CPUs)``
+    threads, each summing the integer exceedance counts of its batches with
+    numpy routines that release the interpreter lock; the threads are
+    joined before this returns, and one worker runs in the calling thread.
+    So the count depends on ``seed`` and the arguments only, not on the CPU
+    count or the scheduling.
     """
     if statistic not in ("l1", "l2"):
         raise ParameterError("statistic must be 'l1' or 'l2'")
@@ -124,18 +142,35 @@ def verify_tail_bound(
         raise ParameterError("threshold_prob must lie in (0, 1)")
     if math.isnan(bound_value):
         raise ParameterError("bound_value is NaN: no sample can exceed it")
-    rng = np.random.default_rng(seed)
+    root = np.random.SeedSequence(seed)
     scale = spec.sigma * float(np.linalg.norm(spec.beta_aug))
-    exceed = 0
-    done = 0
-    while done < trials:
-        batch = min(_BATCH, trials - done)
+    size = max(1, _BATCH_CELLS // spec.rows) if statistic == "l1" else _BATCH_CELLS
+    batches = -(-trials // size)
+    workers = min(batches, _usable_cpus())
+
+    def exceedances(i: int) -> int:
+        # The i-th child of root, as root.spawn would build it, made on demand
+        # so that no list of children grows with the trial count.
+        rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(i,)))
+        count = min(size, trials - i * size)
         if statistic == "l1":
-            stats = np.abs(scale * rng.standard_normal((batch, spec.rows))).sum(axis=1)
+            stats = rng.standard_normal((count, spec.rows))
+            stats *= scale
+            stats = np.abs(stats, out=stats).sum(axis=1)
         else:
-            stats = scale * np.sqrt(rng.chisquare(spec.rows, size=batch))
-        exceed += int((stats >= bound_value).sum())
-        done += batch
+            stats = rng.chisquare(spec.rows, size=count)
+            np.sqrt(stats, out=stats)
+            stats *= scale
+        return int(np.count_nonzero(stats >= bound_value))
+
+    def worker(first: int) -> int:
+        return sum(exceedances(i) for i in range(first, batches, workers))
+
+    if workers == 1:
+        exceed = worker(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            exceed = sum(pool.map(worker, range(workers)))
     return BoundReport(
         bound_name=bound_name,
         analytic_value=float(bound_value),
@@ -143,3 +178,11 @@ def verify_tail_bound(
         exceedances=exceed,
         threshold_prob=threshold_prob,
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1

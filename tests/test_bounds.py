@@ -1,10 +1,13 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsketch import bounds
 from dpsketch.bounds import (
     BoundReport,
     GaussianNoiseSpec,
@@ -212,3 +215,98 @@ class TestVerifier:
             t = float(np.quantile(reference, quantile))
             rate = verify_tail_bound(spec, "l2", t, 0.25, trials, seed=rows + 1).exceedance_rate
             assert abs(rate - float((reference >= t).mean())) <= 0.03
+
+    @pytest.mark.parametrize("rows", [10, 45, 50, 267])
+    def test_l1_law_at_suite_rows(self, rows):
+        # The rows of lemma1 (10, 50) and lemma2 (45, 267). The reference draws
+        # the rows-long N(0, scale^2) vector from its own generator and sums its
+        # absolute values; bounds sit at its 0.1, 0.5 and 0.9 sample quantiles.
+        # Both rates estimate the same tail probability p <= 0.9 from 10k draws
+        # each, so their difference has sd sqrt(2 p (1 - p) / 10k) <= 0.0071;
+        # the slack 0.03 is over four of those.
+        sigma, trials = sigma_cs(), 10_000
+        scale = sigma * float(np.linalg.norm(_DIRECTION))
+        reference = np.abs(
+            scale * np.random.default_rng(rows).standard_normal((trials, rows))
+        ).sum(axis=1)
+        spec = GaussianNoiseSpec(rows=rows, sigma=sigma, beta_aug=_DIRECTION)
+        for quantile in (0.1, 0.5, 0.9):
+            t = float(np.quantile(reference, quantile))
+            rate = verify_tail_bound(spec, "l1", t, 0.25, trials, seed=rows + 1).exceedance_rate
+            assert abs(rate - float((reference >= t).mean())) <= 0.03
+
+
+def cpus(monkeypatch, count):
+    """Let the verifier see ``count`` usable CPUs."""
+    monkeypatch.setattr(bounds.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def serial_exceedances(spec, statistic, bound_value, trials, seed):
+    """One-thread reference: batch ``i`` of ``_BATCH_CELLS`` variates drawn from
+    child ``i`` of ``SeedSequence(seed)``, spawned up front."""
+    scale = spec.sigma * float(np.linalg.norm(spec.beta_aug))
+    size = bounds._BATCH_CELLS // spec.rows if statistic == "l1" else bounds._BATCH_CELLS
+    children = np.random.SeedSequence(seed).spawn(-(-trials // size))
+    total = 0
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        count = min(size, trials - i * size)
+        if statistic == "l1":
+            stats = np.abs(scale * rng.standard_normal((count, spec.rows))).sum(axis=1)
+        else:
+            stats = scale * np.sqrt(rng.chisquare(spec.rows, size=count))
+        total += int((stats >= bound_value).sum())
+    return total
+
+
+class TestBatches:
+    # Three batches each, the last one short: 26214 l1 trials of 10 rows, or
+    # 262144 l2 trials, to a batch. The bounds sit near each statistic's median.
+    CASES = {
+        "l1": (GaussianNoiseSpec(rows=10, sigma=1.0, beta_aug=np.array([1.0])), 8.0, 60_001),
+        "l2": (GaussianNoiseSpec(rows=10, sigma=1.0, beta_aug=np.array([1.0])), 3.1, 600_001),
+    }
+
+    @pytest.mark.parametrize("statistic", ["l1", "l2"])
+    def test_counts_independent_of_cpus(self, monkeypatch, statistic):
+        spec, bound, trials = self.CASES[statistic]
+        counts = []
+        for count in (1, 2, 3, 4):
+            cpus(monkeypatch, count)
+            counts.append(verify_tail_bound(spec, statistic, bound, 0.25, trials, seed=5).exceedances)
+        assert counts == [serial_exceedances(spec, statistic, bound, trials, 5)] * 4
+        assert 0.2 * trials < counts[0] < 0.8 * trials
+
+    def test_threads_joined_before_return(self, monkeypatch):
+        # A thread still running after the call would keep dataset._splits from
+        # forking its second CSV reader.
+        spec, bound, trials = self.CASES["l1"]
+        cpus(monkeypatch, 2)
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        before = threading.active_count()
+        verify_tail_bound(spec, "l1", bound, 0.25, trials, seed=5)
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+
+    def test_peak_memory_flat_in_trials(self, monkeypatch):
+        # Two workers each hold one batch of 2^18 floats at a time, whatever the
+        # trial count: no list of children, futures or per-batch results.
+        spec = GaussianNoiseSpec(rows=10, sigma=1.0, beta_aug=np.array([1.0]))
+        cpus(monkeypatch, 2)
+        peaks = []
+        for trials in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                verify_tail_bound(spec, "l1", 8.0, 0.25, trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
