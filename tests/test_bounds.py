@@ -176,9 +176,9 @@ class TestVerifier:
         assert a.exceedances == b.exceedances
 
     def test_lemma1_stream_pinned(self):
-        # for dim = 1 the direct draw of eta @ beta_aug is the same stream as
-        # the (batch, rows, 1) noise tensor it replaced; counts recorded from it
-        assert [rep.exceedances for rep in suite_lemma1()] == [1460, 113, 126]
+        # counts recorded from the batched draw: batch i of each case from
+        # child i of SeedSequence(case seed), one batch at r = 10 and two at 50
+        assert [rep.exceedances for rep in suite_lemma1()] == [1435, 113, 110]
 
     @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
     def test_dim5_second_moment(self, quantile):

@@ -515,9 +515,9 @@ class TestSolveCommand:
 # to a suite's cases, seeds, draws or output format shows here.
 PINNED_VERIFY = {
     "lemma1": (
-        "[PASS] lemma1[r=10,sigma=1]: 1460/10000 exceedances (rate 0.1460, threshold 0.25, bound 10)\n"
+        "[PASS] lemma1[r=10,sigma=1]: 1435/10000 exceedances (rate 0.1435, threshold 0.25, bound 10)\n"
         "[PASS] lemma1[r=50,sigma=1]: 113/10000 exceedances (rate 0.0113, threshold 0.25, bound 50)\n"
-        "[PASS] lemma1[r=50,sigma=3]: 126/10000 exceedances (rate 0.0126, threshold 0.25, bound 150)\n"
+        "[PASS] lemma1[r=50,sigma=3]: 110/10000 exceedances (rate 0.0110, threshold 0.25, bound 150)\n"
         "suite lemma1: 3/3 checks passed\n"
     ),
     "thm1": (
