@@ -292,7 +292,7 @@ class TestBatches:
         monkeypatch.setattr(threading.Thread, "start", record)
         before = threading.active_count()
         verify_tail_bound(spec, "l1", bound, 0.25, trials, seed=5)
-        assert len(started) == 2
+        assert 1 <= len(started) <= 2  # the pool starts a second thread unless the first is idle
         assert not any(thread.is_alive() for thread in started)
         assert threading.active_count() == before
 
