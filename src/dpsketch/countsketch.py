@@ -14,14 +14,16 @@ and a sign flip leaves a Gaussian row's law unchanged, so the noise in bucket
 ``b`` is exactly N(0, c_b sigma^2 I) with ``c ~ Multinomial(p, 1/r)``: that
 law is drawn directly, one Gaussian row per bucket, and ``eta`` never is.
 The multi-level release places a noise row in several buckets, so it walks
-``eta`` in chunks after ``A`` and hashes it like data. Neither ``eta`` nor
-any per-row array is ever held whole, so a release holds ``O(chunk + r
-(d+1))`` floats beside ``A``, whatever ``n``; an unsigned release draws no
-signs. Each released bucket carries at least one noise row: a bucket misses
-all ``p`` noise rows with probability ``(1 - 1/r)^p <= e^-4 / r``, so they
-cover all r buckets with probability at least ``1 - e^-4``, and any bucket
-still uncovered is patched with a dedicated extra noise row. Extra Gaussian
-noise never weakens privacy, so coverage is unconditional.
+``eta`` in chunks after ``A`` and hashes it like data, drawing and summing
+each noise chunk in blocks of ``_NOISE_BLOCK_CELLS`` cells that continue one
+generator's stream. Neither ``eta`` nor any per-row array is ever held
+whole, so a release holds ``O(chunk + r (d+1))`` floats beside ``A``,
+whatever ``n``; an unsigned release draws no signs. Each released bucket
+carries at least one noise row: a bucket misses all ``p`` noise rows with
+probability ``(1 - 1/r)^p <= e^-4 / r``, so they cover all r buckets with
+probability at least ``1 - e^-4``, and any bucket still uncovered is patched
+with a dedicated extra noise row. Extra Gaussian noise never weakens
+privacy, so coverage is unconditional.
 """
 
 from __future__ import annotations
@@ -39,10 +41,17 @@ from .mechanisms import PrivacyParams, RowBound, bucket_sensitivity, gaussian_si
 
 # A release sums [A; eta] in row chunks of this many cells (2 MiB of
 # float64), and of at least r rows, so that a chunk's r-bucket sums cost no
-# more than its rows. Measured at 200k x 11 on a 2-core host: 2^16 cells
-# took the multi-level release 37 ms against 24 ms here (its per-chunk
-# level draws), and 2^20 raised its peak from 1.8 to 6.2 MB.
+# more than its rows. Measured with the multi-level release at 200k x 11,
+# r = 1216, on a 2-core host: 2^16 cells took 32 ms against 21 ms here (its
+# per-chunk level draws), and 2^20 raised its peak from 0.95 to 3.2 MB.
 _CHUNK_CELLS = 2**18
+# Hashed noise (footprint > 1) is drawn and summed in row blocks of this many
+# cells (256 KiB of float64), so a release holds one block of eta, not a
+# whole noise chunk (1.19 MB at p = 13502 rows of d + 1 = 11). Same host and
+# release: 0.95 MB peak here, 1.33 MB at 2^16 cells; 2^14 cells peaks at
+# 0.89 MB, set then by a data chunk's memberships, but its twice as many
+# block sums cost about 0.3 ms more per release.
+_NOISE_BLOCK_CELLS = 2**15
 _SIGNS = np.array([-1.0, 1.0])
 
 
@@ -168,10 +177,13 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
     ``c`` and one Gaussian row per bucket, scaled by ``sqrt(max(c_b, 1))``,
     are drawn from the noise generator. At a larger footprint a noise row
     sits in several buckets, whose noises are then correlated: ``eta`` is
-    walked after the data in chunks of the same size, a chunk's rows are
-    drawn from the noise generator when it is reached and placed by
-    ``assign`` like data rows, and the patch rows are drawn from their own
-    seed. Returns the sketch and its ``NoisePlan``.
+    walked after the data in chunks of the same size, and each chunk is
+    placed by ``assign`` like data rows. A chunk's rows are drawn from the
+    noise generator and summed in blocks of ``_NOISE_BLOCK_CELLS // (d+1)``
+    rows (``_sum_noise_chunk``), so no noise chunk is held whole; the blocks
+    continue one stream, and only the float association of the sums depends
+    on the block size. The patch rows are drawn from their own seed. Returns
+    the sketch and its ``NoisePlan``.
     """
     sigma = gaussian_sigma(bucket_sensitivity(bound, footprint), pp)
     n, d1 = a.shape
@@ -194,17 +206,54 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
         sketch += np.sqrt(coverage)[:, None] * sample_gaussian_matrix(r, d1, sigma, noise)
     else:
         coverage = np.zeros(r, dtype=np.intp)
+        block = max(_NOISE_BLOCK_CELLS // d1, 1)
         for _, k in hashed:
-            maps, signs = next(assignments)
-            bucket_sum(sketch, sample_gaussian_matrix(k, d1, sigma, noise), maps, signs)
-            for _, buckets in maps:
-                coverage += np.bincount(buckets, minlength=r)
+            _sum_noise_chunk(sketch, coverage, k, block, sigma, noise, *next(assignments))
         uncovered = np.flatnonzero(coverage == 0)
         if uncovered.size:
             # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
             sketch[uncovered] += sample_gaussian_matrix(uncovered.size, d1, sigma, patch_seed)
         coverage[uncovered] = 1
     return sketch, NoisePlan(p=p, sigma=sigma, coverage=coverage, patched=int(uncovered.size))
+
+
+def _sum_noise_chunk(out, coverage, k, block, sigma, noise, maps, signs):
+    """Add ``k`` N(0, sigma^2) rows placed by ``maps`` (and ``signs``) into ``out``, ``block`` rows at a time.
+
+    Each block is the next ``block`` rows of the ``noise`` generator's stream,
+    so the blocks stack to one draw of all ``k`` rows. Each map is restricted
+    to the block's rows, in map order (``_map_blocks``), and the block is
+    summed by ``bucket_sum``; only the float association of the sums depends
+    on ``block``. ``coverage`` counts the whole chunk's memberships. The maps
+    die when this returns, before the next chunk's are drawn.
+    """
+    for _, buckets in maps:
+        coverage += np.bincount(buckets, minlength=len(coverage))
+    blocks = zip(*(_map_blocks(idx, buckets, k, block) for idx, buckets in maps))
+    for lo, in_block in zip(range(0, k, block), blocks):
+        eta = sample_gaussian_matrix(min(block, k - lo), out.shape[1], sigma, noise)
+        bucket_sum(out, eta, in_block, None if signs is None else signs[lo:lo + block])
+        del eta  # before the next block is drawn
+
+
+def _map_blocks(idx, buckets, k, block):
+    """Yield the map ``(idx, buckets)`` of a ``k``-row chunk restricted to each ``block`` of rows in turn.
+
+    A restriction keeps the map's order and indexes its block's own rows.
+    """
+    if idx is None:
+        for lo in range(0, k, block):
+            yield None, buckets[lo:lo + block]
+        return
+    which = (idx // block).astype(np.min_scalar_type(k // block))
+    order = np.argsort(which, kind="stable")  # a radix sort of small ints: map order within a block
+    ends = np.cumsum(np.bincount(which, minlength=-(-k // block)))
+    del which  # held across every yield otherwise
+    begin = 0
+    for lo, end in zip(range(0, k, block), ends):
+        rows = order[begin:end]
+        yield idx[rows] - lo, buckets[rows]
+        begin = end
 
 
 def private_countsketch_l2(

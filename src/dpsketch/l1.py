@@ -14,12 +14,14 @@ bucket to contain at least one noise row, so a release holds ``O(chunk + r
 (d+1))`` floats beside ``A``, whatever ``n``. The illustration sketch draws
 ``S eta`` by its per-bucket law, as the CountSketch release does; the
 multi-level release walks ``eta`` in chunks after ``A``, its noise rows
-hashed like data rows, and draws each chunk's memberships when the chunk is
-reached: ``s`` level-0 bucket maps, each summed straight from the chunk's
-columns, and for each sampled level a ``Binomial(k, b^-h)`` count, a
-uniform subset of the chunk's ``k`` rows of that size and a bucket for
-each, listed in one more map, so it costs what its memberships cost, not
-``h_m`` passes over every row. Bucket
+hashed like data rows and drawn and summed in row blocks, and draws each
+chunk's memberships when the chunk is reached: ``s`` level-0 bucket maps,
+each summed straight from the chunk's columns, and for each sampled level a
+``Binomial(k, b^-h)`` count, a uniform subset of the chunk's ``k`` rows of
+that size and a bucket for each, listed in one more map, so it costs what
+its memberships cost, not ``h_m`` passes over every row. A chunk's
+memberships are dropped before the next chunk's are drawn, so the release
+holds one chunk's memberships and one noise block beside the sketch. Bucket
 weights are ``b^h`` (level 0: ``1/s``) and are data oblivious, so releasing
 them is free.
 
@@ -171,7 +173,10 @@ def _level_buckets(rng: np.random.Generator, k: int, cfg: L1SketchConfig, h_m: i
         width = N if h < h_m else cfg.uniform_buckets
         buckets.append(h * N + rng.integers(0, width, size=size))
         sizes.append(size)
-    return [*maps, (np.concatenate(rows), np.concatenate(buckets))], sizes
+    # one list and one concatenation alive at a time, not both of each
+    rows = np.concatenate(rows)
+    buckets = np.concatenate(buckets)
+    return [*maps, (rows, buckets)], sizes
 
 
 def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> WeightedSketch:
@@ -208,6 +213,7 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
                 data_level_counts[1:] += sizes
                 most = max(most, int(np.bincount(maps[-1][0], minlength=1).max()))  # rows within a level are distinct
             yield maps, None
+            del maps  # dead before the next chunk's memberships are drawn
 
     rows, noise = noised_bucket_release(a, r, s + h_m, cfg.pp, cfg.bound, cfg.seed, assign)
 

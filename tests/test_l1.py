@@ -1,10 +1,13 @@
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import dpsketch.countsketch as cs_module
+import dpsketch.l1 as l1_module
 from dpsketch.bounds import GaussianNoiseSpec, l1_coeff_bound, verify_tail_bound
 from dpsketch.countsketch import private_countsketch_l2
 from dpsketch.dataset import DataMatrix, synthetic_regression
@@ -16,6 +19,7 @@ from dpsketch.l1 import (
     level_count,
     private_l1_sketch,
 )
+from dpsketch.linalg import sample_gaussian_matrix
 from dpsketch.mechanisms import PrivacyParams, RowBound, gaussian_sigma
 
 PP = PrivacyParams(1.0, 0.05)
@@ -119,8 +123,8 @@ class TestIllustrationSketch:
 class TestReleaseMemory:
     # A hashed release walks A (l1-multilevel: [A; eta]) in row chunks of
     # 2^18 cells into one r x (d+1) accumulator, so its tracemalloc peak is
-    # set by the chunk and the sketch, not by n: 0.48-1.75 MB at both sizes
-    # here, 0.03-0.10x A at 200k x 11. Both sizes hold at least one full chunk
+    # set by the chunk and the sketch, not by n: 0.48-0.95 MB at both sizes
+    # here, 0.03-0.05x A at 200k x 11. Both sizes hold at least one full chunk
     # (23831 rows at d + 1 = 11); a smaller A is one smaller chunk. One float
     # per row of A held whole would add 1.3 MB from 40k to 200k rows and
     # break the 10% growth bound; the 0.2x A bound leaves room for the chunk.
@@ -145,6 +149,42 @@ class TestReleaseMemory:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 0.2 * data.A.nbytes
+
+    def test_noise_chunk_never_held_whole(self):
+        # at 40k x 11 and r = 1207 the p = 13393 noise rows are one chunk of
+        # 1.18 MB that spans five blocks of 2^15 cells; drawn and summed a
+        # block at a time, the release peaks at 0.94 MB, below that chunk.
+        # Drawing the chunk whole holds all of it, beside its memberships.
+        data = synthetic_regression(40_000, 10, seed=7)
+        d1 = data.A.shape[1]
+        tracemalloc.start()
+        try:
+            ws = self.RELEASES["l1-multilevel"](data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ws.noise_rows * d1 * 8
+        assert ws.noise_rows <= max(cs_module._CHUNK_CELLS // d1, ws.r)  # one noise chunk
+        assert ws.noise_rows * d1 >= 3 * cs_module._NOISE_BLOCK_CELLS
+
+    def test_chunk_memberships_dead_before_next_draw(self, monkeypatch, chunks_of_r_rows):
+        # every array _level_buckets returns for a chunk of [A; eta], data or
+        # noise, is freed before the next chunk's memberships are drawn, so a
+        # release never holds two chunks' memberships
+        draw = l1_module._level_buckets
+        previous, alive = [], []
+
+        def spy(*args):
+            alive.append(sum(ref() is not None for ref in previous))
+            maps, sizes = draw(*args)
+            previous[:] = [weakref.ref(x) for pair in maps for x in pair if x is not None]
+            return maps, sizes
+
+        monkeypatch.setattr(l1_module, "_level_buckets", spy)
+        n = 300
+        ws = private_l1_sketch(synthetic_regression(n, 2, seed=40), L1SketchConfig(pp=PP, bound=B1, seed=2, N=8, s=2))
+        assert len(alive) == math.ceil(n / ws.r) + math.ceil(ws.noise_rows / ws.r) >= 4
+        assert alive == [0] * len(alive)
 
 
 class TestConfigValidation:
@@ -237,10 +277,8 @@ def _memberships(chunks):
     return np.concatenate(rows), np.concatenate([buckets for _, maps in chunks for _, buckets in maps])
 
 
-def _release_and_memberships(monkeypatch, data, cfg):
-    """``private_l1_sketch(data, cfg)`` and the (row, bucket) pairs its per-chunk ``assign`` drew."""
-    import dpsketch.l1 as l1_module
-
+def _recorded_release(monkeypatch, data, cfg):
+    """``private_l1_sketch(data, cfg)`` and the ``(start, maps)`` its per-chunk ``assign`` yielded."""
     release = l1_module.noised_bucket_release
     seen = []
 
@@ -256,16 +294,25 @@ def _release_and_memberships(monkeypatch, data, cfg):
 
     with monkeypatch.context() as patch:
         patch.setattr(l1_module, "noised_bucket_release", spy)
-        ws = private_l1_sketch(data, cfg)
+        return private_l1_sketch(data, cfg), seen
+
+
+def _release_and_memberships(monkeypatch, data, cfg):
+    """``private_l1_sketch(data, cfg)`` and the (row, bucket) pairs its per-chunk ``assign`` drew."""
+    ws, seen = _recorded_release(monkeypatch, data, cfg)
     return (ws, *_memberships(seen))
 
 
 @pytest.fixture
 def chunks_of_r_rows(monkeypatch):
     """Release in the smallest chunks ``noised_bucket_release`` takes: ``r`` rows."""
-    import dpsketch.countsketch as cs_module
-
     monkeypatch.setattr(cs_module, "_CHUNK_CELLS", 1)
+
+
+@pytest.fixture
+def noise_blocks_of_four_cells(monkeypatch):
+    """Draw and sum hashed noise in blocks of four cells: one row at ``d + 1 = 4``."""
+    monkeypatch.setattr(cs_module, "_NOISE_BLOCK_CELLS", 4)
 
 
 class TestLevelLaw:
@@ -367,11 +414,10 @@ class TestBucketSums:
     def compare(self, monkeypatch, n, s):
         """The release's bucket_sum against np.add.at of each chunk of an explicit [A; eta].
 
-        The reference sums each chunk onto zeros and adds the chunk sums in
-        order. Returns each release's sketch row count and chunk row counts.
+        The reference sums each chunk (each block of a noise chunk) onto zeros
+        and adds the sums in order. Returns each release's sketch row count
+        and the row counts of the chunks and blocks it summed.
         """
-        import dpsketch.countsketch as cs_module
-
         data = synthetic_regression(n, 3, seed=n)
         summed = []
         for seed in range(3):
@@ -395,3 +441,44 @@ class TestBucketSums:
     def test_bincount_equals_add_at_in_chunks_of_r_rows(self, monkeypatch, chunks_of_r_rows, n, s):
         for r, lengths in self.compare(monkeypatch, n, s):
             assert max(lengths) <= r and len(lengths) > 2
+
+    @pytest.mark.parametrize("n,s", [(1, 1), (2, 4), (3, 2), (50, 2), (50, 4), (2000, 1)])
+    def test_bincount_equals_add_at_in_noise_blocks(self, monkeypatch, noise_blocks_of_four_cells, n, s):
+        # the data rows are one chunk, and the noise chunk is summed a row at a time
+        for r, lengths in self.compare(monkeypatch, n, s):
+            assert lengths[0] == n and set(lengths[1:]) == {1}
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("n,s", [(50, 2), (2000, 1)])
+    def test_noise_is_eta_drawn_whole_added_block_by_block(self, request, monkeypatch, chunked, n, s):
+        # A = 0 adds exact zeros, so the sketch is its hashed noise: eta drawn
+        # whole from the noise seed, each block of each noise chunk added by
+        # np.add.at onto zeros, map by map, then the patch rows. Blocks of
+        # three rows, in one noise chunk or in chunks of r rows.
+        if chunked:
+            request.getfixturevalue("chunks_of_r_rows")
+        monkeypatch.setattr(cs_module, "_NOISE_BLOCK_CELLS", 12)
+        block = 3
+        for seed in range(3):
+            cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8, s=s, b=4.0)
+            ws, seen = _recorded_release(monkeypatch, np.zeros((n, 4)), cfg)
+            end = n + ws.noise_rows
+            noise_seed, _, patch_seed = np.random.SeedSequence(seed).spawn(3)
+            eta = sample_gaussian_matrix(ws.noise_rows, 4, ws.sigma, noise_seed)
+            want = np.zeros((ws.r, 4))
+            covered = np.zeros(ws.r, dtype=bool)
+            chunks = [(start, maps) for start, maps in seen if start >= n]
+            assert len(chunks) > 1 if chunked else len(chunks) == 1
+            for (start, maps), stop in zip(chunks, [start for start, _ in chunks[1:]] + [end]):
+                for lo in range(start, stop, block):
+                    for idx, buckets in maps:
+                        rows = np.arange(start, stop) if idx is None else start + idx
+                        inside = (rows >= lo) & (rows < lo + block)
+                        part = np.zeros_like(want)
+                        np.add.at(part, buckets[inside], eta[rows[inside] - n])
+                        want += part
+                        covered[buckets] = True
+            uncovered = np.flatnonzero(~covered)
+            if uncovered.size:
+                want[uncovered] += sample_gaussian_matrix(uncovered.size, 4, ws.sigma, patch_seed)
+            assert ws.rows.tobytes() == want.tobytes()

@@ -76,6 +76,20 @@ Within one group the fold is the same sequence of LAPACK calls as the
 single stack, so the 60-row CLI and 5000-row certified ``jl`` values did
 not move.
 
+When the multi-level release came to draw and sum its hashed noise in
+blocks of ``countsketch._NOISE_BLOCK_CELLS`` cells (8192 rows at 4
+columns), no value here moved: the noise stream is the same draw, and every
+configuration pinned above has fewer noise rows than one block (at most
+``p = 1292``, the 70000-row library value at ``r = 144``), so each noise
+chunk is still summed in one ``bucket_sum`` call.
+
+``L1_NOISE_BLOCKS_DIGEST`` pins ``l1_digest`` of the 2000-row input at
+``N = 128``, with the shipped chunk and block constants: ``r = 1411`` to
+``1536`` and ``p = 15877`` to ``17414``, one noise chunk that spans two or
+three blocks. Each block's noise is summed into the accumulator on its own,
+so the float association of the noise sums follows the block grid, and this
+value pins it; the same stream summed whole hashes differently.
+
 The ``CERTIFIED_DIGESTS`` hash releases from a ``DataMatrix`` of 5000 rows,
 so they cover the matrix as certification stores it, and a jl release whose
 R factor comes from the blocked tall-skinny QR (one of its two sketch sizes
@@ -129,11 +143,11 @@ def illus_digest(a) -> str:
     return h.hexdigest()
 
 
-def l1_digest(a) -> str:
+def l1_digest(a, N: int = 8) -> str:
     h = hashlib.sha256()
     for s in (1, 2, 4):
         for seed, n_u in ((0, None), (1, 3)):
-            ws = private_l1_sketch(a, L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8, b=2.0, s=s, N_u=n_u))
+            ws = private_l1_sketch(a, L1SketchConfig(pp=PP, bound=B1, seed=seed, N=N, b=2.0, s=s, N_u=n_u))
             _feed(h, ws.rows, ws.weights, [ws.sigma])
             _feed(
                 h, ws.level_of, ws.data_level_counts, ws.noise_coverage,
@@ -234,6 +248,9 @@ CERTIFIED_DIGESTS = {
     "synthetic": "c59323a3d095e82e08de39b1436dff9eb8412b6e8d9b40deb97fd4d1a539eecd",
 }
 
+# ``l1_digest(_data(2000), N=128)``: each noise chunk spans two or three blocks.
+L1_NOISE_BLOCKS_DIGEST = "1df0c983c074312ee04064a2481175a89ad0a65610c874cb9b6edfbca422036c"
+
 DIGEST_OF = {
     "countsketch-l2": cs2_digest, "l1-illustration": illus_digest, "l1-multilevel": l1_digest, "jl": jl_digest,
 }
@@ -256,3 +273,7 @@ def test_certified_release_bytes(method):
 @pytest.mark.parametrize("flag", sorted(CLI_DIGESTS))
 def test_cli_release_bytes(tmp_path, flag):
     assert cli_digest(tmp_path, flag) == CLI_DIGESTS[flag]
+
+
+def test_l1_noise_blocks_bytes():
+    assert l1_digest(_data(2000), N=128) == L1_NOISE_BLOCKS_DIGEST
