@@ -39,8 +39,8 @@ print("=== why c*Q does not regularize ===")
 # The release never forms Q: the R factor of A has R^T R = A^T A too, so
 # [A; cQ]^T [A; cQ] = (1 + c^2) R^T R, and the release is drawn as
 # sqrt(1 + c^2) G R with G an r x (d+1) Gaussian, the law of S [A; cQ].
-u, s, v = dps.svd(data.A)
-q = (v * s) @ v.T
+_, s, vt = np.linalg.svd(data.A, full_matrices=False)
+q = (vt.T * s) @ vt
 r_factor = tall_skinny_r(data.A)
 beta_probe = np.array([0.3, -1.0, 0.2, -1.0])
 print(f"||Q beta|| = {np.linalg.norm(q @ beta_probe):.6f}")

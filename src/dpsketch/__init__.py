@@ -3,6 +3,9 @@
 Release a private sketch of a regression dataset (JL, CountSketch, or a
 multi-level weighted l1 sketch), solve the regression on the sketch, and
 verify every noise-calibration formula and tail bound by Monte Carlo.
+The root exports what callers of the library use; the building blocks
+(``linalg``'s SVD, QR solve and samplers, ``jl``'s noisy rank test) stay in
+their modules.
 """
 
 import types as _types
@@ -37,7 +40,6 @@ from .errors import (
 from .jl import (
     JlConfig,
     JlReleaseMeta,
-    noisy_rank_test,
     private_jl_sketch,
     threshold_w_squared,
 )
@@ -48,13 +50,6 @@ from .l1 import (
     l1_tail_bound,
     level_count,
     private_l1_sketch,
-)
-from .linalg import (
-    SvdResult,
-    qr_least_squares,
-    sample_gaussian_matrix,
-    sample_laplace,
-    svd,
 )
 from .mechanisms import (
     PrivacyParams,

@@ -39,9 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sk.add_argument("--delta", type=float, required=True)
     sk.add_argument("--bound", type=float, required=True, help="certified row l2 bound B")
     sk.add_argument("--rows", type=int, required=True, help="sketch row budget r")
-    sk.add_argument("--b", type=float, default=2.0, help="branching parameter (l1 only)")
-    sk.add_argument("--s", type=int, default=1, help="level-0 sparsity (l1 only)")
-    sk.add_argument("--nu", type=int, default=None, help="uniform-level buckets (l1 only)")
+    sk.add_argument("--b", type=float, default=L1SketchConfig.b, help="branching parameter (l1 only)")
+    sk.add_argument("--s", type=int, default=L1SketchConfig.s, help="level-0 sparsity (l1 only)")
+    sk.add_argument("--nu", type=int, default=L1SketchConfig.N_u, help="uniform-level buckets (l1 only)")
     sk.add_argument("--seed", type=int, required=True)
     sk.add_argument("--in", dest="input", required=True, metavar="DATA.CSV")
     sk.add_argument("--out", dest="output", required=True, metavar="SKETCH.DPS")
@@ -81,12 +81,15 @@ def _cmd_sketch(args) -> int:
 
     method = _METHOD_OF_FLAG[args.method]
     weights = None
+    # The release's summary is printed once its file is written, not before
+    # SketchFile or write_sketch can refuse it.
+    summary = []
     if method == "jl":
         sketch, jl_meta = private_jl_sketch(data, JlConfig(args.rows, pp, bound, args.seed))
         meta = dataclasses.asdict(jl_meta)
-        print(f"branch: {jl_meta.branch}  (w^2 = {jl_meta.w_squared:.6g}, c = {jl_meta.c:.6g})")
+        summary.append(f"branch: {jl_meta.branch}  (w^2 = {jl_meta.w_squared:.6g}, c = {jl_meta.c:.6g})")
         if jl_meta.utility_warning:
-            print(f"warning: utility factor 1 + c^2 = {1 + jl_meta.c**2:.3g} is large")
+            summary.append(f"warning: utility factor 1 + c^2 = {1 + jl_meta.c**2:.3g} is large")
     else:
         if method == "l1-multilevel":
             h_m = level_count(data.n, args.b)
@@ -100,14 +103,14 @@ def _cmd_sketch(args) -> int:
             meta = {"h_m": ws.h_m, "b": cfg.b, "s": cfg.s, "N": cfg.N, "N_u": cfg.uniform_buckets,
                     "footprint": cfg.s + ws.h_m}
             occupancy = ", ".join(f"{h}:{c}" for h, c in enumerate(ws.data_level_counts))
-            print(f"levels h_m = {ws.h_m}, data rows per level {{{occupancy}}}")
+            summary.append(f"levels h_m = {ws.h_m}, data rows per level {{{occupancy}}}")
         else:
             signed = method == "countsketch-l2"
             sketch, plan = private_countsketch_l2(data, args.rows, pp, bound, args.seed, signed=signed)
             sigma, noise_rows, patched = plan.sigma, plan.p, plan.patched
             meta = {}
         meta.update(sigma=sigma, noise_rows=noise_rows, patched=patched)
-        print(f"noise sigma: {sigma:.6g}  noise rows: {noise_rows} (+{patched} patched)")
+        summary.append(f"noise sigma: {sigma:.6g}  noise rows: {noise_rows} (+{patched} patched)")
 
     release = SketchFile(
         method=method, matrix=sketch, epsilon=pp.epsilon, delta=pp.delta, B=bound.B,
@@ -119,8 +122,10 @@ def _cmd_sketch(args) -> int:
         norm = METHODS[method].norm
         coeff_bound = ridge_coeff_bound_l2 if norm == "l2" else l1_coeff_bound
         advisory = coeff_bound(meta["sigma"], release.r, [1.0])
-        print(f"{norm} regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
+        summary.append(f"{norm} regularization bound at ||beta_aug|| = 1: {advisory:.6g}")
     write_sketch(args.output, release)
+    for line in summary:
+        print(line)
     print(f"wrote {release.r} x {release.d + 1} {method} sketch to {args.output}")
     return 0
 

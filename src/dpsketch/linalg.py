@@ -3,10 +3,11 @@
 Every least-squares solve goes through one function, ``qr_least_squares``,
 which takes the augmented ``[M | rhs]``: a blocked (tall-skinny) Householder
 QR of it has an R factor that already holds ``Q^T rhs``, so ``Q`` is never
-formed. The same R factor, ``tall_skinny_r``, gives singular values and
-right singular vectors (``M`` and ``R`` share both), so no routine here but
-the public ``svd`` forms an n-row ``U``. It folds each group of row blocks
-into one running R, so beyond its input it holds one group, whatever ``n``.
+formed. The same R factor, ``tall_skinny_r``, gives the singular values of
+``M`` (``M`` and ``R`` share them): ``svd`` of the small R returns them, and
+no routine here returns singular vectors. ``tall_skinny_r`` folds each group
+of row blocks into one running R, so beyond its input it holds one group,
+whatever ``n``.
 
 Randomness policy: all sampling goes through ``numpy.random.default_rng``
 (PCG64). Normal variates use numpy's ziggurat sampler, Laplace variates its
@@ -17,23 +18,9 @@ callers stay deterministic by using disjoint seeds.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DecompositionError, ParameterError, SingularSystemError
-
-class SvdResult(NamedTuple):
-    """Thin SVD ``M = U @ diag(singular_values) @ V.T``.
-
-    ``U`` is n-by-k with orthonormal columns, ``singular_values`` is a
-    nonincreasing nonnegative vector of length k, and ``V`` is k-by-k with
-    the right singular vectors as columns.
-    """
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
 
 
 def nonempty_matrix(m) -> np.ndarray:
@@ -52,14 +39,14 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def svd(m) -> SvdResult:
-    """Thin singular value decomposition with descending singular values."""
+def svd(m) -> np.ndarray:
+    """Singular values of ``m``, descending, from LAPACK's thin SVD."""
     a = as_matrix(m)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        _, s, _ = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed to converge: {exc}") from exc
-    return SvdResult(u, s, vt.T)
+    return s
 
 
 # Rows per Householder block. Blocks this size keep each factorization in

@@ -169,8 +169,18 @@ class TestSketchCommand:
     def test_fewer_rows_than_coefficients_exits_2(self, tmp_path, csv_path, capsys, method):
         out = tmp_path / "one-row.dps"
         assert run_sketch(csv_path, str(out), method=method, extra=("--rows", "1")) == 2
-        assert "error: 1 sketch row(s) cannot determine 3 coefficients" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error: 1 sketch row(s) cannot determine 3 coefficients" in captured.err
+        assert captured.out == ""  # no summary of a release that was never written
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", [spec.flag for spec in METHODS.values()])
+    def test_failed_write_prints_no_summary(self, tmp_path, csv_path, capsys, method):
+        out = tmp_path / "missing-dir" / "x.dps"
+        assert run_sketch(csv_path, str(out), method=method) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("delimiter", ["", ";;"])
     def test_bad_delimiter(self, tmp_path, csv_path, capsys, delimiter):

@@ -25,3 +25,13 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert list(tmpdir.iterdir()) == [], "demo left temporary files behind"
+
+
+def test_readme_quickstart_runs(capsys):
+    # the quickstart uses root names only, so it fails here if README's API
+    # drifts from the package root
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    assert capsys.readouterr().out.strip()

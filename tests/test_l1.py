@@ -368,6 +368,69 @@ class TestLevelLaw:
         self.test_membership_law(monkeypatch, b, s)
 
 
+class TestWholeFootprintDisplacement:
+    """A same-seed neighbour pair whose changed row sits in all ``s + h_m`` buckets.
+
+    Neighbours released with one seed share the assignment and the noise, so
+    they differ by what the changed row moves. A random changed row rarely
+    joins every sampled level (probability ``b^-(1 + ... + h_m)``), so an audit
+    over random rows passes a release calibrated one bucket short. Here the
+    changed row is one the assignment put in every level, and its antipode
+    moves each of its ``s + h_m`` buckets by ``2B``.
+    """
+
+    @staticmethod
+    def whole_footprint_row(monkeypatch, data, cfg):
+        """A data row in ``s + h_m`` buckets, and the release's ``h_m``; None if no row is."""
+        ws, rows, _ = _release_and_memberships(monkeypatch, data, cfg)
+        per_row = np.bincount(rows[rows < data.n], minlength=data.n)
+        k = int(per_row.argmax())
+        return (k, ws.h_m) if per_row[k] == cfg.s + ws.h_m else None
+
+    @staticmethod
+    def antipodal_pair(cfg, data, k):
+        """``(moved buckets, displacement, sigma)`` of releasing row ``k`` of norm B and its antipode."""
+        a = data.A.copy()
+        a[k] *= cfg.bound.B / np.linalg.norm(a[k])
+        a_prime = a.copy()
+        a_prime[k] = -a[k]
+        one = private_l1_sketch(DataMatrix(a, cfg.bound), cfg)
+        two = private_l1_sketch(DataMatrix(a_prime, cfg.bound), cfg)
+        assert one.sigma == two.sigma
+        diff = one.rows - two.rows
+        return np.count_nonzero(np.abs(diff).max(axis=1)), float(np.linalg.norm(diff)), one.sigma
+
+    # CI's footprint release (200 rows at b = 1000: h_m = 1, footprint 17), and
+    # two rows at b = 2 (h_m = 1, footprint 2), where one bucket short is the
+    # footprint-1 noise law
+    @pytest.mark.parametrize("n,b,s", [(200, 1000.0, 16), (2, 2.0, 1)])
+    def test_whole_footprint_moves_and_is_covered(self, monkeypatch, n, b, s):
+        data = synthetic_regression(n, 2, seed=n)
+        for seed in range(50):
+            cfg = L1SketchConfig(pp=PP, bound=B1, seed=seed, N=8 * s, b=b, s=s)
+            hit = self.whole_footprint_row(monkeypatch, data, cfg)
+            if hit is not None:
+                break
+        assert hit is not None, "no seed put a data row in every bucket of its footprint"
+        k, h_m = hit
+        footprint = s + h_m
+
+        moved, displacement, sigma = self.antipodal_pair(cfg, data, k)
+        assert moved == footprint
+        assert displacement == pytest.approx(2.0 * B1.B * math.sqrt(footprint), rel=1e-12)
+        assert gaussian_sigma(displacement, PP) <= sigma * (1 + 1e-12)
+
+        # calibrated one bucket short, the same displacement needs more noise than was drawn
+        release = l1_module.noised_bucket_release
+        monkeypatch.setattr(
+            l1_module, "noised_bucket_release",
+            lambda a, r, footprint, *rest: release(a, r, footprint - 1, *rest),
+        )
+        moved, displacement, short_sigma = self.antipodal_pair(cfg, data, k)
+        assert moved == footprint and short_sigma < sigma
+        assert not gaussian_sigma(displacement, PP) <= short_sigma * (1 + 1e-12)
+
+
 class TestDiagnosticsRecount:
     # the diagnostics a release reports equal a brute-force recount of the
     # (row, bucket) memberships its assignment lists

@@ -29,22 +29,17 @@ def charpoly_singular_values_2x2(m):
 
 class TestSvd:
     def test_identity(self):
-        res = svd(np.eye(3))
-        assert np.allclose(res.singular_values, [1.0, 1.0, 1.0], atol=1e-12)
-        # U and V match the identity up to per-column sign
-        assert np.allclose(np.abs(res.U), np.eye(3), atol=1e-12)
-        assert np.allclose(np.abs(res.V), np.eye(3), atol=1e-12)
+        assert np.allclose(svd(np.eye(3)), [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_diagonal(self):
-        res = svd(np.diag([3.0, 2.0]))
-        assert np.allclose(res.singular_values, [3.0, 2.0], atol=1e-12)
+        assert np.allclose(svd(np.diag([3.0, 2.0])), [3.0, 2.0], atol=1e-12)
 
     def test_2x2_against_charpoly_oracle(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         s1, s2 = charpoly_singular_values_2x2(m)
         # frozen oracle values: 5.464985704219043, 0.3659661906262571
         assert s1 == pytest.approx(5.464985704219043, rel=1e-12)
-        got = svd(m).singular_values
+        got = svd(m)
         assert got[0] == pytest.approx(s1, rel=1e-9)
         assert got[1] == pytest.approx(s2, rel=1e-9)
 
@@ -52,12 +47,12 @@ class TestSvd:
         rng = np.random.default_rng(11)
         for _ in range(10):
             a = rng.standard_normal((50, 5))
-            u, s, v = svd(a)
-            assert np.max(np.abs(u.T @ u - np.eye(5))) <= 1e-10
-            assert np.max(np.abs(v.T @ v - np.eye(5))) <= 1e-10
-            recon = u @ np.diag(s) @ v.T
-            assert np.max(np.abs(recon - a)) <= 1e-8 * max(1.0, np.abs(a).max())
+            s = svd(a)
+            assert s.shape == (5,)
             assert np.all(np.diff(s) <= 0) and s[-1] >= 0
+            # the squares are the eigenvalues of A^T A (ascending from eigvalsh)
+            eig = np.linalg.eigvalsh(a.T @ a)[::-1]
+            assert np.max(np.abs(s**2 - eig)) <= 1e-10 * eig[0]
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ParameterError):
@@ -72,7 +67,7 @@ class TestSvd:
             u, _ = np.linalg.qr(rng.standard_normal((60, 6)))
             v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             planted = np.geomspace(cond, 1.0, 6)
-            got = svd((u * planted) @ v.T).singular_values
+            got = svd((u * planted) @ v.T)
             assert np.max(np.abs(got - planted) / planted) <= rel_tol
 
 
@@ -141,7 +136,7 @@ class TestTallSkinnyR:
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, 7)) * np.geomspace(1.0, 1e-3, 7)
         expected = np.linalg.svd(m, compute_uv=False)[-1]
-        assert svd(tall_skinny_r(m)).singular_values[-1] == pytest.approx(expected, rel=1e-12)
+        assert svd(tall_skinny_r(m))[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_exact_l2_is_bit_identical_to_qr_least_squares(self):
         data = synthetic_regression(20_000, 10, seed=4)

@@ -1,6 +1,9 @@
 import dataclasses
 import inspect
 import math
+import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,3 +224,52 @@ def test_package_root_exports_only_calibrated_releases():
     names = [param for fn in releases for param in inspect.signature(fn).parameters]
     names += [f.name for cfg in (dpsketch.JlConfig, dpsketch.L1SketchConfig) for f in dataclasses.fields(cfg)]
     assert [name for name in names if "sigma" in name or "noise" in name] == []
+
+
+ROOT_API = [
+    "BoundReport", "GaussianNoiseSpec", "l1_coeff_bound", "ridge_coeff_bound_l2", "verify_tail_bound",
+    "NoisePlan", "noise_row_count", "private_countsketch_l2",
+    "DataMatrix", "IngestResult", "ingest", "max_row_norm", "synthetic_regression",
+    "CertificationError", "DecompositionError", "DpSketchError", "ParameterError", "SingularSystemError",
+    "SketchFileError",
+    "JlConfig", "JlReleaseMeta", "private_jl_sketch", "threshold_w_squared",
+    "L1SketchConfig", "WeightedSketch", "illustration_sketch_private", "l1_tail_bound", "level_count",
+    "private_l1_sketch",
+    "PrivacyParams", "RowBound", "bucket_sensitivity", "gaussian_sigma",
+    "SketchFile", "read_sketch", "write_sketch",
+    "RatioReport", "RegressionSolution", "SketchProblem", "approximation_ratio", "exact_l1_solution",
+    "exact_l2_solution", "solve_l1_weighted", "solve_l2_sketch",
+    "SUITES",
+]
+# The building blocks that stay in their modules: linalg (the SVD, the QR
+# solve and the samplers) and jl (the noisy rank test).
+MODULE_INTERNALS = ["svd", "SvdResult", "qr_least_squares", "sample_gaussian_matrix", "sample_laplace", "noisy_rank_test"]
+# Where the root API is called from outside the library.
+_REPO = Path(__file__).resolve().parents[1]
+_CALLERS = [
+    _REPO / "README.md", *sorted((_REPO / "demos").glob("*.py")),
+    _REPO / ".github" / "workflows" / "tests.yml", *sorted((_REPO / "perfbench").glob("*.py")),
+]
+
+
+def test_package_root_exports_exactly_the_api():
+    assert len(ROOT_API) == 45
+    assert dpsketch.__all__ == ROOT_API
+    assert [name for name in MODULE_INTERNALS if hasattr(dpsketch, name)] == []
+
+
+def test_package_root_serves_every_documented_caller():
+    # every dps.X, dpsketch.X and "from dpsketch import X" outside the library
+    # names a root export or a submodule
+    submodules = {info.name for info in pkgutil.iter_modules(dpsketch.__path__)}
+    used = {}
+    for path in _CALLERS:
+        text = path.read_text()
+        names = re.findall(r"\b(?:dps|dpsketch)\.([A-Za-z]\w*)", text)
+        for wrapped, inline in re.findall(r"from dpsketch import (?:\(([^)]*)\)|([\w ,]+))", text):
+            names += [name.strip() for name in (wrapped or inline).split(",") if name.strip()]
+        for name in names:
+            used.setdefault(name, path.name)
+    assert len(used) >= 25  # the patterns still find the callers' names
+    unknown = {name: where for name, where in used.items() if name not in ROOT_API and name not in submodules}
+    assert unknown == {}
