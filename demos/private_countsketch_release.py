@@ -26,8 +26,8 @@ a = rng.standard_normal((n, 4))
 a /= np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1.0)
 a_neighbor = a.copy()
 a_neighbor[17] = -a[17]  # swap one row for another bounded row
-plan = draw_countsketch_plan(n, r=8, seed=5)
-diff = countsketch_apply(plan, a) - countsketch_apply(plan, a_neighbor)
+plan = draw_countsketch_plan(n, r=8, seed=5)  # (buckets, signs)
+diff = countsketch_apply(a, 8, *plan) - countsketch_apply(a_neighbor, 8, *plan)
 print(f"rows changed in SA: {int((np.abs(diff).max(axis=1) > 0).sum())} (exactly one bucket)")
 print(f"||SA - SA'||_2 = {np.linalg.norm(diff):.4f} <= 2B = {dps.bucket_sensitivity(bound, 1)}\n")
 

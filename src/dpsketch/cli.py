@@ -22,7 +22,7 @@ from .jl import JlConfig, private_jl_sketch
 from .l1 import L1SketchConfig, level_count, private_l1_sketch
 from .l1 import illustration_sketch_private  # noqa: F401  (hook site of perfbench/tracer.py)
 from .mechanisms import PrivacyParams, RowBound
-from .sketchfile import METHODS, SketchFile, read_sketch, write_sketch
+from .sketchfile import METHODS, SketchFile, _atomic_open, _check_rows, read_sketch, write_sketch
 from .solvers import SketchProblem, solve_l1_weighted, solve_l2_sketch
 from .suites import SUITES
 
@@ -76,37 +76,42 @@ def _cmd_sketch(args) -> int:
         has_header=args.header, response_column=args.response,
     )
     data = result.data
-    if result.rescaled_rows:
-        print(f"warning: rescaled {result.rescaled_rows} row(s) to norm B = {bound.B:g}")
-
     method = _METHOD_OF_FLAG[args.method]
+    r = args.rows
+    if method == "l1-multilevel":
+        h_m = level_count(data.n, args.b)
+        cfg = L1SketchConfig(
+            pp=pp, bound=bound, seed=args.seed, N=_split_l1_budget(args.rows, h_m, args.s, args.nu),
+            b=args.b, s=args.s, N_u=args.nu,
+        )
+        r = cfg.N * h_m + cfg.N_u
+    # A release that cannot determine its coefficients is refused before it is drawn.
+    _check_rows(r, data.d)
+
     weights = None
     # The release's summary is printed once its file is written, not before
     # SketchFile or write_sketch can refuse it.
     summary = []
+    if result.rescaled_rows:
+        summary.append(f"warning: rescaled {result.rescaled_rows} row(s) to norm B = {bound.B:g}")
     if method == "jl":
-        sketch, jl_meta = private_jl_sketch(data, JlConfig(args.rows, pp, bound, args.seed))
+        sketch, jl_meta = private_jl_sketch(data, JlConfig(r, pp, bound, args.seed))
         meta = dataclasses.asdict(jl_meta)
         summary.append(f"branch: {jl_meta.branch}  (w^2 = {jl_meta.w_squared:.6g}, c = {jl_meta.c:.6g})")
         if jl_meta.utility_warning:
             summary.append(f"warning: utility factor 1 + c^2 = {1 + jl_meta.c**2:.3g} is large")
     else:
         if method == "l1-multilevel":
-            h_m = level_count(data.n, args.b)
-            n_level = _split_l1_budget(args.rows, h_m, args.s, args.nu)
-            cfg = L1SketchConfig(
-                pp=pp, bound=bound, seed=args.seed, N=n_level, b=args.b, s=args.s, N_u=args.nu,
-            )
             ws = private_l1_sketch(data, cfg)
             sketch, weights = ws.rows, ws.weights
             sigma, noise_rows, patched = ws.sigma, ws.noise_rows, ws.patched
-            meta = {"h_m": ws.h_m, "b": cfg.b, "s": cfg.s, "N": cfg.N, "N_u": cfg.uniform_buckets,
+            meta = {"h_m": ws.h_m, "b": cfg.b, "s": cfg.s, "N": cfg.N, "N_u": cfg.N_u,
                     "footprint": cfg.s + ws.h_m}
             occupancy = ", ".join(f"{h}:{c}" for h, c in enumerate(ws.data_level_counts))
             summary.append(f"levels h_m = {ws.h_m}, data rows per level {{{occupancy}}}")
         else:
             signed = method == "countsketch-l2"
-            sketch, plan = private_countsketch_l2(data, args.rows, pp, bound, args.seed, signed=signed)
+            sketch, plan = private_countsketch_l2(data, r, pp, bound, args.seed, signed=signed)
             sigma, noise_rows, patched = plan.sigma, plan.p, plan.patched
             meta = {}
         meta.update(sigma=sigma, noise_rows=noise_rows, patched=patched)
@@ -171,7 +176,7 @@ def _cmd_solve(args) -> int:
             "converged": sol.converged,
             "iterations": sol.iterations,
         }
-        with open(args.json_out, "w") as handle:
+        with _atomic_open(args.json_out, "x") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote solution to {args.json_out}")
     return 0

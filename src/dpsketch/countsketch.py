@@ -7,12 +7,13 @@ hashed releases: ``noised_bucket_release`` walks ``A`` in row chunks of
 about ``_CHUNK_CELLS`` cells, draws each chunk's buckets and signs (or level
 memberships) and adds the chunk into one ``r x (d+1)`` accumulator. The
 CountSketch releases (``cs2``, and ``l1-illus`` without signs) draw their
-buckets and signs with ``countsketch_assignment``, and a plan is its first
-chunk: the assignment of a release's first data rows at that release's
-assignment seed. There each row of ``[A; eta]`` lands in one uniform bucket,
-and a sign flip leaves a Gaussian row's law unchanged, so the noise in bucket
-``b`` is exactly N(0, c_b sigma^2 I) with ``c ~ Multinomial(p, 1/r)``: that
-law is drawn directly, one Gaussian row per bucket, and ``eta`` never is.
+buckets and signs with ``countsketch_assignment``, and a plan is the two
+arrays of its first chunk, ``(buckets, signs)``: the assignment of a
+release's first data rows at that release's assignment seed. There each
+row of ``[A; eta]`` lands in one uniform bucket, and a sign flip leaves a
+Gaussian row's law unchanged, so the noise in bucket ``b`` is exactly N(0,
+c_b sigma^2 I) with ``c ~ Multinomial(p, 1/r)``: that law is drawn
+directly, one Gaussian row per bucket, and ``eta`` never is.
 The multi-level release places a noise row in several buckets, so it walks
 ``eta`` in chunks after ``A`` and hashes it like data, drawing and summing
 each noise chunk in blocks of ``_NOISE_BLOCK_CELLS`` cells that continue one
@@ -56,29 +57,6 @@ _SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
-class CountSketchPlan:
-    """One nonzero per input row: a bucket in [0, r) and a sign in {-1, +1}."""
-
-    r: int
-    bucket_of: np.ndarray
-    sign_of: np.ndarray
-
-    def __post_init__(self):
-        buckets = np.asarray(self.bucket_of, dtype=np.intp)
-        if self.r < 1:
-            raise ParameterError("sketch must have at least one row")
-        if buckets.ndim != 1:
-            raise ParameterError("bucket map must be 1-d")
-        if buckets.size and (buckets.min() < 0 or buckets.max() >= self.r):
-            raise ParameterError("bucket indices out of range")
-        signs = np.asarray(self.sign_of, dtype=float)
-        if signs.shape != buckets.shape or not np.all(np.abs(signs) == 1.0):
-            raise ParameterError("signs must be +1 or -1, one per input row")
-        object.__setattr__(self, "bucket_of", buckets)
-        object.__setattr__(self, "sign_of", signs)
-
-
-@dataclass(frozen=True)
 class NoisePlan:
     """How a private CountSketch was noised: row counts and per-bucket coverage."""
 
@@ -98,8 +76,8 @@ def countsketch_assignment(seed: np.random.SeedSequence, chunks, r: int, signed:
         yield [(None, buckets.integers(0, r, size=k))], signs.choice(_SIGNS, size=k) if signed else None
 
 
-def draw_countsketch_plan(n_inputs: int, r: int, seed) -> CountSketchPlan:
-    """The plan ``countsketch_assignment`` draws for rows ``0 .. n_inputs - 1`` at ``seed``.
+def draw_countsketch_plan(n_inputs: int, r: int, seed) -> "tuple[np.ndarray, np.ndarray]":
+    """The ``(buckets, signs)`` that ``countsketch_assignment`` draws for rows ``0 .. n_inputs - 1`` at ``seed``.
 
     ``seed`` is an int, a sequence of ints or a ``SeedSequence`` (copied, not spawned from). At a
     release's assignment seed, the plan is the release's assignment of its first ``n_inputs`` data rows."""
@@ -107,7 +85,7 @@ def draw_countsketch_plan(n_inputs: int, r: int, seed) -> CountSketchPlan:
         raise ParameterError("a plan needs at least one input row and one sketch row")
     seed = np.random.SeedSequence(getattr(seed, "entropy", seed), spawn_key=getattr(seed, "spawn_key", ()))
     [(_, buckets)], signs = next(countsketch_assignment(seed, [(0, n_inputs)], r))
-    return CountSketchPlan(r=r, bucket_of=buckets, sign_of=signs)
+    return buckets, signs
 
 
 def bucket_sum(out: np.ndarray, m: np.ndarray, maps, signs=None) -> np.ndarray:
@@ -137,13 +115,13 @@ def bucket_sum(out: np.ndarray, m: np.ndarray, maps, signs=None) -> np.ndarray:
     return out
 
 
-def countsketch_apply(plan: CountSketchPlan, m) -> np.ndarray:
-    """Apply a fixed plan: output row i sums ``sign[j] * M[j]`` over rows with bucket j = i."""
+def countsketch_apply(m, r: int, buckets, signs) -> np.ndarray:
+    """``bucket_sum`` of ``m`` onto an ``r``-row zero sketch: row i sums ``signs[j] * m[j]`` over rows j in bucket i."""
     a = as_matrix(m)
-    if a.shape[0] != len(plan.bucket_of):
-        raise ParameterError(f"plan covers {len(plan.bucket_of)} input rows but matrix has {a.shape[0]}")
-    check_addressable(plan.r, a.shape[1], "sketch")
-    return bucket_sum(np.zeros((plan.r, a.shape[1])), a, [(None, plan.bucket_of)], plan.sign_of)
+    if a.shape[0] != len(buckets):
+        raise ParameterError(f"plan covers {len(buckets)} input rows but matrix has {a.shape[0]}")
+    check_addressable(r, a.shape[1], "sketch")
+    return bucket_sum(np.zeros((r, a.shape[1])), a, [(None, buckets)], signs)
 
 
 def noise_row_count(r: int) -> int:
@@ -178,12 +156,13 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
     are drawn from the noise generator. At a larger footprint a noise row
     sits in several buckets, whose noises are then correlated: ``eta`` is
     walked after the data in chunks of the same size, and each chunk is
-    placed by ``assign`` like data rows. A chunk's rows are drawn from the
-    noise generator and summed in blocks of ``_NOISE_BLOCK_CELLS // (d+1)``
-    rows (``_sum_noise_chunk``), so no noise chunk is held whole; the blocks
-    continue one stream, and only the float association of the sums depends
-    on the block size. The patch rows are drawn from their own seed. Returns
-    the sketch and its ``NoisePlan``.
+    placed by ``assign``'s maps like data rows but unsigned, since a sign
+    flip leaves a Gaussian row's law unchanged. A chunk's rows are drawn
+    from the noise generator and summed in blocks of ``_NOISE_BLOCK_CELLS //
+    (d+1)`` rows (``_sum_noise_chunk``), so no noise chunk is held whole; the
+    blocks continue one stream, and only the float association of the sums
+    depends on the block size. The patch rows are drawn from their own seed.
+    Returns the sketch and its ``NoisePlan``.
     """
     sigma = gaussian_sigma(bucket_sensitivity(bound, footprint), pp)
     n, d1 = a.shape
@@ -208,7 +187,7 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
         coverage = np.zeros(r, dtype=np.intp)
         block = max(_NOISE_BLOCK_CELLS // d1, 1)
         for _, k in hashed:
-            _sum_noise_chunk(sketch, coverage, k, block, sigma, noise, *next(assignments))
+            _sum_noise_chunk(sketch, coverage, k, block, sigma, noise, next(assignments)[0])
         uncovered = np.flatnonzero(coverage == 0)
         if uncovered.size:
             # A sign flip leaves the Gaussian law unchanged, so patches are added as-is.
@@ -217,8 +196,8 @@ def noised_bucket_release(a: np.ndarray, r: int, footprint: int, pp: PrivacyPara
     return sketch, NoisePlan(p=p, sigma=sigma, coverage=coverage, patched=int(uncovered.size))
 
 
-def _sum_noise_chunk(out, coverage, k, block, sigma, noise, maps, signs):
-    """Add ``k`` N(0, sigma^2) rows placed by ``maps`` (and ``signs``) into ``out``, ``block`` rows at a time.
+def _sum_noise_chunk(out, coverage, k, block, sigma, noise, maps):
+    """Add ``k`` N(0, sigma^2) rows placed by ``maps`` into ``out``, ``block`` rows at a time.
 
     Each block is the next ``block`` rows of the ``noise`` generator's stream,
     so the blocks stack to one draw of all ``k`` rows. Each map is restricted
@@ -232,7 +211,7 @@ def _sum_noise_chunk(out, coverage, k, block, sigma, noise, maps, signs):
     blocks = zip(*(_map_blocks(idx, buckets, k, block) for idx, buckets in maps))
     for lo, in_block in zip(range(0, k, block), blocks):
         eta = sample_gaussian_matrix(min(block, k - lo), out.shape[1], sigma, noise)
-        bucket_sum(out, eta, in_block, None if signs is None else signs[lo:lo + block])
+        bucket_sum(out, eta, in_block)
         del eta  # before the next block is drawn
 
 
@@ -273,10 +252,10 @@ def private_countsketch_l2(
     first of ``SeedSequence(seed).spawn(3)``, then one N(0, max(c_b, 1)
     sigma^2 I) row per bucket. ``countsketch_assignment`` draws the data rows'
     buckets and signs (no signs unsigned) at the assignment seed, the second,
-    so ``draw_countsketch_plan(n, r, that seed)`` is the release's assignment.
-    ``seed`` is an int or a sequence of ints; it, the buckets and the signs are
-    discarded, never serialized. Rows
-    come from ``certified_rows`` (``CertificationError`` on a row over ``B``); a
+    so ``draw_countsketch_plan(n, r, that seed)`` returns the release's
+    buckets and signs. ``seed`` is an int or a sequence of ints; it, the
+    buckets and the signs are discarded, never serialized. Rows come from
+    ``certified_rows`` (``CertificationError`` on a row over ``B``); a
     ``DataMatrix`` certified at ``B' <= B`` is not scanned again.
     """
     assign = functools.partial(countsketch_assignment, r=r, signed=signed)

@@ -92,10 +92,10 @@ class L1SketchConfig:
     """Parameters of the multi-level weighted l1 release.
 
     ``N`` buckets per level at levels ``0..h_m-1`` (``N`` divisible by the
-    level-0 sparsity ``s``), ``N_u`` buckets at the uniform level (defaults
-    to ``N``). Each row enters level ``h >= 1`` independently with
-    probability ``1/b^h``. The noise is calibrated to sensitivity
-    ``2 B sqrt(s + h_m)``, see module docs.
+    level-0 sparsity ``s``), ``N_u`` buckets at the uniform level (``None``
+    is set to ``N`` on construction). Each row enters level ``h >= 1``
+    independently with probability ``1/b^h``. The noise is calibrated to
+    sensitivity ``2 B sqrt(s + h_m)``, see module docs.
     """
 
     pp: PrivacyParams
@@ -113,12 +113,10 @@ class L1SketchConfig:
             raise ParameterError("level-0 sparsity s must be at least 1")
         if self.N < 1 or self.N % self.s != 0:
             raise ParameterError("N must be a positive multiple of s")
-        if self.N_u is not None and self.N_u < 1:
+        if self.N_u is None:
+            object.__setattr__(self, "N_u", self.N)
+        if self.N_u < 1:
             raise ParameterError("N_u must be positive")
-
-    @property
-    def uniform_buckets(self) -> int:
-        return self.N if self.N_u is None else self.N_u
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ def _level_buckets(rng: np.random.Generator, k: int, cfg: L1SketchConfig, h_m: i
     for h in range(1, h_m + 1):
         size = rng.binomial(k, b**-h)
         rows.append(rng.choice(k, size=size, replace=False, shuffle=False))
-        width = N if h < h_m else cfg.uniform_buckets
+        width = N if h < h_m else cfg.N_u
         buckets.append(h * N + rng.integers(0, width, size=size))
         sizes.append(size)
     # one list and one concatenation alive at a time, not both of each
@@ -197,7 +195,7 @@ def private_l1_sketch(data: "DataMatrix | np.ndarray", cfg: L1SketchConfig) -> W
     n = a.shape[0]
 
     h_m = level_count(n, cfg.b)
-    N, N_u, s, b = cfg.N, cfg.uniform_buckets, cfg.s, cfg.b
+    N, N_u, s, b = cfg.N, cfg.N_u, cfg.s, cfg.b
     r = N * h_m + N_u
 
     data_level_counts = np.zeros(h_m + 1, dtype=np.int64)

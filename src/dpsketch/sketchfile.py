@@ -5,7 +5,8 @@ header, then ``r * (d+1)`` float64 LE sketch entries row-major, then ``r``
 float64 LE weights iff ``METHODS`` marks the method weighted. Round-trips
 are bit-exact so solvers in any language read identical sketches. Writes go
 to a temporary file in the target directory that is then renamed over the
-target, so a failed write leaves any earlier file in place.
+target (``_atomic_open``, which ``solve --json`` writes through too), so a
+failed write leaves any earlier file in place.
 
 ``read_sketch`` only parses these bytes; ``SketchFile`` keeps the file-level
 rules and leaves the payload checks to ``SketchProblem``, which solvers read.
@@ -17,6 +18,7 @@ voids the privacy guarantee.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -92,8 +94,7 @@ class SketchFile:
         payload = SketchProblem(self.matrix, self.weights)
         object.__setattr__(self, "matrix", payload.M)
         object.__setattr__(self, "weights", payload.weights)
-        if self.r < self.d:
-            raise ParameterError(f"{self.r} sketch row(s) cannot determine {self.d} coefficients; need rows >= d")
+        _check_rows(self.r, self.d)
 
     @property
     def r(self) -> int:
@@ -102,6 +103,30 @@ class SketchFile:
     @property
     def d(self) -> int:
         return self.matrix.shape[1] - 1
+
+
+def _check_rows(r: int, d: int) -> None:
+    """Refuse a release of ``r`` sketch rows, fewer than the ``d`` coefficients it must determine."""
+    if r < d:
+        raise ParameterError(f"{r} sketch row(s) cannot determine {d} coefficients; need rows >= d")
+
+
+@contextlib.contextmanager
+def _atomic_open(path, mode: str):
+    """Open a new temporary file beside ``path`` in ``mode`` and rename it over ``path`` once the block ends.
+
+    If the block or the rename fails, the temporary file is removed and any
+    earlier file at ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with tmp.open(mode) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_sketch(path, sf: SketchFile) -> None:
@@ -116,21 +141,14 @@ def write_sketch(path, sf: SketchFile) -> None:
         "has_weights": sf.weights is not None,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with tmp.open("xb") as handle:
-            handle.write(MAGIC)
-            handle.write(struct.pack("<H", VERSION))
-            handle.write(struct.pack("<I", len(blob)))
-            handle.write(blob)
-            handle.write(np.ascontiguousarray(sf.matrix, dtype="<f8").tobytes())
-            if sf.weights is not None:
-                handle.write(np.ascontiguousarray(sf.weights, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_open(path, "xb") as handle:
+        handle.write(MAGIC)
+        handle.write(struct.pack("<H", VERSION))
+        handle.write(struct.pack("<I", len(blob)))
+        handle.write(blob)
+        handle.write(np.ascontiguousarray(sf.matrix, dtype="<f8").tobytes())
+        if sf.weights is not None:
+            handle.write(np.ascontiguousarray(sf.weights, dtype="<f8").tobytes())
 
 
 def read_sketch(path) -> SketchFile:

@@ -160,7 +160,7 @@ def suite_cs_embedding(trials: int = 100, seed: int = 0) -> "list[BoundReport]":
     outside = 0
     for i in range(trials):
         plan = draw_countsketch_plan(n, r, np.random.SeedSequence([seed, i]))
-        ratios = _embedding_ratios(countsketch_apply(plan, a), vs, base)
+        ratios = _embedding_ratios(countsketch_apply(a, r, *plan), vs, base)
         outside += int(((ratios < 0.5) | (ratios > 1.5)).sum())
     return [
         BoundReport(

@@ -251,7 +251,7 @@ def test_criterion_12_sensitivity_audit():
         replacement = rng.standard_normal(4)
         a_prime[k] = replacement / max(np.linalg.norm(replacement), b)
         plan = draw_countsketch_plan(n, 8, seed=1200 + i)
-        diff = countsketch_apply(plan, a) - countsketch_apply(plan, a_prime)
+        diff = countsketch_apply(a, 8, *plan) - countsketch_apply(a_prime, 8, *plan)
         worst = max(worst, float(np.linalg.norm(diff)))
     report("criterion 12: sensitivity audit", worst <= 2.0 * b + 1e-9, f"worst diff {worst:.6f}")
 

@@ -11,9 +11,8 @@ from dpsketch.mechanisms import PrivacyParams, RowBound, bucket_sensitivity, gau
 from dpsketch.sketchfile import METHODS, read_sketch
 from dpsketch.suites import SUITES
 
-# The hashed releases (every method but jl) and the flags of the unweighted ones.
+# The hashed releases (every method but jl).
 HASHED = [method for method in METHODS if method != "jl"]
-UNWEIGHTED_FLAGS = [spec.flag for spec in METHODS.values() if not spec.weighted]
 
 
 @pytest.fixture
@@ -165,12 +164,29 @@ class TestSketchCommand:
         assert captured.err.startswith("error: sigma_min(A)^2 underflows")
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", UNWEIGHTED_FLAGS)
-    def test_fewer_rows_than_coefficients_exits_2(self, tmp_path, csv_path, capsys, method):
-        out = tmp_path / "one-row.dps"
-        assert run_sketch(csv_path, str(out), method=method, extra=("--rows", "1")) == 2
+    @pytest.mark.parametrize("method", [spec.flag for spec in METHODS.values()])
+    def test_fewer_rows_than_coefficients_exits_2(self, tmp_path, capsys, monkeypatch, method):
+        # 10 rows of 8 columns (d = 7), the first over B. --rows 6 is refused
+        # before any release is drawn, and the rescale warning is not printed;
+        # for l1 it splits into N = 1 bucket per level at h_m = 4 and N_u = 1,
+        # so r = 5.
+        import dpsketch.cli as cli
+
+        def no_release(*args, **kwargs):
+            raise AssertionError("release drawn")
+
+        for name in vars(cli):
+            if name.startswith("private_"):
+                monkeypatch.setattr(cli, name, no_release)
+        rows = np.full((10, 8), 0.1)
+        rows[0] *= 10.0
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, rows, delimiter=",")
+        out = tmp_path / "short.dps"
+        assert run_sketch(str(path), str(out), method=method, extra=("--rows", "6")) == 2
         captured = capsys.readouterr()
-        assert "error: 1 sketch row(s) cannot determine 3 coefficients" in captured.err
+        r = 5 if method == "l1" else 6
+        assert captured.err == f"error: {r} sketch row(s) cannot determine 7 coefficients; need rows >= d\n"
         assert captured.out == ""  # no summary of a release that was never written
         assert not out.exists()
 
@@ -519,6 +535,23 @@ class TestSolveCommand:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", "--norm", "l2", "--in", str(tmp_path / "no.dps")]) == 2
+
+    def test_failed_json_write_keeps_previous_file(self, tmp_path, csv_path, capsys, monkeypatch):
+        out = str(tmp_path / "cs2.dps")
+        assert run_sketch(csv_path, out, method="cs2") == 0
+        json_out = tmp_path / "sol.json"
+        json_out.write_text('{"earlier": "solution"}')
+        files = sorted(tmp_path.iterdir())
+
+        def fail(payload, handle, **kwargs):
+            handle.write('{"method": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", fail)
+        assert main(["solve", "--in", out, "--json", str(json_out)]) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert json_out.read_text() == '{"earlier": "solution"}'
+        assert sorted(tmp_path.iterdir()) == files  # no temporary file left
 
 
 # `verify --seed 0` stdout of every suite at its default trial count; a change

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dpsketch.countsketch import (
-    CountSketchPlan,
     bucket_sum,
     countsketch_apply,
     draw_countsketch_plan,
@@ -23,43 +22,37 @@ PP = PrivacyParams(1.0, 0.05)
 class TestApply:
     def test_permutation_plan_is_identity(self):
         m = np.arange(12.0).reshape(4, 3)
-        plan = CountSketchPlan(r=4, bucket_of=np.arange(4), sign_of=np.ones(4))
-        assert np.array_equal(countsketch_apply(plan, m), m)
+        assert np.array_equal(countsketch_apply(m, 4, np.arange(4), np.ones(4)), m)
 
     def test_single_row(self):
-        plan = CountSketchPlan(r=3, bucket_of=np.array([1]), sign_of=np.array([-1.0]))
-        out = countsketch_apply(plan, [[2.0, 5.0]])
+        out = countsketch_apply([[2.0, 5.0]], 3, np.array([1]), np.array([-1.0]))
         assert np.array_equal(out, [[0.0, 0.0], [-2.0, -5.0], [0.0, 0.0]])
 
     def test_hand_summed_buckets(self):
         # ones(4x1), buckets (0,0,1,1), signs (+,-,+,+) -> rows (0, 2)
-        plan = CountSketchPlan(
-            r=2, bucket_of=np.array([0, 0, 1, 1]), sign_of=np.array([1.0, -1.0, 1.0, 1.0])
-        )
-        out = countsketch_apply(plan, np.ones((4, 1)))
+        out = countsketch_apply(np.ones((4, 1)), 2, np.array([0, 0, 1, 1]), np.array([1.0, -1.0, 1.0, 1.0]))
         assert np.array_equal(out, [[0.0], [2.0]])
 
     def test_dimension_mismatch(self):
-        plan = CountSketchPlan(r=2, bucket_of=np.zeros(3, dtype=int), sign_of=np.ones(3))
         with pytest.raises(ParameterError):
-            countsketch_apply(plan, np.ones((4, 2)))
+            countsketch_apply(np.ones((4, 2)), 2, np.zeros(3, dtype=int), np.ones(3))
 
     def test_unaddressable_sketch_refused(self):
         # a plan into more buckets than an array can hold is refused with a
         # typed error before the accumulator is allocated
         with pytest.raises(ParameterError, match="address"):
-            countsketch_apply(draw_countsketch_plan(3, 10**18, 1), np.ones((3, 2)))
+            countsketch_apply(np.ones((3, 2)), 10**18, *draw_countsketch_plan(3, 10**18, 1))
 
     def test_matches_add_at_reference(self):
         # exact equality with the np.add.at accumulation, including plans
         # that leave buckets empty (n << r) and the single-bucket plan r = 1
         rng = np.random.default_rng(41)
         for n, r, d1 in [(5, 50, 3), (300, 1, 4), (2000, 64, 2), (1, 3, 1), (700, 700, 5)]:
-            plan = draw_countsketch_plan(n, r, rng.integers(2**32))
+            buckets, signs = draw_countsketch_plan(n, r, rng.integers(2**32))
             m = rng.standard_normal((n, d1))
             ref = np.zeros((r, d1))
-            np.add.at(ref, plan.bucket_of, plan.sign_of[:, None] * m)
-            assert np.array_equal(countsketch_apply(plan, m), ref)
+            np.add.at(ref, buckets, signs[:, None] * m)
+            assert np.array_equal(countsketch_apply(m, r, buckets, signs), ref)
 
     def test_blocks_equal_explicit_stack(self):
         # summing [A; eta] as two row chunks into one accumulator, with a
@@ -102,33 +95,23 @@ class TestApply:
                     maps = [(None, level) for level in dense] + [(idx, buckets)]
                     assert np.array_equal(bucket_sum(np.zeros((r, 3)), stacked, maps, signs), ref)
 
-    def test_plan_validation(self):
-        # the bucket map is checked for range and shape, the signs for value
-        # and length
-        for buckets in (np.array([0, 2]), np.array([-1, 0]), np.zeros((2, 2), dtype=int)):
-            with pytest.raises(ParameterError):
-                CountSketchPlan(r=2, bucket_of=buckets, sign_of=np.ones(2))
-        for signs in (np.array([1.0, 0.5]), np.ones(3)):
-            with pytest.raises(ParameterError):
-                CountSketchPlan(r=2, bucket_of=np.array([0, 1]), sign_of=signs)
-
     def test_unsigned_plan_validation(self):
-        # a plan must carry its signs: an unsigned one (no sign array) is
-        # refused, with a valid bucket map or not; unsigned sums go through
-        # the kernel with signs=None, which adds the rows as they are
-        for buckets in (np.array([2, 0, 2]), np.array([0, 3, 1]), np.zeros((3, 3), dtype=int)):
-            with pytest.raises(ParameterError):
-                CountSketchPlan(r=3, bucket_of=buckets, sign_of=None)
+        # unsigned sums go through the kernel with signs=None, which adds the
+        # rows as they are
         out = bucket_sum(np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0]), [(None, np.array([2, 0, 2]))])
         assert np.array_equal(out, [[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
 
 
 class TestPlanDistribution:
     def test_buckets_roughly_uniform_signs_balanced(self):
-        plan = draw_countsketch_plan(20_000, 10, seed=3)
-        counts = np.bincount(plan.bucket_of, minlength=10)
+        buckets, signs = draw_countsketch_plan(20_000, 10, seed=3)
+        # one bucket in [0, r) and one sign of exactly +-1 per row
+        assert buckets.shape == signs.shape == (20_000,)
+        assert buckets.min() >= 0 and buckets.max() < 10
+        assert np.all(np.abs(signs) == 1.0)
+        counts = np.bincount(buckets, minlength=10)
         assert counts.min() > 1700 and counts.max() < 2300
-        assert abs(plan.sign_of.mean()) < 0.03
+        assert abs(signs.mean()) < 0.03
 
 
 class TestNoiseRowCount:
@@ -153,7 +136,7 @@ class TestNoiseRowCount:
         r, trials = 64, 4000
         p = noise_row_count(r)
         patched = sum(
-            int(np.bincount(draw_countsketch_plan(p, r, [64, i]).bucket_of, minlength=r).min() == 0)
+            int(np.bincount(draw_countsketch_plan(p, r, [64, i])[0], minlength=r).min() == 0)
             for i in range(trials)
         )
         bound = np.exp(-4.0)
@@ -218,8 +201,8 @@ class TestReleaseIsItsPlan:
         noise_seed, assign = np.random.SeedSequence(seed).spawn(2)
         d1 = data.A.shape[1]
         sigma = gaussian_sigma(bucket_sensitivity(bound, 1), PP)
-        plan = draw_countsketch_plan(n, r, assign)
-        rebuilt = bucket_sum(np.zeros((r, d1)), data.A, [(None, plan.bucket_of)], plan.sign_of if signed else None)
+        buckets, signs = draw_countsketch_plan(n, r, assign)
+        rebuilt = bucket_sum(np.zeros((r, d1)), data.A, [(None, buckets)], signs if signed else None)
         noise = np.random.default_rng(noise_seed)
         coverage = noise.multinomial(noise_row_count(r), np.full(r, 1.0 / r))
         missed = np.flatnonzero(coverage == 0)
@@ -230,7 +213,7 @@ class TestReleaseIsItsPlan:
         assert noise_plan.patched == missed.size
         assert (missed.size > 0) == (seed == 134)
         # the SeedSequence is copied, not spawned from: a second draw repeats the plan
-        assert np.array_equal(draw_countsketch_plan(n, r, assign).sign_of, plan.sign_of)
+        assert np.array_equal(draw_countsketch_plan(n, r, assign)[1], signs)
 
 
 def _hashed_noise(rng, r, d1, sigma):
@@ -301,7 +284,7 @@ class TestSensitivityBookkeeping:
             row = rng.standard_normal(4)
             a_prime[k] = row / max(np.linalg.norm(row), 1.0)
             plan = draw_countsketch_plan(n, 6, seed=trial)
-            diff = countsketch_apply(plan, a) - countsketch_apply(plan, a_prime)
+            diff = countsketch_apply(a, 6, *plan) - countsketch_apply(a_prime, 6, *plan)
             changed = np.flatnonzero(np.abs(diff).max(axis=1) > 0)
             assert len(changed) <= 1  # exactly the bucket of row k
             assert np.linalg.norm(diff) <= 2.0 * bound + 1e-9
@@ -329,7 +312,7 @@ class TestEmbeddingMini:
         inside = 0
         for i in range(20):
             plan = draw_countsketch_plan(500, 250, seed=100 + i)
-            ratios = np.linalg.norm(countsketch_apply(plan, a) @ vs, axis=0) / base
+            ratios = np.linalg.norm(countsketch_apply(a, 250, *plan) @ vs, axis=0) / base
             inside += int(((ratios >= 0.5) & (ratios <= 1.5)).sum())
         assert inside >= 0.85 * 20 * 50
 
@@ -344,6 +327,6 @@ class TestCsEmbeddingRatios:
         a = rng.standard_normal((n, 6))
         vs = rng.standard_normal((6, 100))
         base = np.linalg.norm(a @ vs, axis=0)
-        sa = countsketch_apply(draw_countsketch_plan(n, r, np.random.SeedSequence([seed, 0])), a)
+        sa = countsketch_apply(a, r, *draw_countsketch_plan(n, r, np.random.SeedSequence([seed, 0])))
         reference = np.linalg.norm(sa @ vs, axis=0) / base
         np.testing.assert_allclose(_embedding_ratios(sa, vs, base), reference, rtol=1e-12, atol=0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpsketch
-from dpsketch.countsketch import private_countsketch_l2
+from dpsketch.countsketch import _CHUNK_CELLS, private_countsketch_l2
 from dpsketch.dataset import DataMatrix
 from dpsketch.errors import ParameterError
 from dpsketch.l1 import L1SketchConfig, level_count, private_l1_sketch
@@ -132,8 +132,8 @@ class TestNeighbourAudit:
     CASES = 60
 
     @staticmethod
-    def neighbours(rng, case):
-        n, d1 = int(rng.integers(20, 300)), int(rng.integers(2, 6))
+    def neighbours(rng, case, shape=None, changed_from=0):
+        n, d1 = shape or (int(rng.integers(20, 300)), int(rng.integers(2, 6)))
         bound = RowBound(float(rng.choice([0.5, 1.0, 3.0])))
         # log-uniform over six decades of epsilon and twelve of delta; at
         # epsilon 1e-3 the noise is about 1e4 times B, and far smaller
@@ -141,7 +141,7 @@ class TestNeighbourAudit:
         pp = PrivacyParams(float(10 ** rng.uniform(-3, 3)), float(10 ** rng.uniform(-12, -1e-3)))
         a = rng.standard_normal((n, d1))
         a *= bound.B * rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(a, axis=1, keepdims=True)
-        k = int(rng.integers(n))
+        k = int(rng.integers(changed_from, n))
         a[k] *= bound.B / np.linalg.norm(a[k])
         a_prime = a.copy()
         e_j = bound.B * np.eye(d1)[rng.integers(d1)]
@@ -156,13 +156,15 @@ class TestNeighbourAudit:
         a_prime[k] = replacements[case % len(replacements)]
         return DataMatrix(a, bound), DataMatrix(a_prime, bound), bound, pp
 
-    def audit(self, seed, release, footprint):
+    def audit(self, seed, release, footprint, cases=CASES, shape=None, changed_from=0):
         """``release(data, bound, pp, seed, params)`` returns the released rows
-        and their sigma; ``footprint(data, params)`` the buckets a row sits in."""
+        and their sigma; ``footprint(data, params)`` the buckets a row sits in.
+        ``shape`` fixes every case's ``(n, d+1)`` (default: drawn per case), and
+        the changed row is drawn from rows ``changed_from .. n - 1``."""
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for case in range(self.CASES):
-            data, data_prime, bound, pp = self.neighbours(rng, case)
+        for case in range(cases):
+            data, data_prime, bound, pp = self.neighbours(rng, case, shape, changed_from)
             params = rng.integers(1 << 32, size=5)
             rows, sigma = release(data, bound, pp, case, params)
             rows_prime, sigma_prime = release(data_prime, bound, pp, case, params)
@@ -187,23 +189,52 @@ class TestNeighbourAudit:
 
         self.audit(31 + signed, release, lambda data, params: 1)
 
+    @staticmethod
+    def levels(params):
+        """The level-0 sparsity ``s`` and the branching ``b`` of a multi-level case."""
+        return int([1, 2, 4, 16][params[1] % 4]), float([2.0, 4.0, 1000.0][params[2] % 3])
+
+    def multilevel_release(self, data, bound, pp, seed, params):
+        s, b = self.levels(params)
+        n_u = int(params[4] % 41) or None  # None: the uniform level has N buckets
+        cfg = L1SketchConfig(pp=pp, bound=bound, seed=seed, N=s * int(params[3] % 8 + 1), b=b, s=s, N_u=n_u)
+        ws = private_l1_sketch(data, cfg)
+        return ws.rows, ws.sigma
+
+    def multilevel_footprint(self, data, params):
+        s, b = self.levels(params)
+        return s + level_count(data.n, b)
+
     def test_multilevel_release(self):
-        def levels(params):
-            """The level-0 sparsity ``s`` and the branching ``b`` of a case."""
-            return int([1, 2, 4, 16][params[1] % 4]), float([2.0, 4.0, 1000.0][params[2] % 3])
+        self.audit(33, self.multilevel_release, self.multilevel_footprint)
+
+    # A release walks A in chunks of max(_CHUNK_CELLS // (d+1), r) rows, so
+    # 70,000 rows span two chunks: of r = 2^16 rows at d+1 = 5, and of 43,690
+    # rows at d+1 = 6 with r <= 64 (the multi-level release, r <= 2216, also
+    # walks its noise rows in chunks of that size). The changed row sits in the
+    # second chunk, whose assignment continues the first chunk's stream. Each
+    # kind of replacement is audited once.
+    CHUNKED_ROWS, CHUNKED_CASES = 70_000, 5
+
+    @pytest.mark.parametrize("signed", [True, False], ids=["cs2", "l1-illus"])
+    @pytest.mark.parametrize("d1,r", [(5, 2**16), (6, None)], ids=["r-row-chunks", "data-chunks"])
+    def test_countsketch_releases_across_chunks(self, signed, d1, r):
+        step = max(_CHUNK_CELLS // d1, r or 0)
+        assert (r is None or r == step) and self.CHUNKED_ROWS > step
 
         def release(data, bound, pp, seed, params):
-            s, b = levels(params)
-            n_u = int(params[4] % 41) or None  # None: the uniform level has N buckets
-            cfg = L1SketchConfig(pp=pp, bound=bound, seed=seed, N=s * int(params[3] % 8 + 1), b=b, s=s, N_u=n_u)
-            ws = private_l1_sketch(data, cfg)
-            return ws.rows, ws.sigma
+            rows = r or int(params[0] % 64) + 1
+            sketch, plan = private_countsketch_l2(data, rows, pp, bound, seed, signed=signed)
+            return sketch, plan.sigma
 
-        def footprint(data, params):
-            s, b = levels(params)
-            return s + level_count(data.n, b)
+        shape = (self.CHUNKED_ROWS, d1)
+        self.audit(35 + signed, release, lambda data, params: 1, self.CHUNKED_CASES, shape, step)
 
-        self.audit(33, release, footprint)
+    def test_multilevel_release_across_chunks(self):
+        step = _CHUNK_CELLS // 6
+        assert self.CHUNKED_ROWS > step
+        shape = (self.CHUNKED_ROWS, 6)
+        self.audit(37, self.multilevel_release, self.multilevel_footprint, self.CHUNKED_CASES, shape, step)
 
 
 def test_package_root_exports_no_modules():
@@ -215,7 +246,7 @@ def test_package_root_exports_no_modules():
 def test_package_root_exports_only_calibrated_releases():
     # the non-private sketchers stay in their modules, and no release exported
     # at the root takes a parameter (or a config field) that sets its noise
-    assert not {"CountSketchPlan", "draw_countsketch_plan", "countsketch_apply", "jl_project"} & set(dpsketch.__all__)
+    assert not {"draw_countsketch_plan", "countsketch_apply", "jl_project"} & set(dpsketch.__all__)
     releases = [
         getattr(dpsketch, name) for name in dpsketch.__all__
         if name.startswith("private_") or name.endswith("_private")
